@@ -9,6 +9,8 @@ backtracking on the residual 2-norm.
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +26,19 @@ class PathCollision(RuntimeError):
 
 class SingularDenominator(ValueError):
     """A residual denominator (or numerator under a log) vanished."""
+
+
+def _ratio(num: complex, den: complex) -> complex:
+    guard = 1e-13 * (1.0 + abs(num) + abs(den))
+    if abs(den) < guard or abs(num) < guard:
+        raise SingularDenominator(f"factor {num} / {den} too close to 0 or infinity")
+    return num / den
+
+
+def _log(value: complex) -> complex:
+    if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise SingularDenominator(f"log of {value}")
+    return cmath.log(value)
 
 
 def _jacobian(fun: Callable[[np.ndarray], np.ndarray], z: np.ndarray,

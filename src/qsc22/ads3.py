@@ -26,8 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._newton import (NoConvergence, SingularDenominator, bisect_real,
-                      solve_damped)
+from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
 from .analytic_layer import OUTER, OnCut, SourceF, x_of_u
 
 __all__ = [
@@ -155,19 +154,6 @@ def aux_b(x: complex, plain: Sequence[complex], barred: Sequence[complex]) -> co
     for y in barred:
         acc *= x - y
     return acc
-
-
-def _ratio(num: complex, den: complex) -> complex:
-    guard = 1e-13 * (1.0 + abs(num) + abs(den))
-    if abs(den) < guard or abs(num) < guard:
-        raise SingularDenominator(f"factor {num} / {den} too close to 0 or infinity")
-    return num / den
-
-
-def _log(value: complex) -> complex:
-    if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise SingularDenominator(f"log of {value}")
-    return cmath.log(value)
 
 
 def aba_residuals(data: AdS3Roots, phases: Optional[DressingModel] = None) -> np.ndarray:

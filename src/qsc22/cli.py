@@ -4,31 +4,21 @@ Every subcommand prints canonical JSON (sorted keys, fixed separators)
 so identical inputs and rng seeds give byte-identical output.  Complex
 numbers are emitted as [re, im] pairs and exact rationals as "num/den"
 strings.  Exit codes: 0 pass, 1 numeric failure, 2 input error,
-3 oracle mismatch.  The environment variable QSC_THREADS caps the
-worker count used by grid subcommands; results are always assembled in
-input order.
+3 oracle mismatch.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
-import itertools
 import json
-import math
-import os
-import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple
 
 import click
 import numpy as np
 
-from . import __version__, ads3, ed_oracle
-from . import analytic_layer as al
+from . import __version__, acceptance, ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
@@ -62,21 +52,6 @@ def _load_json(path: str) -> dict:
         raise click.UsageError(f"cannot read JSON from {path}: {exc}")
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("QSC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    cap = _thread_cap()
-    if cap == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def _complex_pair(value) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise click.UsageError(f"expected [re, im], got {value!r}")
@@ -107,18 +82,6 @@ def main() -> None:
 # Q-system commands
 
 
-def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
-    """Seed integers whose generated odd seeds stay within the degree cap."""
-    rng = random.Random(rng_seed)
-    out = []
-    while len(out) < count:
-        candidate = rng.randrange(2 ** 31)
-        _, bs = qsystem.random_seed_polys(candidate)
-        if max(p.degree() for p in bs) <= degree:
-            out.append(candidate)
-    return out
-
-
 def _seed_polys_from_file(data: dict):
     try:
         b0 = TwistedPoly.from_json(data["B0"])
@@ -128,6 +91,49 @@ def _seed_polys_from_file(data: dict):
     if len(bs) != 4:
         raise click.UsageError("seed file must list exactly four odd seeds")
     return b0, bs
+
+
+def _check_random(random_count, rng_seed) -> None:
+    if rng_seed is None:
+        raise click.UsageError("--random requires --rng-seed")
+    if random_count < 1:
+        raise click.UsageError("--random must be positive")
+
+
+def _systems(seed_path, random_count, degree, rng_seed, audit: bool) -> list:
+    """(label, QSystem) pairs from --seed FILE or --random N --rng-seed S.
+
+    audit=False skips the generator's QQ self-check, for callers that
+    run that check themselves.
+    """
+    if seed_path is not None:
+        data = _load_json(seed_path)
+        try:
+            if "Q" in data:
+                return [("file", qsystem.QSystem.from_json(data))]
+            b0, bs = _seed_polys_from_file(data)
+            return [("file", qsystem.generate_from_seed(b0, bs, audit=audit))]
+        except click.UsageError:
+            raise
+        except Exception as exc:
+            raise click.UsageError(f"cannot build system: {exc}")
+    if random_count is None:
+        raise click.UsageError("provide --seed FILE or --random N --rng-seed S")
+    _check_random(random_count, rng_seed)
+    if degree < 1:
+        raise click.UsageError("--degree must be positive")
+    return [(s, qsystem.random_qsystem(s, audit=audit))
+            for s in acceptance._draw_seed_ints(rng_seed, random_count, degree)]
+
+
+def _emit_runs(runs) -> None:
+    """Emit (label, report) pairs and exit 1 unless every report is ok."""
+    ok = all(rep.ok for _, rep in runs)
+    _emit({
+        "ok": ok,
+        "runs": [{"seed": label, **rep.as_json()} for label, rep in runs],
+    })
+    sys.exit(0 if ok else 1)
 
 
 @main.command("check-qq")
@@ -141,36 +147,8 @@ def _seed_polys_from_file(data: dict):
               help="Seed for the randomized suite (required with --random).")
 def cmd_check_qq(seed_path, random_count, degree, rng_seed) -> None:
     """Verify the full exact relation inventory of Q-systems."""
-    runs = []
-    if seed_path is not None:
-        data = _load_json(seed_path)
-        try:
-            if "Q" in data:
-                q = qsystem.QSystem.from_json(data)
-            else:
-                b0, bs = _seed_polys_from_file(data)
-                q = qsystem.generate_from_seed(b0, bs)
-        except click.UsageError:
-            raise
-        except Exception as exc:
-            raise click.UsageError(f"cannot build system: {exc}")
-        runs.append(("file", qsystem.check_qq(q)))
-    elif random_count is not None:
-        if rng_seed is None:
-            raise click.UsageError("--random requires --rng-seed")
-        if random_count < 1 or degree < 1:
-            raise click.UsageError("--random and --degree must be positive")
-        for s in _draw_seed_ints(rng_seed, random_count, degree):
-            runs.append((s, qsystem.check_qq(qsystem.random_qsystem(s))))
-    else:
-        raise click.UsageError("provide --seed FILE or --random N --rng-seed S")
-
-    ok = all(rep.ok for _, rep in runs)
-    _emit({
-        "ok": ok,
-        "runs": [{"seed": label, **rep.as_json()} for label, rep in runs],
-    })
-    sys.exit(0 if ok else 1)
+    systems = _systems(seed_path, random_count, degree, rng_seed, audit=False)
+    _emit_runs([(label, qsystem.check_qq(q)) for label, q in systems])
 
 
 @main.command("gen-qsystem")
@@ -213,57 +191,9 @@ def cmd_check_hirota(seed_path, random_count, degree, rng_seed, window) -> None:
     except ValueError:
         raise click.UsageError(f"bad window {window!r}, expected 'amax,smax'")
 
-    systems = []
-    if seed_path is not None:
-        data = _load_json(seed_path)
-        if "Q" in data:
-            systems.append(("file", qsystem.QSystem.from_json(data)))
-        else:
-            b0, bs = _seed_polys_from_file(data)
-            systems.append(("file", qsystem.generate_from_seed(b0, bs)))
-    elif random_count is not None:
-        if rng_seed is None:
-            raise click.UsageError("--random requires --rng-seed")
-        for s in _draw_seed_ints(rng_seed, random_count, degree):
-            systems.append((s, qsystem.random_qsystem(s)))
-    else:
-        raise click.UsageError("provide --seed FILE or --random N --rng-seed S")
-
-    runs = [(label, ty_system.check_hirota(q, (amax, smax)))
-            for label, q in systems]
-    ok = all(rep.ok for _, rep in runs)
-    _emit({
-        "ok": ok,
-        "runs": [{"seed": label, **rep.as_json()} for label, rep in runs],
-    })
-    sys.exit(0 if ok else 1)
-
-
-def _random_half_twist(rng: random.Random) -> GaussRat:
-    while True:
-        a, b = rng.randint(1, 6), rng.randint(1, 6)
-        if a != b:
-            z = GaussRat(a, b)
-            return z / z.conjugate()
-
-
-def _character_report(sx: GaussRat, sy: GaussRat) -> dict:
-    q = ty_system.character_solution(sx, sy)
-    qq_ok = qsystem.check_qq(q).ok
-    hirota_ok = ty_system.check_hirota(q).ok
-    th = ty_system.wronskian_T(q)
-    th_dual = ty_system.wronskian_T(qsystem.hodge(q))
-    hodge_ok = all(th.values[cell] == th_dual.values[cell] for cell in th.values)
-    shift_ok = all(p.shift(2) == p for p in th.values.values())
-    return {
-        "sx": str(sx),
-        "sy": str(sy),
-        "qq": qq_ok,
-        "hirota": hirota_ok,
-        "hodge_trivial": hodge_ok,
-        "shift_invariant": shift_ok,
-        "ok": qq_ok and hirota_ok and hodge_ok and shift_ok,
-    }
+    systems = _systems(seed_path, random_count, degree, rng_seed, audit=True)
+    _emit_runs([(label, ty_system.check_hirota(q, (amax, smax)))
+                for label, q in systems])
 
 
 @main.command("character")
@@ -274,29 +204,19 @@ def _character_report(sx: GaussRat, sy: GaussRat) -> dict:
 @click.option("--rng-seed", type=int, default=None)
 def cmd_character(sx, sy, random_count, rng_seed) -> None:
     """Build constant twist solutions and verify their exact identities."""
-    pairs = []
     if sx is not None or sy is not None:
         if sx is None or sy is None:
             raise click.UsageError("--sx and --sy go together")
-        pairs.append((_parse_gauss(sx), _parse_gauss(sy)))
+        try:
+            runs = [acceptance._character_report(_parse_gauss(sx),
+                                                 _parse_gauss(sy))]
+        except ty_system.DegenerateTwist as exc:
+            raise click.UsageError(f"degenerate twist: {exc}")
     elif random_count is not None:
-        if rng_seed is None:
-            raise click.UsageError("--random requires --rng-seed")
-        rng = random.Random(rng_seed)
-        while len(pairs) < random_count:
-            cand = (_random_half_twist(rng), _random_half_twist(rng))
-            try:
-                ty_system.character_solution(*cand)
-            except ty_system.DegenerateTwist:
-                continue
-            pairs.append(cand)
+        _check_random(random_count, rng_seed)
+        runs = acceptance.character_runs(rng_seed, random_count)
     else:
         raise click.UsageError("provide --sx/--sy or --random N --rng-seed S")
-
-    try:
-        runs = [_character_report(a, b) for a, b in pairs]
-    except ty_system.DegenerateTwist as exc:
-        raise click.UsageError(f"degenerate twist: {exc}")
     ok = all(r["ok"] for r in runs)
     _emit({"ok": ok, "runs": runs})
     sys.exit(0 if ok else 1)
@@ -304,6 +224,11 @@ def cmd_character(sx, sy, random_count, rng_seed) -> None:
 
 # --------------------------------------------------------------------------
 # Bethe solver commands
+
+
+def _nested_roots_json(roots: hb.HubbardRoots) -> dict:
+    return {family: [_cj(z) for z in getattr(roots, family)]
+            for family in ("x1e", "u11", "x112")}
 
 
 @main.command("solve-nested")
@@ -338,15 +263,7 @@ def cmd_solve_nested(input_path, tol) -> None:
         sys.exit(1)
     residual = float(np.max(np.abs(hb.nested_residuals(spec, roots)))) \
         if sum(counts) else 0.0
-    _emit({
-        "ok": True,
-        "roots": {
-            "x1e": [_cj(z) for z in roots.x1e],
-            "u11": [_cj(z) for z in roots.u11],
-            "x112": [_cj(z) for z in roots.x112],
-        },
-        "residual": residual,
-    })
+    _emit({"ok": True, "roots": _nested_roots_json(roots), "residual": residual})
 
 
 def _liebwu_payload(lsites, coupling, roots) -> dict:
@@ -412,14 +329,14 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
             ham = ed_oracle.build_hamiltonian(lsites, coupling, sector)
         except ed_oracle.SectorTooLarge as exc:
             raise click.UsageError(str(exc))
-        eigs = ed_oracle.spectrum(ham)
-        gap = float(np.min(np.abs(eigs - payload["E"])))
+        match = ed_oracle.match_spectrum(
+            [payload["E"]], ed_oracle.spectrum(ham), tol)
         payload["ed"] = {
             "sector": list(sector),
-            "gap": gap,
-            "eigenvalue": float(eigs[np.argmin(np.abs(eigs - payload["E"]))]),
+            "gap": match.gaps[0],
+            "eigenvalue": match.nearest[0],
         }
-        if gap > tol:
+        if not match.passed:
             payload["ok"] = False
             _emit(payload)
             sys.exit(3)
@@ -454,19 +371,6 @@ def cmd_ed(lsites, coupling, nup, ndown, fmt) -> None:
             writer.writerow([lsites, coupling, nup, ndown, repr(float(e))])
 
 
-def _admissible_modes(lsites: int, n_charge: int, m_spin: int):
-    """Mode sets whose counting equations bracket a root.
-
-    Sending a spin root to -inf or +inf pins its counting function at
-    2 pi (M - 1 - N - J) and -2 pi J, so a root exists only for J
-    strictly inside (M - 1 - N, 0); the charge modes are free modulo L.
-    """
-    return itertools.product(
-        itertools.combinations(range(lsites), n_charge),
-        itertools.combinations(range(m_spin - n_charge, 0), m_spin),
-    )
-
-
 @main.command("compare")
 @click.option("--L", "lsites", type=int, required=True)
 @click.option("--u", "coupling", type=float, required=True)
@@ -478,53 +382,32 @@ def cmd_compare(lsites, coupling, n_charge, m_spin, tol) -> None:
     if not 0 <= m_spin <= n_charge <= lsites:
         raise click.UsageError("need 0 <= M <= N <= L")
     try:
-        ham = ed_oracle.build_hamiltonian(
-            lsites, coupling, (n_charge - m_spin, m_spin))
+        outcomes, match = acceptance.match_sector(
+            lsites, coupling, n_charge, m_spin, tol)
     except ed_oracle.SectorTooLarge as exc:
         raise click.UsageError(str(exc))
-    eigs = ed_oracle.spectrum(ham)
-
-    def solve_one(modes):
-        mk, ml = modes
-        try:
-            roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
-                                    list(mk), list(ml))
-        except (NoConvergence, PathCollision) as exc:
-            return {"I": list(mk), "J": list(ml), "skipped": str(exc)}
-        payload = _liebwu_payload(lsites, coupling, roots)
-        gap = float(np.min(np.abs(eigs - payload["E"])))
-        return {"I": list(mk), "J": list(ml), "E": payload["E"], "gap": gap}
-
-    rows = _pmap(solve_one, list(_admissible_modes(lsites, n_charge, m_spin)))
-    solved = [r for r in rows if "gap" in r]
-    max_gap = max((r["gap"] for r in solved), default=0.0)
-    ok = bool(solved) and max_gap <= tol
+    rows = [{"I": list(mk), "J": list(ml), "skipped": error}
+            for mk, ml, _, error in outcomes]
+    solved = [row for row in rows if row["skipped"] is None]
+    for row, energy, gap in zip(solved, match.energies, match.gaps):
+        del row["skipped"]
+        row.update(E=energy, gap=gap)
     _emit({
         "L": lsites, "u": coupling, "N": n_charge, "M": m_spin,
         "solutions": len(solved),
         "candidates": len(rows),
-        "max_gap": max_gap,
+        "max_gap": match.max_gap,
         "matches": rows,
-        "ok": ok,
+        "ok": bool(solved) and match.passed,
     })
     if not solved and n_charge > 0:
         sys.exit(1)
-    if max_gap > tol:
+    if not match.passed:
         sys.exit(3)
 
 
 # --------------------------------------------------------------------------
 # Analytic layer commands
-
-
-def _default_source(hcoup: float, vs: Sequence[float]) -> al.SourceF:
-    yplus, yminus = al.shell_pairs(hcoup, vs)
-    return al.SourceF.ext(hcoup, yplus, yminus)
-
-
-def _off_cut_points(rng: random.Random, count: int) -> list:
-    return [complex(rng.uniform(-3.0, 3.0), 0.21 + rng.uniform(0.0, 0.55))
-            for _ in range(count)]
 
 
 @main.command("check-f")
@@ -538,40 +421,10 @@ def _off_cut_points(rng: random.Random, count: int) -> list:
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def cmd_check_f(hcoup, vs, orders, points, rng_seed, tol) -> None:
     """Verify the exact truncation identities of the f, mu, omega products."""
-    source = _default_source(hcoup, vs)
-    rng = random.Random(rng_seed)
-    worst = {"telescope": 0.0, "mu": 0.0, "omega": 0.0}
-    for n in orders:
-        for u in _off_cut_points(rng, points):
-            fn = al.truncated_f(source, n, u)
-            fn2 = al.truncated_f(source, n, u + 1j)
-            lhs = fn / fn2
-            rhs = source(u) / source(u + 1j * (n + 1))
-            worst["telescope"] = max(worst["telescope"], abs(lhs / rhs - 1.0))
-            fsq = source(u) ** 2
-            mu, om = al.mu_omega(source, n, u)
-            mut, omt = al.mu_omega(source, n, u, swap_sheet=True)
-            worst["mu"] = max(worst["mu"], abs(mu / mut / fsq - 1.0))
-            worst["omega"] = max(worst["omega"], abs(om / omt / fsq - 1.0))
+    worst = acceptance.truncation_errors(hcoup, vs, orders, points, rng_seed)
     ok = max(worst.values()) < tol
     _emit({"ok": ok, "orders": sorted(orders), "points": points, **worst})
     sys.exit(0 if ok else 1)
-
-
-_PMU_PROBES = (0.31 + 0.77j, -0.52 + 0.61j, 1.27 + 0.39j, 0.08 - 0.84j,
-               -1.62 + 0.27j, 0.95 + 1.1j, -0.33 - 0.71j, 2.05 + 0.15j)
-
-
-def _canonical_nested():
-    """The reference solved one-root-per-node configuration."""
-    hcoup = 1.0
-    yplus, yminus = al.shell_pairs(hcoup, [0.7, -0.7])
-    spec = hb.HubbardSpec(hcoup, 2, yplus, yminus,
-                          twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
-    seed = hb.HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
-                           (cmath.exp(2.9j) / 1j,))
-    roots = hb.solve_nested(spec, (1, 1, 1), seed)
-    return spec, roots
 
 
 @main.command("pmu-check")
@@ -579,23 +432,12 @@ def _canonical_nested():
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def cmd_pmu_check(n_trunc, tol) -> None:
     """Monodromy residuals of the P pair built from the solved reference."""
-    spec, roots = _canonical_nested()
-    source = al.SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
-    p_eval, pstar_eval, fit = al.caseb_p_evaluators(
-        source, roots.x1e, roots.x112)
-    worst = 0.0
-    for u in _PMU_PROBES:
-        res = al.pmu_residual_caseB(p_eval, pstar_eval, source, n_trunc, u)
-        worst = max(worst, float(np.max(np.abs(res))))
+    spec, roots, fit, worst = acceptance.pmu_residuals(n_trunc)
     nested = float(np.max(np.abs(hb.nested_residuals(spec, roots))))
     ok = worst < tol and fit < tol
     _emit({
         "ok": ok,
-        "roots": {
-            "x1e": [_cj(z) for z in roots.x1e],
-            "u11": [_cj(z) for z in roots.u11],
-            "x112": [_cj(z) for z in roots.x112],
-        },
+        "roots": _nested_roots_json(roots),
         "nested_residual": nested,
         "fit_residual": fit,
         "max_residual": worst,
@@ -677,270 +519,6 @@ def cmd_ads3_crossing(hcoup, volume, eta, tol) -> None:
 # Acceptance suite
 
 
-def _tolerance(override, default):
-    return default if override is None else override
-
-
-def _battery_qq(rng_seed: int, tol) -> Tuple[bool, dict]:
-    seeds = _draw_seed_ints(rng_seed, 20, 3)
-    bad = [s for s in seeds
-           if not qsystem.check_qq(qsystem.random_qsystem(s)).ok]
-    return not bad, {"systems": len(seeds), "failed_seeds": bad}
-
-
-def _battery_hodge(rng_seed: int, tol) -> Tuple[bool, dict]:
-    failures = []
-    for s in _draw_seed_ints(rng_seed + 1, 3, 3):
-        q = qsystem.random_qsystem(s)
-        dd = qsystem.hodge(qsystem.hodge(q))
-        for slot in q:
-            na, ni = qsystem.slot_grades(slot)
-            signed = q[slot] if (na + ni) % 2 == 0 else GaussRat(-1) * q[slot]
-            if dd[slot] != signed:
-                failures.append((s, slot))
-    return not failures, {"systems": 3, "failures": failures}
-
-
-def _battery_hirota(rng_seed: int, tol) -> Tuple[bool, dict]:
-    seeds = _draw_seed_ints(rng_seed, 20, 3)
-    bad = []
-    y_bad = []
-    for s in seeds:
-        q = qsystem.random_qsystem(s)
-        if not ty_system.check_hirota(q).ok:
-            bad.append(s)
-        num, den = ty_system.y_pair(q, 1, 1)
-        num2, den2 = ty_system.y_pair(q, 2, 2)
-        lhs = num * num2 * q["12|12"].shift(-1)
-        rhs = den * den2 * q["12|12"].shift(1)
-        if lhs != rhs:
-            y_bad.append(s)
-    return not bad and not y_bad, {
-        "systems": len(seeds), "hirota_failed": bad, "y_identity_failed": y_bad,
-    }
-
-
-def _battery_character(rng_seed: int, tol) -> Tuple[bool, dict]:
-    rng = random.Random(rng_seed)
-    runs = []
-    while len(runs) < 10:
-        pair = (_random_half_twist(rng), _random_half_twist(rng))
-        try:
-            runs.append(_character_report(*pair))
-        except ty_system.DegenerateTwist:
-            continue
-    ok = all(r["ok"] for r in runs)
-    return ok, {"twists": len(runs), "failed": [r for r in runs if not r["ok"]]}
-
-
-def _liebwu_grid_cases():
-    for lsites in (2, 3, 4):
-        for coupling in (0.5, 1.0, 2.0):
-            for n_charge in range(0, lsites + 1):
-                for m_spin in range(0, n_charge // 2 + 1):
-                    yield lsites, coupling, n_charge, m_spin
-
-
-def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-8)
-    worst = 0.0
-    worst_free = 0.0
-    errors = []
-    total_solved = 0
-
-    def run_sector(case):
-        lsites, coupling, n_charge, m_spin = case
-        ham = ed_oracle.build_hamiltonian(
-            lsites, coupling, (n_charge - m_spin, m_spin))
-        eigs = ed_oracle.spectrum(ham)
-        gaps = []
-        for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
-            try:
-                roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
-                                        list(mk), list(ml))
-            except (NoConvergence, PathCollision):
-                continue
-            energy, _ = hb.energy_momentum(lsites, coupling, roots)
-            gaps.append(float(np.min(np.abs(eigs - energy))))
-        return case, gaps
-
-    for case, gaps in _pmap(run_sector, list(_liebwu_grid_cases())):
-        total_solved += len(gaps)
-        if not gaps and case[2] > 0:
-            errors.append(("empty sector", case))
-        for gap in gaps:
-            worst = max(worst, gap)
-
-    # Free limit.  Without spin roots the momenta decouple and the
-    # closed form -2 sum cos(2 pi I / L) applies; a spin root shifts
-    # each charge mode by a half unit whose side depends on the root,
-    # so those sectors are matched against the oracle at the same
-    # coupling instead.
-    free_u = 1e-8
-    free_cases = sorted({(lsites, n_charge, m_spin)
-                         for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
-                         if n_charge > 0})
-    for lsites, n_charge, m_spin in free_cases:
-        found = 0
-        eigs = None
-        if m_spin:
-            eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(
-                lsites, free_u, (n_charge - m_spin, m_spin)))
-        for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
-            try:
-                roots = hb.solve_liebwu(lsites, free_u, n_charge, m_spin,
-                                        list(mk), list(ml))
-            except (NoConvergence, PathCollision):
-                continue
-            found += 1
-            energy, _mom = hb.energy_momentum(lsites, free_u, roots)
-            if m_spin:
-                gap = float(np.min(np.abs(eigs - energy)))
-            else:
-                free = free_u * (lsites - 2 * n_charge) - 2 * sum(
-                    math.cos(2.0 * math.pi * i / lsites) for i in mk)
-                gap = abs(energy - free)
-            worst_free = max(worst_free, gap)
-        if not found:
-            errors.append(("free limit empty", (lsites, n_charge, m_spin)))
-    ok = not errors and worst <= tol and worst_free <= 1e-4
-    return ok, {"max_gap": worst, "max_free_gap": worst_free,
-                "solved": total_solved, "errors": errors}
-
-
-def _battery_truncation(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-12)
-    source = _default_source(1.0, [0.7, -0.7])
-    rng = random.Random(rng_seed)
-    worst = 0.0
-    for n in (4, 16):
-        for u in _off_cut_points(rng, 200):
-            lhs = al.truncated_f(source, n, u) / al.truncated_f(source, n, u + 1j)
-            rhs = source(u) / source(u + 1j * (n + 1))
-            worst = max(worst, abs(lhs / rhs - 1.0))
-            fsq = source(u) ** 2
-            mu, om = al.mu_omega(source, n, u)
-            mut, omt = al.mu_omega(source, n, u, swap_sheet=True)
-            worst = max(worst, abs(mu / mut / fsq - 1.0), abs(om / omt / fsq - 1.0))
-    return worst < tol, {"max_rel_err": worst}
-
-
-def _conditioned_baxter_draw(rng: random.Random):
-    """Random step data kept away from the singular strata."""
-    def entry(lo=0.3, hi=1.5):
-        radius = rng.uniform(lo, hi)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        return radius * cmath.exp(1j * angle)
-
-    while True:
-        fval = entry(0.5, 2.0)
-        if abs(fval - 1.0) < 0.2 or abs(fval + 1.0) < 0.2:
-            continue
-        p = np.array([entry(), entry()])
-        direction = np.array([entry(), entry()])
-        scale = (1.0 / fval - fval) / (direction @ p)
-        pstar = direction * scale
-        mu = np.array([[entry(), entry()], [entry(), entry()]])
-        sym = (mu + mu.T) / 2.0
-        if abs(np.linalg.det(sym)) < 0.05 or abs(mu[0, 1] - mu[1, 0]) < 0.05:
-            continue
-        return mu, p, pstar, fval
-
-
-def _battery_baxter(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-12)
-    rng = random.Random(rng_seed)
-    worst = 0.0
-    for _ in range(100):
-        mu, p, pstar, fval = _conditioned_baxter_draw(rng)
-        out = al.baxter_step(mu, p, pstar, fval)
-        anti_in = (mu[0, 1] - mu[1, 0]) / 2.0
-        anti_out = (out[0, 1] - out[1, 0]) / 2.0
-        worst = max(worst, abs(anti_out / anti_in * fval ** 2 - 1.0))
-        det_in = np.linalg.det((mu + mu.T) / 2.0)
-        det_out = np.linalg.det((out + out.T) / 2.0)
-        worst = max(worst, abs(det_out / det_in * fval ** 4 - 1.0))
-    return worst < tol, {"max_rel_err": worst, "draws": 100}
-
-
-def _battery_pmu(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-8)
-    spec, roots = _canonical_nested()
-    source = al.SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
-    p_eval, pstar_eval, fit = al.caseb_p_evaluators(
-        source, roots.x1e, roots.x112)
-    worst = 0.0
-    for u in _PMU_PROBES:
-        res = al.pmu_residual_caseB(p_eval, pstar_eval, source, 12, u)
-        worst = max(worst, float(np.max(np.abs(res))))
-    ok = worst < tol and fit < tol
-    return ok, {"max_residual": worst, "fit_residual": fit}
-
-
-def _battery_ads3(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-8)
-    ys = [1.7 - 0.4j, -2.25 + 0.5j]
-    ybars = [3.5 + 1.5j]
-    cont = all(
-        ads3.aux_r(1.0 / x, ys[:n], ybars[:m]) == ads3.aux_b(x, ys[:n], ybars[:m])
-        for x in (2.0, -1.5 + 0.0j, 0.25 + 0.0j)
-        for n in (0, 1, 2) for m in (0, 1))
-    state = ads3.solve_two_particle(1.0, 8)
-    worst = float(np.max(np.abs(ads3.aba_residuals(state))))
-    const = ads3.crossing_structure_check(
-        state, lambda u, crossings: 1.0 + 0j, tol=tol)
-    toy = ads3.crossing_structure_check(
-        state, ads3.toy_sigma_plus(state), tol=tol)
-    ok = cont and worst < 1e-10 and (not const.passed) and toy.passed
-    return ok, {
-        "continuation_exact": cont,
-        "max_residual": worst,
-        "const_passed": const.passed,
-        "toy_rel_gap": toy.rel_gap,
-    }
-
-
-def _battery_ed(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = _tolerance(tol, 1e-9)
-    checks = {}
-    dims_ok = True
-    for lsites in (1, 2, 3):
-        total = sum(ed_oracle.fock_sector(lsites, a, b).dim
-                    for a, b in ed_oracle.sector_table(lsites))
-        dims_ok = dims_ok and total == 4 ** lsites
-    checks["dimension_audit"] = dims_ok
-    trace_gap = 0.0
-    swap_gap = 0.0
-    for lsites, coupling, sector in ((2, 1.0, (1, 1)), (3, 0.5, (2, 1))):
-        ham = ed_oracle.build_hamiltonian(lsites, coupling, sector)
-        eigs = ed_oracle.spectrum(ham)
-        trace_gap = max(trace_gap, abs(float(np.trace(ham)) - float(np.sum(eigs))))
-        swapped = ed_oracle.spectrum(
-            ed_oracle.build_hamiltonian(lsites, coupling, sector[::-1]))
-        swap_gap = max(swap_gap, float(np.max(np.abs(eigs - swapped))))
-    checks["trace_gap"] = trace_gap
-    checks["swap_gap"] = swap_gap
-    eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(2, 1.0, (1, 0)))
-    pinned = float(np.max(np.abs(eigs - np.array([-2.0, 2.0]))))
-    checks["pinned_sector_gap"] = pinned
-    ok = dims_ok and trace_gap < tol and swap_gap < tol and pinned < tol
-    return ok, checks
-
-
-_BATTERIES = (
-    ("qq", _battery_qq),
-    ("hodge", _battery_hodge),
-    ("hirota", _battery_hirota),
-    ("character", _battery_character),
-    ("liebwu", _battery_liebwu),
-    ("truncation", _battery_truncation),
-    ("baxter", _battery_baxter),
-    ("pmu", _battery_pmu),
-    ("ads3", _battery_ads3),
-    ("ed", _battery_ed),
-)
-
-
 @main.command("suite")
 @click.option("--only", multiple=True,
               help="Run only batteries whose name contains this substring.")
@@ -949,20 +527,21 @@ _BATTERIES = (
 @click.option("--rng-seed", type=int, default=7, show_default=True)
 def cmd_suite(only, tol, rng_seed) -> None:
     """Run the acceptance battery; exit 0 only if every check passes."""
-    selected = [(name, fn) for name, fn in _BATTERIES
+    selected = [(name, fn) for name, fn in acceptance.BATTERIES
                 if not only or any(sub in name for sub in only)]
     if not selected:
         raise click.UsageError(f"no battery matches {list(only)}")
     results = []
     first_fail = None
     for name, fn in selected:
-        start = time.monotonic()
+        start = time.perf_counter()
         ok, detail = fn(rng_seed, tol)
         ok = bool(ok)
-        elapsed = time.monotonic() - start
+        elapsed = time.perf_counter() - start
         click.echo(f"[{'PASS' if ok else 'FAIL'}] {name} ({elapsed:.1f}s)",
                    err=True)
-        results.append({"name": name, "ok": ok, "detail": detail})
+        results.append({"name": name, "ok": ok, "detail": detail,
+                        "seconds": round(elapsed, 3)})
         if not ok and first_fail is None:
             first_fail = name
     _emit({"ok": first_fail is None, "first_failure": first_fail,

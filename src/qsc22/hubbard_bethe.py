@@ -27,7 +27,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._newton import (NoConvergence, PathCollision, SingularDenominator,
-                      bisect_real, continue_path, solve_damped)
+                      _log, _ratio, continue_path, solve_damped)
+from .analytic_layer import u_of_x
 
 __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
@@ -35,11 +36,6 @@ __all__ = [
     "liebwu_residuals", "solve_liebwu", "energy_momentum",
     "u_of_x", "NoConvergence", "PathCollision", "SingularDenominator",
 ]
-
-
-def u_of_x(hcoup: float, x: complex) -> complex:
-    """Rapidity of a Zhukovsky point, u = h (x + 1/x) / 2."""
-    return 0.5 * hcoup * (x + 1.0 / x)
 
 
 def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
@@ -129,19 +125,6 @@ class LiebWuRoots:
         object.__setattr__(self, "lam", _distinct(self.lam, "rapidity"))
 
 
-def _ratio(num: complex, den: complex) -> complex:
-    guard = 1e-13 * (1.0 + abs(num) + abs(den))
-    if abs(den) < guard or abs(num) < guard:
-        raise SingularDenominator(f"factor {num} / {den} too close to 0 or infinity")
-    return num / den
-
-
-def _log(value: complex) -> complex:
-    if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise SingularDenominator(f"log of {value}")
-    return cmath.log(value)
-
-
 def nested_residuals(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
     """Log residuals of the three node equations, one entry per root.
 
@@ -150,8 +133,8 @@ def nested_residuals(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
     the right, so its residual is log(-product).
     """
     tx, ty = spec.twist_x, spec.twist_y
-    u_first = [u_of_x(spec.hcoup, x) for x in roots.x1e]
-    u_last = [u_of_x(spec.hcoup, x) for x in roots.x112]
+    u_first = [u_of_x(x, spec.hcoup) for x in roots.x1e]
+    u_last = [u_of_x(x, spec.hcoup) for x in roots.x112]
     res = []
     for x, u in zip(roots.x1e, u_first):
         prod = tx / ty

@@ -1,255 +1,104 @@
 """Acceptance battery: one test per shipped guarantee.
 
-Each test states a guarantee end to end and prints a single
-[PASS] line with the measured margin once its assertions hold, so a
-verbose run reads as a checklist.  Randomized draws share the fixed
-generator seed used by the command line suite.
+Each test runs one battery of `qsc22.acceptance`, the same code as
+`qsc22 suite`, and restates the guarantee's bounds as literals, so a
+change to a battery default cannot loosen a test.  Each prints one
+[PASS] line with the battery's margins, so a verbose run reads as a
+checklist.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import random
+import json
 import time
 
-import numpy as np
+from click.testing import CliRunner
 
-from qsc22 import ads3, ed_oracle, qsystem, ty_system
-from qsc22 import analytic_layer as al
-from qsc22 import hubbard_bethe as hb
-from qsc22._newton import NoConvergence, PathCollision
-from qsc22.cli import (
-    _PMU_PROBES,
-    _admissible_modes,
-    _canonical_nested,
-    _character_report,
-    _conditioned_baxter_draw,
-    _draw_seed_ints,
-    _liebwu_grid_cases,
-    _random_half_twist,
-)
-from qsc22.exact_poly import GaussRat
-
-RNG_SEED = 7
+from qsc22 import qsystem
+from qsc22.acceptance import BATTERIES
+from qsc22.cli import main
 
 
-@functools.lru_cache(maxsize=None)
-def _qq_seeds() -> tuple:
-    return tuple(_draw_seed_ints(RNG_SEED, 20, 3))
-
-
-def _off_cut_points(rng: random.Random, count: int) -> list:
-    return [complex(rng.uniform(-3.0, 3.0), 0.21 + rng.uniform(0.0, 0.55))
-            for _ in range(count)]
+def _run(name: str) -> tuple:
+    """Detail and wall time of one battery at the suite's seed and tolerances."""
+    start = time.perf_counter()
+    ok, detail = dict(BATTERIES)[name](7, None)
+    elapsed = time.perf_counter() - start
+    assert ok, detail
+    print(f"[PASS] {name} in {elapsed:.1f}s: {json.dumps(detail)}")
+    return detail, elapsed
 
 
 def test_criterion_01_random_seeds_satisfy_qq_exactly():
-    start = time.perf_counter()
-    for seed in _qq_seeds():
-        q = qsystem.random_qsystem(seed)
-        report = qsystem.check_qq(q)
-        assert report.ok and report.checked == 49, (seed, report.failures)
-        assert all(poly.is_zero for _, poly in qsystem.qq_residuals(q)), seed
-    elapsed = time.perf_counter() - start
+    detail, elapsed = _run("qq")
+    assert detail == {"systems": 20, "failed_seeds": [], "checked": 49 * 20}
     assert elapsed < 30.0
-    print(f"[PASS] qq relations: 20 systems, 49 exact residuals each, "
-          f"{elapsed:.1f}s")
+
+
+def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
+    generate = qsystem.generate_from_seed
+
+    def corrupted(*args, **kwargs):
+        slots = dict(generate(*args, **kwargs).items())
+        slots["1|1"] = slots["1|1"] + 1
+        return qsystem.QSystem(slots)
+
+    monkeypatch.setattr(qsystem, "generate_from_seed", corrupted)
+    result = CliRunner().invoke(main, ["suite", "--only", "qq"])
+    assert result.exit_code == 1
+    detail = json.loads(result.stdout)["results"][0]["detail"]
+    assert len(detail["failed_seeds"]) == detail["systems"] == 20
 
 
 def test_criterion_02_hodge_double_dual_sign():
-    for seed in _draw_seed_ints(RNG_SEED + 1, 3, 3):
-        q = qsystem.random_qsystem(seed)
-        dd = qsystem.hodge(qsystem.hodge(q))
-        for slot in q:
-            na, ni = qsystem.slot_grades(slot)
-            expect = q[slot] if (na + ni) % 2 == 0 else GaussRat(-1) * q[slot]
-            assert dd[slot] == expect, (seed, slot)
-    print("[PASS] hodge double dual: sign (-1)^(|A|+|I|) on all 16 slots, "
-          "3 systems, exact")
+    assert _run("hodge")[0] == {"systems": 3, "failures": []}
 
 
 def test_criterion_03_wronskian_t_satisfies_hirota():
-    for seed in _qq_seeds():
-        q = qsystem.random_qsystem(seed)
-        report = ty_system.check_hirota(q, window=(4, 4))
-        assert report.ok, (seed, report.failures)
-        num1, den1 = ty_system.y_pair(q, 1, 1)
-        num2, den2 = ty_system.y_pair(q, 2, 2)
-        lhs = num1 * num2 * q["12|12"].shift(-1)
-        rhs = den1 * den2 * q["12|12"].shift(1)
-        assert lhs == rhs, seed
-    print("[PASS] hirota: window (4,4) plus the Y11*Y22 corner identity, "
-          "20 systems, exact")
+    assert _run("hirota")[0] == {"systems": 20, "hirota_failed": [],
+                                 "y_identity_failed": []}
 
 
 def test_criterion_04_liebwu_roots_match_ed_spectra():
-    start = time.perf_counter()
-    worst = 0.0
-    solved = 0
-    for lsites, coupling, n_charge, m_spin in _liebwu_grid_cases():
-        eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(
-            lsites, coupling, (n_charge - m_spin, m_spin)))
-        gaps = []
-        for mode_k, mode_lam in _admissible_modes(lsites, n_charge, m_spin):
-            try:
-                roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
-                                        list(mode_k), list(mode_lam))
-            except (NoConvergence, PathCollision):
-                continue
-            energy, _ = hb.energy_momentum(lsites, coupling, roots)
-            gaps.append(float(np.min(np.abs(eigs - energy))))
-        assert gaps or n_charge == 0, (lsites, coupling, n_charge, m_spin)
-        solved += len(gaps)
-        worst = max(worst, max(gaps, default=0.0))
-    assert worst < 1e-8
-
-    free_u = 1e-8
-    worst_free = 0.0
-    free_cases = sorted({(lsites, n_charge, m_spin)
-                         for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
-                         if n_charge > 0})
-    for lsites, n_charge, m_spin in free_cases:
-        gaps = []
-        eigs = None
-        if m_spin:
-            eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(
-                lsites, free_u, (n_charge - m_spin, m_spin)))
-        for mode_k, mode_lam in _admissible_modes(lsites, n_charge, m_spin):
-            try:
-                roots = hb.solve_liebwu(lsites, free_u, n_charge, m_spin,
-                                        list(mode_k), list(mode_lam))
-            except (NoConvergence, PathCollision):
-                continue
-            energy, _ = hb.energy_momentum(lsites, free_u, roots)
-            if m_spin:
-                gaps.append(float(np.min(np.abs(eigs - energy))))
-            else:
-                free = free_u * (lsites - 2 * n_charge) - 2.0 * sum(
-                    math.cos(2.0 * math.pi * i / lsites) for i in mode_k)
-                gaps.append(abs(energy - free))
-        assert gaps, ("free limit", lsites, n_charge, m_spin)
-        worst_free = max(worst_free, max(gaps))
-    assert worst_free < 1e-4
-    elapsed = time.perf_counter() - start
+    detail, elapsed = _run("liebwu")
+    assert detail["errors"] == []
+    assert detail["max_gap"] < 1e-8
+    assert detail["max_free_gap"] < 1e-4
+    assert detail["attempted"] == 156 and detail["free_attempted"] == 49
+    assert detail["solved"] + detail["skipped"] == detail["attempted"]
     assert elapsed < 120.0
-    print(f"[PASS] lieb-wu vs ed: {solved} solutions, max gap {worst:.2e}, "
-          f"free limit {worst_free:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_05_truncation_identities():
-    yplus, yminus = al.shell_pairs(1.0, [0.7, -0.7])
-    source = al.SourceF.ext(1.0, yplus, yminus)
-    rng = random.Random(5)
-    worst = 0.0
-    for n_trunc in (4, 16):
-        for u in _off_cut_points(rng, 200):
-            lhs = al.truncated_f(source, n_trunc, u) \
-                / al.truncated_f(source, n_trunc, u + 1j)
-            rhs = source(u) / source(u + 1j * (n_trunc + 1))
-            worst = max(worst, abs(lhs / rhs - 1.0))
-            fsq = source(u) ** 2
-            mu, om = al.mu_omega(source, n_trunc, u)
-            mut, omt = al.mu_omega(source, n_trunc, u, swap_sheet=True)
-            worst = max(worst, abs(mu / mut / fsq - 1.0),
-                        abs(om / omt / fsq - 1.0))
-    assert worst < 1e-12
-    print(f"[PASS] truncation identities: 200 points at N=4 and N=16, "
-          f"max relative error {worst:.2e}")
+    assert _run("truncation")[0]["max_rel_err"] < 1e-12
 
 
 def test_criterion_06_baxter_step_projections():
-    rng = random.Random(RNG_SEED)
-    worst = 0.0
-    for _ in range(100):
-        mu, p, pstar, fval = _conditioned_baxter_draw(rng)
-        out = al.baxter_step(mu, p, pstar, fval)
-        anti_in = (mu[0, 1] - mu[1, 0]) / 2.0
-        anti_out = (out[0, 1] - out[1, 0]) / 2.0
-        worst = max(worst, abs(anti_out / anti_in * fval ** 2 - 1.0))
-        det_in = np.linalg.det((mu + mu.T) / 2.0)
-        det_out = np.linalg.det((out + out.T) / 2.0)
-        worst = max(worst, abs(det_out / det_in * fval ** 4 - 1.0))
-    assert worst < 1e-12
-    print(f"[PASS] baxter step: antisymmetric 1/F^2 and symmetric-det 1/F^4 "
-          f"scalings, 100 draws, max relative error {worst:.2e}")
+    detail, _ = _run("baxter")
+    assert detail["draws"] == 100 and detail["max_rel_err"] < 1e-12
 
 
 def test_criterion_07_caseb_pmu_residuals():
-    spec, roots = _canonical_nested()
-    source = al.SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
-    p_eval, pstar_eval, fit = al.caseb_p_evaluators(
-        source, roots.x1e, roots.x112)
-    assert fit < 1e-8
-    worst = 0.0
-    for u in _PMU_PROBES:
-        res = al.pmu_residual_caseB(p_eval, pstar_eval, source, 12, u)
-        worst = max(worst, float(np.max(np.abs(res))))
-    assert worst < 1e-8
-    print(f"[PASS] case-B P-mu residuals: fit {fit:.2e}, "
-          f"max residual {worst:.2e} at N=12")
+    detail, _ = _run("pmu")
+    assert detail["fit_residual"] < 1e-8 and detail["max_residual"] < 1e-8
 
 
 def test_criterion_08_character_solutions():
-    rng = random.Random(RNG_SEED)
-    runs = 0
-    while runs < 10:
-        pair = (_random_half_twist(rng), _random_half_twist(rng))
-        try:
-            report = _character_report(*pair)
-        except ty_system.DegenerateTwist:
-            continue
-        assert report["qq"], pair
-        assert report["hirota"], pair
-        assert report["hodge_trivial"], pair
-        assert report["shift_invariant"], pair
-        runs += 1
-    print("[PASS] character solutions: hirota, hodge triviality and "
-          "shift invariance exact for 10 random unimodular twists")
+    assert _run("character")[0] == {"twists": 10, "failed": []}
 
 
 def test_criterion_09_ads3_continuation_and_crossing():
-    ys = [1.7 - 0.4j, -2.25 + 0.5j]
-    ybars = [3.5 + 1.5j]
-    for x in (2.0, -1.5 + 0.0j, 0.25 + 0.0j):
-        for n in (0, 1, 2):
-            for m in (0, 1):
-                assert ads3.aux_r(1.0 / x, ys[:n], ybars[:m]) \
-                    == ads3.aux_b(x, ys[:n], ybars[:m])
-    state = ads3.solve_two_particle(1.0, 8)
-    worst = float(np.max(np.abs(ads3.aba_residuals(state))))
-    assert worst < 1e-10
-    const = ads3.crossing_structure_check(
-        state, lambda u, crossings: 1.0 + 0.0j, tol=1e-8)
-    toy = ads3.crossing_structure_check(
-        state, ads3.toy_sigma_plus(state), tol=1e-8)
-    assert not const.passed
-    assert toy.passed
-    print(f"[PASS] ads3: continuation exact, two-particle residual "
-          f"{worst:.2e}, constant dressing rejected "
-          f"(gap {const.rel_gap:.2e}), toy log model accepted")
+    detail, _ = _run("ads3")
+    assert detail["continuation_exact"] is True
+    assert detail["max_residual"] < 1e-10
+    assert detail["const_passed"] is False
+    assert detail["toy_rel_gap"] < 1e-8
 
 
 def test_criterion_10_ed_self_checks():
-    for lsites in (1, 2, 3, 4):
-        total = sum(ed_oracle.fock_sector(lsites, a, b).dim
-                    for a, b in ed_oracle.sector_table(lsites))
-        assert total == 4 ** lsites
-    trace_gap = 0.0
-    swap_gap = 0.0
-    for lsites, coupling, sector in ((2, 1.0, (1, 1)), (3, 0.5, (2, 1))):
-        ham = ed_oracle.build_hamiltonian(lsites, coupling, sector)
-        eigs = ed_oracle.spectrum(ham)
-        trace_gap = max(trace_gap,
-                        abs(float(np.trace(ham)) - float(np.sum(eigs))))
-        swapped = ed_oracle.spectrum(
-            ed_oracle.build_hamiltonian(lsites, coupling, sector[::-1]))
-        swap_gap = max(swap_gap, float(np.max(np.abs(eigs - swapped))))
-    assert trace_gap < 1e-9
-    assert swap_gap < 1e-9
-    eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(2, 1.0, (1, 0)))
-    pinned = float(np.max(np.abs(eigs - np.array([-2.0, 2.0]))))
-    assert pinned < 1e-9
-    print(f"[PASS] ed oracle: dimension audit to L=4, trace gap "
-          f"{trace_gap:.2e}, spin-swap gap {swap_gap:.2e}, pinned "
-          f"two-site sector gap {pinned:.2e}")
+    detail, _ = _run("ed")
+    assert detail["dimension_audit"] is True
+    assert detail["audited_sites"] == [1, 2, 3, 4]
+    assert detail["trace_gap"] < 1e-9
+    assert detail["swap_gap"] < 1e-9
+    assert detail["pinned_sector_gap"] < 1e-9

@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 
 from qsc22.analytic_layer import shell_pairs
@@ -117,6 +118,27 @@ def test_check_hirota_random():
     for run in payload["runs"]:
         assert run["checked"] == 20
         assert "0,0" in run["skipped"]
+
+
+def test_check_hirota_bad_q_entry_is_an_input_error(tmp_path):
+    full = json.loads(_run("gen-qsystem", "--rng-seed", "5", "--full").stdout)
+    full["Q"]["1|1"]["terms"][0]["coeffs"][1][0] = "not-a-number"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(full), encoding="utf-8")
+    result = _run("check-hirota", "--seed", str(path))
+    assert result.exit_code == 2
+    assert "cannot build system" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("check-hirota", "--random", "1", "--degree", "0", "--rng-seed", "1"),
+    ("check-hirota", "--random", "0", "--rng-seed", "1"),
+    ("character", "--random", "0", "--rng-seed", "1"),
+])
+def test_empty_or_impossible_random_draws_are_input_errors(args):
+    result = _run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_ed_json():
@@ -241,12 +263,18 @@ def test_ads3_crossing():
 
 
 def test_suite_subset():
-    result = _run("suite", "--only", "hodge")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is True and payload["first_failure"] is None
-    assert [r["name"] for r in payload["results"]] == ["hodge"]
-    assert "[PASS] hodge" in result.stderr
+    outputs = []
+    for _ in range(2):
+        result = _run("suite", "--only", "hodge")
+        assert result.exit_code == 0
+        assert "[PASS] hodge" in result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["ok"] is True and payload["first_failure"] is None
+        assert [r["name"] for r in payload["results"]] == ["hodge"]
+        # Wall time is the one field that may differ between runs.
+        assert payload["results"][0].pop("seconds") >= 0.0
+        outputs.append(json.dumps(payload, sort_keys=True))
+    assert outputs[0] == outputs[1]
 
 
 def test_suite_reports_failure_exit_code():

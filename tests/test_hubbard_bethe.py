@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from qsc22 import ed_oracle
 from qsc22._newton import bisect_real
+from qsc22.acceptance import match_sector
 from qsc22.analytic_layer import shell_pairs
-from qsc22.cli import _admissible_modes
 from qsc22.hubbard_bethe import (
     HubbardRoots,
     HubbardSpec,
@@ -33,8 +32,8 @@ def _reference_spec() -> HubbardSpec:
 
 def test_u_of_x_matches_the_shell():
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
-    assert abs(u_of_x(1.0, yplus[0]) - (0.7 + 0.5j)) < 1e-12
-    assert abs(u_of_x(1.0, yminus[0]) - (0.7 - 0.5j)) < 1e-12
+    assert abs(u_of_x(yplus[0], 1.0) - (0.7 + 0.5j)) < 1e-12
+    assert abs(u_of_x(yminus[0], 1.0) - (0.7 - 0.5j)) < 1e-12
 
 
 def test_spec_validation():
@@ -136,17 +135,5 @@ def test_liebwu_matches_oracle_on_a_small_grid():
     for lsites in (2, 3):
         for n_charge in range(1, lsites + 1):
             for m_spin in range(0, n_charge // 2 + 1):
-                ham = ed_oracle.build_hamiltonian(
-                    lsites, 1.0, (n_charge - m_spin, m_spin))
-                eigs = ed_oracle.spectrum(ham)
-                solved = 0
-                for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
-                    try:
-                        roots = solve_liebwu(lsites, 1.0, n_charge, m_spin,
-                                             list(mk), list(ml))
-                    except Exception:
-                        continue
-                    solved += 1
-                    energy, _ = energy_momentum(lsites, 1.0, roots)
-                    assert np.min(np.abs(eigs - energy)) < 1e-10
-                assert solved > 0
+                _, report = match_sector(lsites, 1.0, n_charge, m_spin, 1e-10)
+                assert report.gaps and report.passed, (lsites, n_charge, m_spin)
