@@ -11,6 +11,7 @@ code with their own parameters.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -44,8 +45,8 @@ def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
 
 def _battery_qq(rng_seed: int, tol) -> Tuple[bool, dict]:
     seeds = _draw_seed_ints(rng_seed, 20, 3)
-    reports = [(s, qsystem.check_qq(qsystem.random_qsystem(s, audit=False)))
-               for s in seeds]
+    reports = [(s, qsystem.check_qq(qsystem.generate_from_seed(
+        *qsystem.random_seed_polys(s), audit=False))) for s in seeds]
     bad = [s for s, rep in reports if not rep.ok or rep.checked != 49]
     return not bad, {"systems": len(seeds), "failed_seeds": bad,
                      "checked": sum(rep.checked for _, rep in reports)}
@@ -71,7 +72,8 @@ def _battery_hirota(rng_seed: int, tol) -> Tuple[bool, dict]:
     bad = []
     y_bad = []
     for s in seeds:
-        q = qsystem.random_qsystem(s, audit=False)
+        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
+                                       audit=False)
         if not ty_system.check_hirota(q).ok:
             bad.append(s)
         num, den = ty_system.y_pair(q, 1, 1)
@@ -156,6 +158,18 @@ def _admissible_modes(lsites: int, n_charge: int, m_spin: int):
     )
 
 
+def match_energies(energies, eigs, tol: float) -> ed_oracle.MatchReport:
+    """`ed_oracle.match_spectrum` for energies that may be non-real.
+
+    The real parts are matched; a non-real energy keeps its imaginary
+    part in its gap, so it fails the match instead of raising.
+    """
+    report = ed_oracle.match_spectrum([e.real for e in energies], eigs, tol)
+    gaps = tuple(abs(e - level) for e, level in zip(energies, report.nearest))
+    return dataclasses.replace(report, gaps=gaps,
+                               passed=all(g < tol for g in gaps))
+
+
 def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
                  tol: float):
     """Solve every admissible mode set of a sector and match the oracle.
@@ -178,27 +192,40 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
         outcomes.append((mk, ml, roots, None))
     energies = [hb.energy_momentum(lsites, coupling, roots)[0]
                 for _, _, roots, error in outcomes if error is None]
-    return outcomes, ed_oracle.match_spectrum(energies, eigs, tol)
+    return outcomes, match_energies(energies, eigs, tol)
+
+
+def _match_sectors(sectors, tol: float, key):
+    """match_sector over (L, u, N, M) sectors, counting the mode sets.
+
+    Returns (counts, results): counts holds the attempted and skipped
+    mode sets, with the skips by key(sector); results lists
+    (sector, outcomes, report).
+    """
+    counts = {"attempted": 0, "skipped": 0, "skipped_by_sector": {}}
+    results = []
+    for sector in sectors:
+        outcomes, report = match_sector(*sector, tol)
+        skipped = len(outcomes) - len(report.gaps)
+        counts["attempted"] += len(outcomes)
+        counts["skipped"] += skipped
+        if skipped:
+            counts["skipped_by_sector"][key(sector)] = skipped
+        results.append((sector, outcomes, report))
+    return counts, results
 
 
 def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
     tol = 1e-8 if tol is None else tol
-    worst = 0.0
     errors = []
-    count = {"attempted": 0, "skipped": 0, "free_attempted": 0, "free_skipped": 0}
-    skips = {"skipped_by_sector": {}, "free_skipped_by_sector": {}}
-    for case in _liebwu_grid_cases():
-        outcomes, report = match_sector(*case, tol)
-        skipped = len(outcomes) - len(report.gaps)
-        count["attempted"] += len(outcomes)
-        count["skipped"] += skipped
-        if skipped:
-            skips["skipped_by_sector"]["L=%d u=%g N=%d M=%d" % case] = skipped
+    grid, results = _match_sectors(_liebwu_grid_cases(), tol,
+                                   lambda case: "L=%d u=%g N=%d M=%d" % case)
+    for case, _, report in results:
         if not report.gaps and case[2] > 0:
             errors.append(("empty sector", case))
         if not report.passed:
             errors.append(("oracle mismatch", case))
-        worst = max(worst, report.max_gap)
+    worst = max(report.max_gap for _, _, report in results)
 
     # Free limit.  Without spin roots the momenta decouple and the
     # closed form -2 sum cos(2 pi I / L) applies; a spin root shifts
@@ -206,33 +233,29 @@ def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
     # so those sectors are matched against the oracle at the same
     # coupling instead.
     free_u = 1e-8
+    free, results = _match_sectors(
+        sorted({(lsites, free_u, n_charge, m_spin)
+                for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
+                if n_charge > 0}),
+        1e-4, lambda case: "L=%d N=%d M=%d" % (case[0], *case[2:]))
     worst_free = 0.0
-    free_cases = sorted({(lsites, n_charge, m_spin)
-                         for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
-                         if n_charge > 0})
-    for lsites, n_charge, m_spin in free_cases:
-        outcomes, report = match_sector(lsites, free_u, n_charge, m_spin, 1e-4)
-        skipped = len(outcomes) - len(report.gaps)
-        count["free_attempted"] += len(outcomes)
-        count["free_skipped"] += skipped
-        if skipped:
-            key = "L=%d N=%d M=%d" % (lsites, n_charge, m_spin)
-            skips["free_skipped_by_sector"][key] = skipped
+    for (lsites, _, n_charge, m_spin), outcomes, report in results:
         if not report.gaps:
             errors.append(("free limit empty", (lsites, n_charge, m_spin)))
         gaps = report.gaps
         if not m_spin:
-            solved_modes = [mk for mk, _, _, error in outcomes if error is None]
             gaps = []
-            for mk, energy in zip(solved_modes, report.energies):
-                free = free_u * (lsites - 2 * n_charge) - 2 * sum(
-                    math.cos(2.0 * math.pi * i / lsites) for i in mk)
-                gaps.append(abs(energy - free))
+            for mk, _, roots, error in outcomes:
+                if error is None:
+                    energy, _ = hb.energy_momentum(lsites, free_u, roots)
+                    closed = free_u * (lsites - 2 * n_charge) - 2 * sum(
+                        math.cos(2.0 * math.pi * i / lsites) for i in mk)
+                    gaps.append(abs(energy - closed))
         worst_free = max([worst_free, *gaps])
     ok = not errors and worst_free < 1e-4
     return ok, {"max_gap": worst, "max_free_gap": worst_free, "errors": errors,
-                "solved": count["attempted"] - count["skipped"],
-                **count, **skips}
+                "solved": grid["attempted"] - grid["skipped"], **grid,
+                **{"free_" + name: value for name, value in free.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +295,11 @@ def truncation_errors(hcoup: float, vs: Sequence[float],
 
 def _battery_truncation(rng_seed: int, tol) -> Tuple[bool, dict]:
     tol = 1e-12 if tol is None else tol
-    worst = max(truncation_errors(1.0, (0.7, -0.7), (4, 16), 200,
+    orders, points = (4, 16), 200
+    worst = max(truncation_errors(1.0, (0.7, -0.7), orders, points,
                                   rng_seed).values())
-    return worst < tol, {"max_rel_err": worst}
+    return worst < tol, {"max_rel_err": worst, "orders": list(orders),
+                         "points": points}
 
 
 def _conditioned_baxter_draw(rng: random.Random):
@@ -350,9 +375,11 @@ def pmu_residuals(n_trunc: int):
 
 def _battery_pmu(rng_seed: int, tol) -> Tuple[bool, dict]:
     tol = 1e-8 if tol is None else tol
-    _, _, fit, worst = pmu_residuals(12)
+    n_trunc = 12
+    _, _, fit, worst = pmu_residuals(n_trunc)
     ok = worst < tol and fit < tol
-    return ok, {"max_residual": worst, "fit_residual": fit}
+    return ok, {"max_residual": worst, "fit_residual": fit,
+                "n_trunc": n_trunc, "probes": len(_PMU_PROBES)}
 
 
 # --------------------------------------------------------------------------

@@ -447,7 +447,7 @@ def random_seed_polys(seed: int) -> Tuple[TwistedPoly, Tuple[TwistedPoly, ...]]:
     return b0, (b1, b2, b3, b4)
 
 
-def random_qsystem(seed: int, audit: bool = True) -> QSystem:
-    """Random system from `random_seed_polys`, audited unless audit=False."""
+def random_qsystem(seed: int) -> QSystem:
+    """Audited random system from `random_seed_polys`."""
     b0, bs = random_seed_polys(seed)
-    return generate_from_seed(b0, bs, audit=audit)
+    return generate_from_seed(b0, bs)

@@ -14,7 +14,7 @@ import time
 
 from click.testing import CliRunner
 
-from qsc22 import qsystem
+from qsc22 import acceptance, hubbard_bethe, qsystem
 from qsc22.acceptance import BATTERIES
 from qsc22.cli import main
 
@@ -69,8 +69,30 @@ def test_criterion_04_liebwu_roots_match_ed_spectra():
     assert elapsed < 120.0
 
 
+def test_criterion_04_fails_on_a_non_real_energy(monkeypatch):
+    energy_momentum = hubbard_bethe.energy_momentum
+
+    def complex_energy(*args):
+        energy, momentum = energy_momentum(*args)
+        return energy + 1e-3j, momentum
+
+    # Two sectors keep the run short: the free limit of the first uses
+    # the closed form, that of the second the oracle.
+    monkeypatch.setattr(acceptance, "_liebwu_grid_cases",
+                        lambda: [(2, 1.0, 1, 0), (3, 1.0, 2, 1)])
+    monkeypatch.setattr(hubbard_bethe, "energy_momentum", complex_energy)
+    result = CliRunner().invoke(main, ["suite", "--only", "liebwu"])
+    assert result.exit_code == 1
+    detail = json.loads(result.stdout)["results"][0]["detail"]
+    assert detail["errors"] == [["oracle mismatch", [2, 1.0, 1, 0]],
+                                ["oracle mismatch", [3, 1.0, 2, 1]]]
+    assert detail["max_gap"] >= 1e-3 and detail["max_free_gap"] >= 1e-3
+
+
 def test_criterion_05_truncation_identities():
-    assert _run("truncation")[0]["max_rel_err"] < 1e-12
+    detail, _ = _run("truncation")
+    assert detail["orders"] == [4, 16] and detail["points"] == 200
+    assert detail["max_rel_err"] < 1e-12
 
 
 def test_criterion_06_baxter_step_projections():
@@ -80,6 +102,7 @@ def test_criterion_06_baxter_step_projections():
 
 def test_criterion_07_caseb_pmu_residuals():
     detail, _ = _run("pmu")
+    assert detail["n_trunc"] == 12 and detail["probes"] == 8
     assert detail["fit_residual"] < 1e-8 and detail["max_residual"] < 1e-8
 
 

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from qsc22 import hubbard_bethe as hb
+from qsc22.acceptance import _canonical_nested
 from qsc22.analytic_layer import (
     INNER,
     OUTER,
@@ -179,18 +179,8 @@ def test_vanishing_p_is_consistent_with_unit_f():
         assert np.max(np.abs(res)) < 1e-12
 
 
-def _reference_caseb():
-    hcoup = 1.0
-    yplus, yminus = shell_pairs(hcoup, [0.7, -0.7])
-    spec = hb.HubbardSpec(hcoup, 2, yplus, yminus,
-                          twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
-    seed = hb.HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
-                           (cmath.exp(2.9j) / 1j,))
-    return spec, hb.solve_nested(spec, (1, 1, 1), seed)
-
-
 def test_caseb_evaluators_close_the_monodromy_system():
-    spec, roots = _reference_caseb()
+    spec, roots = _canonical_nested()
     source = SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
     p_eval, pstar_eval, fit = caseb_p_evaluators(source, roots.x1e, roots.x112)
     assert fit < 1e-12
