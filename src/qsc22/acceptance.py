@@ -386,6 +386,15 @@ def _battery_pmu(rng_seed: int, tol) -> Tuple[bool, dict]:
 # AdS3 and the oracle itself
 
 
+def crossing_reports(state: ads3.AdS3Roots, eta: int, tol: float):
+    """(const, toy) crossing reports; only the toy model should pass."""
+    const = ads3.crossing_structure_check(
+        state, lambda u, crossings: 1.0 + 0j, eta=eta, tol=tol)
+    toy = ads3.crossing_structure_check(
+        state, ads3.toy_sigma_plus(state, eta), eta=eta, tol=tol)
+    return const, toy
+
+
 def _battery_ads3(rng_seed: int, tol) -> Tuple[bool, dict]:
     tol = 1e-8 if tol is None else tol
     ys = [1.7 - 0.4j, -2.25 + 0.5j]
@@ -396,10 +405,7 @@ def _battery_ads3(rng_seed: int, tol) -> Tuple[bool, dict]:
         for n in (0, 1, 2) for m in (0, 1))
     state = ads3.solve_two_particle(1.0, 8)
     worst = float(np.max(np.abs(ads3.aba_residuals(state))))
-    const = ads3.crossing_structure_check(
-        state, lambda u, crossings: 1.0 + 0j, tol=tol)
-    toy = ads3.crossing_structure_check(
-        state, ads3.toy_sigma_plus(state), tol=tol)
+    const, toy = crossing_reports(state, 1, tol)
     ok = cont and worst < 1e-10 and (not const.passed) and toy.passed
     return ok, {
         "continuation_exact": cont,

@@ -9,12 +9,11 @@ products, extracts dual auxiliary roots from the fermionic duality
 combination W = R+ Bbar- - R- Bbar+, and checks the logarithmic
 monodromy structure of the crossing factor.
 
-Square roots in the massive B and R prefactors are taken once per
-product (a single principal square root of the full product), which
-keeps the duality combination W exactly aligned with the auxiliary
-Bethe equations on zero-momentum configurations.  The zero-momentum
-condition itself is reported, not enforced: single-pair configurations
-used by the momentum-shell oracle violate it by construction.
+The B, R and QQ factors of a massive tower (`MassiveTower`), the
+auxiliary products and W itself live in `analytic_layer`.  The
+zero-momentum condition is reported, not enforced: single-pair
+configurations used by the momentum-shell oracle violate it by
+construction.
 """
 
 from __future__ import annotations
@@ -22,12 +21,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
-from .analytic_layer import OUTER, OnCut, SourceF, x_of_u
+from .analytic_layer import (OUTER, MassiveTower, SourceF, _as_complex_list,
+                             aux_b, aux_r, shell_pair, truncated_f, u_rapidity,
+                             w_combination, x_of_u)
 
 __all__ = [
     "ShellViolation", "AdS3Roots", "DressingModel",
@@ -39,13 +41,13 @@ __all__ = [
     "CrossingReport", "crossing_structure_check", "toy_sigma_plus",
 ]
 
+_AUX_TOL = 1e-12
+_AUX_Y_SPAN = 12.0
+_CROSSING_U = 0.4 + 0.7j
+
 
 class ShellViolation(ValueError):
     """A massive root pair breaks the shell or modulus condition."""
-
-
-def _pairs(values) -> Tuple[complex, ...]:
-    return tuple(complex(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class AdS3Roots:
         if self.hcoup <= 0:
             raise ValueError("hcoup must be positive")
         for name in ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b"):
-            object.__setattr__(self, name, _pairs(getattr(self, name)))
+            object.__setattr__(self, name, _as_complex_list(getattr(self, name)))
         if len(self.xp) != len(self.xm) or len(self.xbp) != len(self.xbm):
             raise ShellViolation("massive towers need matching +/- counts")
         target = 2.0j / self.hcoup
@@ -119,41 +121,12 @@ class DressingModel:
     sigma_hat: Callable[[Tuple[complex, complex], Tuple[complex, complex]], complex] = _one
 
 
-def u_rapidity(hcoup: float, xplus: complex) -> complex:
-    """Massive rapidity u = h (x+ + 1/x+) / 2 - i/2."""
-    return 0.5 * hcoup * (xplus + 1.0 / xplus) - 0.5j
-
-
 def momentum_defect(data: AdS3Roots) -> complex:
     """Deviation of the total momentum product from 1."""
     prod = 1.0 + 0.0j
     for plus, minus in zip(data.xp + data.xbp, data.xm + data.xbm):
         prod *= plus / minus
     return prod - 1.0
-
-
-def aux_r(x: complex, plain: Sequence[complex], barred: Sequence[complex]) -> complex:
-    """R-type auxiliary product: (x - y) factors, then (1/x - ybar).
-
-    The loop order (plain factors first) makes the continuation
-    identity with aux_b bitwise at points where 1/(1/x) is exact.
-    """
-    acc = 1.0 + 0.0j
-    for y in plain:
-        acc *= x - y
-    for y in barred:
-        acc *= 1.0 / x - y
-    return acc
-
-
-def aux_b(x: complex, plain: Sequence[complex], barred: Sequence[complex]) -> complex:
-    """B-type auxiliary product, the sheet swap of aux_r."""
-    acc = 1.0 + 0.0j
-    for y in plain:
-        acc *= 1.0 / x - y
-    for y in barred:
-        acc *= x - y
-    return acc
 
 
 def aba_residuals(data: AdS3Roots, phases: Optional[DressingModel] = None) -> np.ndarray:
@@ -218,8 +191,15 @@ def aba_residuals(data: AdS3Roots, phases: Optional[DressingModel] = None) -> np
     return np.array(res, dtype=complex)
 
 
-def _shell_x(hcoup: float, v: float) -> Tuple[complex, complex]:
-    return (x_of_u(v + 0.5j, hcoup, OUTER), x_of_u(v - 0.5j, hcoup, OUTER))
+def _shell_root(hcoup: float, gap: Callable[[float], float], vmax: float,
+                failure: str) -> Tuple[complex, complex]:
+    """Shell pair at the first sign change of gap on a log grid up to vmax."""
+    vs = np.geomspace(1e-3, vmax, 400)
+    vals = [gap(v) for v in vs]
+    for i in range(len(vs) - 1):
+        if vals[i] * vals[i + 1] < 0:
+            return shell_pair(hcoup, bisect_real(gap, float(vs[i]), float(vs[i + 1])))
+    raise NoConvergence(failure)
 
 
 def solve_single(hcoup: float, volume: int, winding: int = 1,
@@ -230,17 +210,12 @@ def solve_single(hcoup: float, volume: int, winding: int = 1,
     found by bisection in the real rapidity.
     """
     def gap(v: float) -> float:
-        plus, minus = _shell_x(hcoup, v)
+        plus, minus = shell_pair(hcoup, v)
         return volume * cmath.log(plus / minus).imag - 2.0 * math.pi * winding
 
-    vs = np.geomspace(1e-3, vmax, 400)
-    vals = [gap(v) for v in vs]
-    for i in range(len(vs) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            v = bisect_real(gap, float(vs[i]), float(vs[i + 1]))
-            plus, minus = _shell_x(hcoup, v)
-            return AdS3Roots(hcoup, volume, xp=(plus,), xm=(minus,))
-    raise NoConvergence(f"no shell root for winding {winding} up to v={vmax}")
+    plus, minus = _shell_root(hcoup, gap, vmax,
+                              f"no shell root for winding {winding} up to v={vmax}")
+    return AdS3Roots(hcoup, volume, xp=(plus,), xm=(minus,))
 
 
 def solve_two_particle(hcoup: float, volume: int, winding: int = 1,
@@ -251,34 +226,27 @@ def solve_two_particle(hcoup: float, volume: int, winding: int = 1,
     momentum condition hold identically, leaving one real equation.
     """
     def gap(v: float) -> float:
-        plus, minus = _shell_x(hcoup, v)
+        plus, minus = shell_pair(hcoup, v)
         val = volume * cmath.log(plus / minus).imag \
             - cmath.log((2 * v + 1j) / (2 * v - 1j)).imag
         return val - 2.0 * math.pi * winding
 
-    vs = np.geomspace(1e-3, vmax, 400)
-    vals = [gap(v) for v in vs]
-    for i in range(len(vs) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            v = bisect_real(gap, float(vs[i]), float(vs[i + 1]))
-            plus, minus = _shell_x(hcoup, v)
-            return AdS3Roots(hcoup, volume,
-                             xp=(plus, -minus), xm=(minus, -plus))
-    raise NoConvergence(f"no two-particle root for winding {winding}")
+    plus, minus = _shell_root(hcoup, gap, vmax,
+                              f"no two-particle root for winding {winding}")
+    return AdS3Roots(hcoup, volume, xp=(plus, -minus), xm=(minus, -plus))
 
 
 def _symmetric_state(hcoup: float, volume: int, v1: float, v2: float,
                      y: float) -> AdS3Roots:
-    p1, m1 = _shell_x(hcoup, v1)
-    p2, m2 = _shell_x(hcoup, v2)
+    p1, m1 = shell_pair(hcoup, v1)
+    p2, m2 = shell_pair(hcoup, v2)
     return AdS3Roots(hcoup, volume,
                      xp=(p1, -m1, p2, -m2), xm=(m1, -p1, m2, -p2),
                      y1=(y, -y))
 
 
 def solve_with_auxiliary(hcoup: float, volume: int,
-                         seed: Tuple[float, float],
-                         *, tol: float = 1e-12, y_span: float = 12.0) -> AdS3Roots:
+                         seed: Tuple[float, float]) -> AdS3Roots:
     """Four mirror-symmetric left pairs with an auxiliary pair {y, -y}.
 
     The rapidity mirror v -> -v keeps the total momentum at exactly 1
@@ -295,65 +263,19 @@ def solve_with_auxiliary(hcoup: float, volume: int,
         res = aba_residuals(state)
         return np.array([res[0].imag, res[2].imag, res[4].imag])
 
-    p1, m1 = _shell_x(hcoup, v1s)
-    p2, m2 = _shell_x(hcoup, v2s)
-    xp_seed = (p1, -m1, p2, -m2)
+    xp_seed = _symmetric_state(hcoup, volume, v1s, v2s, 0.0).xp
 
     def aux_phase(y: float) -> float:
         return sum(np.angle(y - x) for x in xp_seed) + math.pi
 
-    y0 = bisect_real(aux_phase, 1e-4, y_span)
-    z = solve_damped(fun, np.array([v1s, v2s, y0]), tol=tol, real=True)
+    y0 = bisect_real(aux_phase, 1e-4, _AUX_Y_SPAN)
+    z = solve_damped(fun, np.array([v1s, v2s, y0]), tol=_AUX_TOL, real=True)
     state = _symmetric_state(hcoup, volume, float(z[0]), float(z[1]),
                              float(z[2]))
     worst = float(np.max(np.abs(aba_residuals(state))))
     if worst > 1e-10 or abs(state.y1[0]) < 1e-6:
         raise NoConvergence(f"degenerate auxiliary configuration ({worst:.2e})")
     return state
-
-
-def _massive_constants(hcoup: float, roots: Sequence[complex]) -> complex:
-    prod = 1.0 + 0.0j
-    for x in roots:
-        prod *= 0.5 * hcoup / x
-    return cmath.sqrt(prod)
-
-
-class _MassiveFactors:
-    """B and R builders for one massive tower, product-level constants."""
-
-    __slots__ = ("hcoup", "plus", "minus", "cplus", "cminus")
-
-    def __init__(self, hcoup: float, plus: Sequence[complex], minus: Sequence[complex]):
-        self.hcoup = hcoup
-        self.plus = tuple(plus)
-        self.minus = tuple(minus)
-        self.cplus = _massive_constants(hcoup, self.minus)
-        self.cminus = _massive_constants(hcoup, self.plus)
-
-    def b(self, branch: int, x: complex) -> complex:
-        roots = self.minus if branch > 0 else self.plus
-        acc = self.cplus if branch > 0 else self.cminus
-        for r in roots:
-            acc *= 1.0 / x - r
-        return acc
-
-    def r(self, branch: int, x: complex) -> complex:
-        roots = self.minus if branch > 0 else self.plus
-        acc = self.cplus if branch > 0 else self.cminus
-        for r in roots:
-            acc *= x - r
-        return acc
-
-    def qq(self, u: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for plus in self.plus:
-            acc *= u - u_rapidity(self.hcoup, plus)
-        return acc
-
-
-def _w_combination(left: _MassiveFactors, right: _MassiveFactors, x: complex) -> complex:
-    return left.r(+1, x) * right.b(-1, x) - left.r(-1, x) * right.b(+1, x)
 
 
 @dataclass(frozen=True)
@@ -378,13 +300,13 @@ def dual_auxiliary_roots(data: AdS3Roots):
     m2, m2b = len(data.xp), len(data.xbp)
     if m2 + m2b == 0:
         return ((), ()), ((), ())
-    left = _MassiveFactors(data.hcoup, data.xp, data.xm)
-    right = _MassiveFactors(data.hcoup, data.xbp, data.xbm)
+    left = MassiveTower(data.hcoup, data.xp, data.xm)
+    right = MassiveTower(data.hcoup, data.xbp, data.xbm)
     deg = m2 + m2b
     nodes = [1.9 * cmath.exp(2j * math.pi * s / (deg + 1) + 0.173j)
              for s in range(deg + 1)]
     vander = np.array([[node ** (deg - t) for t in range(deg + 1)] for node in nodes])
-    values = np.array([node ** m2b * _w_combination(left, right, node)
+    values = np.array([node ** m2b * w_combination(left, right, node)
                        for node in nodes])
     coeffs = np.linalg.solve(vander, values)
     scale = float(np.max(np.abs(coeffs)))
@@ -425,8 +347,8 @@ class AsymptoticQ:
         self.data = data
         self.n_trunc = int(n_trunc)
         self.massless = massless
-        self._left = _MassiveFactors(data.hcoup, data.xp, data.xm)
-        self._right = _MassiveFactors(data.hcoup, data.xbp, data.xbm)
+        self._left = MassiveTower(data.hcoup, data.xp, data.xm)
+        self._right = MassiveTower(data.hcoup, data.xbp, data.xbm)
         (self.y1_tilde, self.y1b_tilde), (self.y3_tilde, self.y3b_tilde) = \
             dual_auxiliary_roots(data)
         self.duality = self._duality_report()
@@ -434,7 +356,7 @@ class AsymptoticQ:
     def _x(self, u: complex) -> complex:
         return x_of_u(u, self.data.hcoup, OUTER)
 
-    def _g(self, tower: _MassiveFactors, u: complex) -> complex:
+    def _g(self, tower: MassiveTower, u: complex) -> complex:
         x = self._x(u)
         val = tower.b(+1, x) / tower.b(-1, x)
         if self.massless is not None and tower is self._left:
@@ -442,16 +364,10 @@ class AsymptoticQ:
         return val
 
     def f(self, u: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for n in range(self.n_trunc + 1):
-            acc *= self._g(self._left, u + 1j * n)
-        return acc
+        return truncated_f(partial(self._g, self._left), self.n_trunc, u)
 
     def fbar(self, u: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for n in range(self.n_trunc + 1):
-            acc *= self._g(self._right, u + 1j * n)
-        return acc
+        return truncated_f(partial(self._g, self._right), self.n_trunc, u)
 
     def f_tot(self, u: complex) -> complex:
         return self.f(u) * self.fbar(u)
@@ -507,7 +423,7 @@ class AsymptoticQ:
         gap = 0.0
         for y in list(self.data.y1) + [1.0 / y for y in self.data.y1b] \
                 + list(self.data.y3) + [1.0 / y for y in self.data.y3b]:
-            gap = max(gap, abs(_w_combination(self._left, self._right, y)))
+            gap = max(gap, abs(w_combination(self._left, self._right, y)))
         return DualityReport(mean, rel, gap, False)
 
 
@@ -550,11 +466,10 @@ class MuRatioReport:
 
 _MU_POINTS = (0.31 + 0.417j, -0.53 + 0.611j, 1.27 + 0.39j,
               0.08 - 0.344j, -1.62 + 0.27j)
+_MU_TOL = 1e-8
 
 
 def mu_as_ratio_check(data: AdS3Roots, n_trunc: int,
-                      points: Sequence[complex] = _MU_POINTS,
-                      tol: float = 1e-8,
                       massless: Optional[SourceF] = None) -> MuRatioReport:
     """Compare mu_as(u+i)/mu_as(u) against its displayed right side.
 
@@ -565,8 +480,8 @@ def mu_as_ratio_check(data: AdS3Roots, n_trunc: int,
     distance of the boundary factor from 1 is reported as the
     truncation diagnostic.
     """
-    left = _MassiveFactors(data.hcoup, data.xp, data.xm)
-    right = _MassiveFactors(data.hcoup, data.xbp, data.xbm)
+    left = MassiveTower(data.hcoup, data.xp, data.xm)
+    right = MassiveTower(data.hcoup, data.xbp, data.xbm)
 
     def g(u: complex) -> complex:
         x = x_of_u(u, data.hcoup, OUTER)
@@ -575,25 +490,15 @@ def mu_as_ratio_check(data: AdS3Roots, n_trunc: int,
             val *= massless.eval_x(x)
         return val
 
-    def f_n(u: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for n in range(n_trunc + 1):
-            acc *= g(u + 1j * n)
-        return acc
-
-    def fs_n(u: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for n in range(n_trunc + 1):
-            acc /= g(u - 1j * n)
-        return acc
+    f_n = partial(truncated_f, g, n_trunc)
 
     def mu_n(u: complex) -> complex:
         qmin = left.qq(u - 0.5j) * right.qq(u - 0.5j)
-        return qmin * f_n(u) * fs_n(u - 1j)
+        return qmin * f_n(u) / f_n(u - 1j, bar=True)
 
     worst = 0.0
     boundary_gap = 0.0
-    for u in points:
+    for u in _MU_POINTS:
         lhs = mu_n(u + 1j) / mu_n(u)
         qratio = (left.qq(u + 0.5j) * right.qq(u + 0.5j)) \
             / (left.qq(u - 0.5j) * right.qq(u - 0.5j))
@@ -601,7 +506,7 @@ def mu_as_ratio_check(data: AdS3Roots, n_trunc: int,
         corr = g(u - 1j * (n_trunc + 1)) / g(u + 1j * (n_trunc + 1))
         worst = max(worst, abs(lhs / (rhs * corr) - 1.0))
         boundary_gap = max(boundary_gap, abs(corr - 1.0))
-    return MuRatioReport(tuple(points), worst, boundary_gap, worst < tol)
+    return MuRatioReport(_MU_POINTS, worst, boundary_gap, worst < _MU_TOL)
 
 
 @dataclass(frozen=True)
@@ -615,8 +520,8 @@ class CrossingReport:
 
 
 def _crossing_factor(data: AdS3Roots, x: complex, eta: int) -> complex:
-    left = _MassiveFactors(data.hcoup, data.xp, data.xm)
-    right = _MassiveFactors(data.hcoup, data.xbp, data.xbm)
+    left = MassiveTower(data.hcoup, data.xp, data.xm)
+    right = MassiveTower(data.hcoup, data.xbp, data.xbm)
     base = (left.b(-1, x) / left.b(+1, x)) * (right.r(+1, x) / right.r(-1, x))
     return base ** (2 * eta)
 
@@ -626,7 +531,10 @@ def toy_sigma_plus(data: AdS3Roots, eta: int = 1) -> Callable[[complex, int], co
 
     Each crossing multiplies the value by the algebraic factor to the
     power eta, so the double-crossed value picks up the full factor;
-    a finite sum of logarithms, not a square root.
+    a finite sum of logarithms, not a square root.  The model is built
+    from `_crossing_factor`, the very factor crossing_structure_check
+    compares against, so its rel_gap of 0.0 demonstrates the
+    construction and is not evidence for any dressing phase.
     """
     def model(u: complex, crossings: int) -> complex:
         x = x_of_u(u, data.hcoup, OUTER)
@@ -637,7 +545,6 @@ def toy_sigma_plus(data: AdS3Roots, eta: int = 1) -> Callable[[complex, int], co
 
 def crossing_structure_check(data: AdS3Roots,
                              sigma_plus: Callable[[complex, int], complex],
-                             u: complex = 0.4 + 0.7j,
                              eta: int = 1,
                              tol: float = 1e-8) -> CrossingReport:
     """Compare the measured double-crossing ratio with the root factor.
@@ -646,8 +553,8 @@ def crossing_structure_check(data: AdS3Roots,
     massive roots are present, which rules out any model that returns
     to itself after two crossings.
     """
-    x = x_of_u(u, data.hcoup, OUTER)
+    x = x_of_u(_CROSSING_U, data.hcoup, OUTER)
     factor = _crossing_factor(data, x, eta)
-    measured = sigma_plus(u, 2) / sigma_plus(u, 0)
+    measured = sigma_plus(_CROSSING_U, 2) / sigma_plus(_CROSSING_U, 0)
     rel = abs(measured / factor - 1.0)
     return CrossingReport(factor, measured, rel, rel < tol)

@@ -17,12 +17,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 OUTER = "outer"
 INNER = "inner"
+
+_EXT_SHIFT_TOL = 1e-9
+_CASEB_SPAN = 2
+_CASEB_FIT_RADIUS = 1.3
+_CASEB_FIT_POINTS = 120
 
 Complex = complex
 Vec2 = Tuple[complex, complex]
@@ -103,7 +109,7 @@ class SourceF:
     mtheta: int = 0
 
     @classmethod
-    def ext(cls, hcoup: float, yplus, yminus, tol: float = 1e-9) -> "SourceF":
+    def ext(cls, hcoup: float, yplus, yminus) -> "SourceF":
         yp = _as_complex_list(yplus)
         ym = _as_complex_list(yminus)
         if len(yp) != len(ym):
@@ -112,7 +118,7 @@ class SourceF:
             if abs(p) <= 1.0 or abs(m) <= 1.0:
                 raise ValueError("ext roots must satisfy |y| > 1")
             shift = p + 1.0 / p - m - 1.0 / m - 2j / hcoup
-            if abs(shift) > tol:
+            if abs(shift) > _EXT_SHIFT_TOL:
                 raise ValueError(f"pair ({p}, {m}) violates the shift constraint by {abs(shift):.3e}")
         return cls("ext", float(hcoup), yplus=yp, yminus=ym, mtheta=len(yp))
 
@@ -207,38 +213,87 @@ def shell_pairs(hcoup: float, vs: Sequence[float]) -> Tuple[Tuple[complex, ...],
     return tuple(p for p, _ in ys), tuple(m for _, m in ys)
 
 
-def b_factor(source: SourceF, branch: int, x: complex) -> complex:
-    """B_(+1/-1)(x) = prod_k sqrt(h/(2 y_k)) * (1/x - y_k), roots y^-/y^+.
+def u_rapidity(hcoup: float, xplus: complex) -> complex:
+    """Massive rapidity u = h (x+ + 1/x+) / 2 - i/2."""
+    return 0.5 * hcoup * (xplus + 1.0 / xplus) - 0.5j
 
-    branch +1 runs over the yminus list, branch -1 over yplus, matching
-    the convention that the plus factor is built on the minus roots.
+
+def aux_r(x: complex, plain: Sequence[complex], barred: Sequence[complex]) -> complex:
+    """R-type auxiliary product: (x - y) factors, then (1/x - ybar).
+
+    The loop order (plain factors first) makes the continuation
+    identity with aux_b bitwise at points where 1/(1/x) is exact.
     """
-    roots = source.yminus if branch > 0 else source.yplus
-    out = 1.0 + 0j
-    for y in roots:
-        out *= cmath.sqrt(source.hcoup / (2.0 * y)) * (1.0 / x - y)
-    return out
+    acc = 1.0 + 0.0j
+    for y in plain:
+        acc *= x - y
+    for y in barred:
+        acc *= 1.0 / x - y
+    return acc
 
 
-def r_factor(source: SourceF, branch: int, x: complex) -> complex:
-    """R_(+1/-1)(x); same prefactors and roots as b_factor with (x - y)."""
-    roots = source.yminus if branch > 0 else source.yplus
-    out = 1.0 + 0j
-    for y in roots:
-        out *= cmath.sqrt(source.hcoup / (2.0 * y)) * (x - y)
-    return out
+def aux_b(x: complex, plain: Sequence[complex], barred: Sequence[complex]) -> complex:
+    """B-type auxiliary product, the sheet swap of aux_r."""
+    acc = 1.0 + 0.0j
+    for y in plain:
+        acc *= 1.0 / x - y
+    for y in barred:
+        acc *= x - y
+    return acc
 
 
-def qq_pm(source: SourceF, branch: int, x: complex) -> complex:
-    """The Drinfeld-type combination (-1)^mtheta * B_branch * R_branch."""
-    return (-1) ** source.mtheta * b_factor(source, branch, x) * r_factor(source, branch, x)
+class MassiveTower:
+    """B, R and QQ builders for one tower of m massive pairs (x+, x-).
+
+    B_+(x) = c_+ prod (1/x - x-) and R_+(x) = c_+ prod (x - x-), with c_+
+    one principal square root of prod h/(2 x-), which keeps W aligned
+    with the auxiliary Bethe equations; the minus branch runs over x+.
+    qq(u) = prod (u - u_k), so (-1)^m B_+-(x) R_+-(x) = qq(u(x) +- i/2).
+    """
+
+    __slots__ = ("hcoup", "plus", "minus", "cplus", "cminus")
+
+    def __init__(self, hcoup: float, plus: Sequence[complex], minus: Sequence[complex]):
+        self.hcoup = hcoup
+        self.plus = tuple(plus)
+        self.minus = tuple(minus)
+        self.cplus, self.cminus = (
+            cmath.sqrt(math.prod((0.5 * hcoup / x for x in roots), start=1.0 + 0.0j))
+            for roots in (self.minus, self.plus))
+
+    def b(self, branch: int, x: complex) -> complex:
+        roots = self.minus if branch > 0 else self.plus
+        acc = self.cplus if branch > 0 else self.cminus
+        for r in roots:
+            acc *= 1.0 / x - r
+        return acc
+
+    def r(self, branch: int, x: complex) -> complex:
+        roots = self.minus if branch > 0 else self.plus
+        acc = self.cplus if branch > 0 else self.cminus
+        for r in roots:
+            acc *= x - r
+        return acc
+
+    def qq(self, u: complex) -> complex:
+        acc = 1.0 + 0.0j
+        for plus in self.plus:
+            acc *= u - u_rapidity(self.hcoup, plus)
+        return acc
 
 
-def truncated_f(source: SourceF, n_trunc: int, u: complex, bar: bool = False) -> complex:
+def w_combination(left: MassiveTower, right: MassiveTower, x: complex) -> complex:
+    """The fermionic duality combination W = R+ Bbar- - R- Bbar+."""
+    return left.r(+1, x) * right.b(-1, x) - left.r(-1, x) * right.b(+1, x)
+
+
+def truncated_f(source: Callable[[complex], complex], n_trunc: int, u: complex,
+                bar: bool = False) -> complex:
     """f_N(u) = prod_{n=0..N} F(x(u + i n)); bar=True mirrors the shifts.
 
     Telescoping gives the exact finite-order identity
-    f_N(u)/f_N(u + i) = F(x(u)) / F(x(u + i(N+1))).
+    f_N(u)/f_N(u + i) = F(x(u)) / F(x(u + i(N+1))).  Any function of u
+    may stand in for the source F.
     """
     step = -1j if bar else 1j
     out = 1.0 + 0j
@@ -324,18 +379,18 @@ def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],
 
 
 def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
-                       x_down: Sequence[complex], *, span: int = 2,
-                       fit_radius: float = 1.3, fit_points: int = 120):
+                       x_down: Sequence[complex]):
     """Build the rank-one P pair from solved root data with an ext source.
 
-    The first component is the Laurent product with zeros at the x_up
-    roots and reciprocal zeros at the x_down roots; the second is a
-    Laurent polynomial on powers x^span..x^-span fitted so that the swap
+    The first component is the auxiliary product aux_r with zeros at the
+    x_up roots and reciprocal zeros at the x_down roots; the second is a
+    Laurent polynomial on powers x^2..x^-2 fitted so that the swap
     Wronskian P_1~ P_2 - P_2~ P_1 equals the two-branch combination
-    R+ B- - R- B+ on a circle of radius fit_radius.  The dual pair comes
-    from the swap formula, dividing by (R+ B- - R- B+)/(1/F - F), so the
-    directional residuals vanish identically and the remaining residuals
-    measure how well the root data closes the Wronskian constraint.
+    W = R+ B- - R- B+ of the source's tower on a circle of radius 1.3.
+    The dual pair comes from the swap formula, dividing by W/(1/F - F),
+    so the directional residuals vanish identically and the remaining
+    residuals measure how well the root data closes the Wronskian
+    constraint.
 
     Returns (p_eval, pstar_eval, fit_residual).
     """
@@ -343,21 +398,14 @@ def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
         raise ValueError("case-B evaluators need an ext source")
     up = _as_complex_list(x_up)
     down = _as_complex_list(x_down)
+    tower = MassiveTower(source.hcoup, source.yplus, source.yminus)
 
-    def p1(x: complex) -> complex:
-        out = 1.0 + 0j
-        for r in up:
-            out *= x - r
-        for r in down:
-            out *= 1.0 / x - r
-        return out
+    p1 = partial(aux_r, plain=up, barred=down)
+    rhs = partial(w_combination, tower, tower)
 
-    def rhs(x: complex) -> complex:
-        return (r_factor(source, +1, x) * b_factor(source, -1, x)
-                - r_factor(source, -1, x) * b_factor(source, +1, x))
-
-    powers = range(span, -span - 1, -1)
-    xs = fit_radius * np.exp(2j * math.pi * np.arange(fit_points) / fit_points)
+    powers = range(_CASEB_SPAN, -_CASEB_SPAN - 1, -1)
+    xs = _CASEB_FIT_RADIUS * np.exp(
+        2j * math.pi * np.arange(_CASEB_FIT_POINTS) / _CASEB_FIT_POINTS)
     mat = np.array([[p1(1.0 / x) * x ** k - p1(x) * x ** (-k) for k in powers]
                     for x in xs])
     vec = np.array([rhs(x) for x in xs])

@@ -509,11 +509,8 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path, tol) -> None:
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def cmd_ads3_crossing(hcoup, volume, eta, tol) -> None:
     """Show the double-crossing factor rejects constant dressing models."""
-    state = ads3.solve_two_particle(hcoup, volume)
-    const = ads3.crossing_structure_check(
-        state, lambda u, crossings: 1.0 + 0j, eta=eta, tol=tol)
-    toy = ads3.crossing_structure_check(
-        state, ads3.toy_sigma_plus(state, eta), eta=eta, tol=tol)
+    const, toy = acceptance.crossing_reports(
+        ads3.solve_two_particle(hcoup, volume), eta, tol)
     ok = (not const.passed) and toy.passed
     _emit({
         "ok": ok,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .exact_poly import GaussRat, NotDivisible, TwistedPoly, exact_div, wronskian
+from .exact_poly import GaussRat, TwistedPoly, exact_div, wronskian
 
 SLOTS = (
     "0|0", "1|0", "2|0", "12|0",

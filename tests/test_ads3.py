@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 import pytest
 
@@ -28,15 +25,11 @@ from qsc22.ads3 import (
     u_rapidity,
     weight_exponents,
 )
-from qsc22.analytic_layer import OUTER, SourceF, x_of_u
-
-
-def _shell_pair(hcoup: float, v: float) -> tuple:
-    return (x_of_u(v + 0.5j, hcoup, OUTER), x_of_u(v - 0.5j, hcoup, OUTER))
+from qsc22.analytic_layer import OUTER, SourceF, shell_pair, x_of_u
 
 
 def test_roots_validation():
-    plus, minus = _shell_pair(1.0, 1.3)
+    plus, minus = shell_pair(1.0, 1.3)
     data = AdS3Roots(1.0, 4, xp=(plus,), xm=(minus,))
     assert data.xp == (plus,)
     with pytest.raises(ShellViolation):
@@ -50,7 +43,7 @@ def test_roots_validation():
 
 
 def test_roots_json_round_trip():
-    plus, minus = _shell_pair(1.0, 0.9)
+    plus, minus = shell_pair(1.0, 0.9)
     data = AdS3Roots(1.0, 6, xp=(plus,), xm=(minus,),
                      xbp=(plus,), xbm=(minus,),
                      y1=(2.5, -2.5), y3=(1.7,), y1b=(3.0,), y3b=())
@@ -60,7 +53,7 @@ def test_roots_json_round_trip():
 
 
 def test_u_rapidity_shell_identity():
-    plus, minus = _shell_pair(0.8, 1.1)
+    plus, minus = shell_pair(0.8, 1.1)
     up = u_rapidity(0.8, plus)
     um = 0.5 * 0.8 * (minus + 1.0 / minus) + 0.5j
     assert abs(up - um) < 1e-12

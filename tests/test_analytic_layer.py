@@ -13,18 +13,16 @@ from qsc22.acceptance import _canonical_nested
 from qsc22.analytic_layer import (
     INNER,
     OUTER,
+    MassiveTower,
     OnCut,
     SourceF,
     ZhukPoint,
-    b_factor,
     baxter_step,
     caseb_p_evaluators,
     eval_F,
     f_cauchy_gaps,
     mu_omega,
     pmu_residual_caseB,
-    qq_pm,
-    r_factor,
     shell_pair,
     shell_pairs,
     truncated_f,
@@ -112,14 +110,21 @@ def test_source_json_round_trip():
         assert again == source
 
 
-def test_two_branch_factors_multiply_to_qq():
-    source = _sources()[0]
+def _qq_gap(tower: MassiveTower) -> float:
+    """Worst |(-1)^m B_+-(x) R_+-(x) - Q(u(x) +- i/2)| over both branches."""
+    gaps = []
     for x in (1.7 + 0.4j, -2.2 + 0.9j):
         for branch in (+1, -1):
-            combined = ((-1) ** source.mtheta
-                        * b_factor(source, branch, x)
-                        * r_factor(source, branch, x))
-            assert abs(qq_pm(source, branch, x) - combined) < 1e-12
+            lhs = (-1) ** len(tower.plus) * tower.b(branch, x) * tower.r(branch, x)
+            gaps.append(abs(lhs - tower.qq(u_of_x(x, tower.hcoup) + 0.5j * branch)))
+    return max(gaps)
+
+
+def test_two_branch_factors_multiply_to_qq():
+    yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
+    assert _qq_gap(MassiveTower(1.0, yplus, yminus)) < 1e-12
+    # With plus and minus swapped the plus branch lands a shift of i off.
+    assert _qq_gap(MassiveTower(1.0, yminus, yplus)) > 1.0
 
 
 def test_truncation_telescopes():

@@ -14,7 +14,6 @@ from qsc22.qsystem import (
     check_qq,
     complete_corners,
     gauge_transform,
-    generate_from_seed,
     h_rotate,
     hodge,
     qq_residuals,
