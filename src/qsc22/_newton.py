@@ -15,6 +15,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+_FD_STEP = 1e-7
+_ARMIJO = 1e-4
+_BISECT_TOL = 1e-14
+_BISECT_MAX_ITER = 200
+
 
 class NoConvergence(RuntimeError):
     """Newton iteration failed to reach the residual target."""
@@ -58,8 +63,6 @@ def solve_damped(
     *,
     tol: float = 1e-13,
     max_iter: int = 60,
-    fd_step: float = 1e-7,
-    armijo: float = 1e-4,
     real: bool = False,
 ) -> np.ndarray:
     """Newton with Armijo backtracking; returns the root vector.
@@ -75,7 +78,7 @@ def solve_damped(
         norm = float(np.linalg.norm(fval))
         if float(np.max(np.abs(fval))) < tol:
             return z
-        jac = _jacobian(fun, z, fval, fd_step)
+        jac = _jacobian(fun, z, fval, _FD_STEP)
         if real:
             jac = jac.real
         try:
@@ -88,7 +91,7 @@ def solve_damped(
         for _ in range(40):
             trial = z + alpha * step
             ftrial = np.asarray(fun(trial))
-            if float(np.linalg.norm(ftrial)) <= (1.0 - armijo * alpha) * norm:
+            if float(np.linalg.norm(ftrial)) <= (1.0 - _ARMIJO * alpha) * norm:
                 z, fval = trial, ftrial
                 break
             alpha *= 0.5
@@ -123,8 +126,7 @@ def continue_path(
     return z
 
 
-def bisect_real(fun: Callable[[float], float], lo: float, hi: float,
-                *, tol: float = 1e-14, max_iter: int = 200) -> float:
+def bisect_real(fun: Callable[[float], float], lo: float, hi: float) -> float:
     """Plain bisection for a bracketed real root."""
     flo, fhi = fun(lo), fun(hi)
     if flo == 0.0:
@@ -133,10 +135,10 @@ def bisect_real(fun: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         raise ValueError("root not bracketed")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fun(mid)
-        if fmid == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
+        if fmid == 0.0 or hi - lo < _BISECT_TOL * max(1.0, abs(mid)):
             return mid
         if flo * fmid < 0.0:
             hi, fhi = mid, fmid

@@ -27,8 +27,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
-from .analytic_layer import (OUTER, MassiveTower, SourceF, _as_complex_list,
-                             aux_b, aux_r, shell_pair, truncated_f, u_rapidity,
+from .analytic_layer import (OUTER, SHELL_TOL, MassiveTower, SourceF,
+                             _as_complex_list, aux_b, aux_r, shell_gap,
+                             shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
     "aux_r", "aux_b", "u_rapidity", "momentum_defect",
     "aba_residuals", "solve_single", "solve_two_particle",
     "solve_with_auxiliary", "dual_auxiliary_roots", "DualityReport",
-    "AsymptoticQ", "asymptotic_q", "weight_exponents",
+    "AsymptoticQ", "weight_exponents",
     "MuRatioReport", "mu_as_ratio_check",
     "CrossingReport", "crossing_structure_check", "toy_sigma_plus",
 ]
@@ -78,12 +79,10 @@ class AdS3Roots:
             object.__setattr__(self, name, _as_complex_list(getattr(self, name)))
         if len(self.xp) != len(self.xm) or len(self.xbp) != len(self.xbm):
             raise ShellViolation("massive towers need matching +/- counts")
-        target = 2.0j / self.hcoup
         for plus, minus in zip(self.xp + self.xbp, self.xm + self.xbm):
             if abs(plus) <= 1.0 or abs(minus) <= 1.0:
                 raise ShellViolation(f"massive root ({plus}, {minus}) inside unit circle")
-            gap = plus + 1.0 / plus - minus - 1.0 / minus - target
-            if abs(gap) > 1e-8 * (1.0 + abs(plus) + abs(minus)):
+            if shell_gap(self.hcoup, plus, minus) > SHELL_TOL:
                 raise ShellViolation(f"pair ({plus}, {minus}) off the shell")
 
     def as_json(self) -> dict:
@@ -369,9 +368,6 @@ class AsymptoticQ:
     def fbar(self, u: complex) -> complex:
         return truncated_f(partial(self._g, self._right), self.n_trunc, u)
 
-    def f_tot(self, u: complex) -> complex:
-        return self.f(u) * self.fbar(u)
-
     def q(self, label: str, bar: bool = False) -> Callable[[complex], complex]:
         near, far = (self._right, self._left) if bar else (self._left, self._right)
         aux = aux_b if bar else aux_r
@@ -425,12 +421,6 @@ class AsymptoticQ:
                 + list(self.data.y3) + [1.0 / y for y in self.data.y3b]:
             gap = max(gap, abs(w_combination(self._left, self._right, y)))
         return DualityReport(mean, rel, gap, False)
-
-
-def asymptotic_q(data: AdS3Roots, n_trunc: int = 16,
-                 massless: Optional[SourceF] = None) -> AsymptoticQ:
-    """Build the asymptotic Q evaluators and the duality report."""
-    return AsymptoticQ(data, n_trunc=n_trunc, massless=massless)
 
 
 def weight_exponents(charges: Sequence[float]) -> dict:

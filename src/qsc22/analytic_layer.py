@@ -25,7 +25,8 @@ import numpy as np
 OUTER = "outer"
 INNER = "inner"
 
-_EXT_SHIFT_TOL = 1e-9
+# Absolute bound on shell_gap for every massive or inhomogeneity pair.
+SHELL_TOL = 1e-9
 _CASEB_SPAN = 2
 _CASEB_FIT_RADIUS = 1.3
 _CASEB_FIT_POINTS = 120
@@ -66,6 +67,11 @@ def x_of_u(u: complex, hcoup: float, sheet: str = OUTER, side: int = 0) -> compl
 def u_of_x(x: complex, hcoup: float) -> complex:
     """Inverse Zhukovsky map, u = h*(x + 1/x)/2 (sheet independent)."""
     return hcoup * (x + 1.0 / x) / 2.0
+
+
+def shell_gap(hcoup: float, xplus: complex, xminus: complex) -> float:
+    """|x+ + 1/x+ - x- - 1/x- - 2i/h|, zero on the shell u(x+) - u(x-) = i."""
+    return abs(xplus + 1.0 / xplus - xminus - 1.0 / xminus - 2j / hcoup)
 
 
 @dataclass(frozen=True)
@@ -117,9 +123,9 @@ class SourceF:
         for p, m in zip(yp, ym):
             if abs(p) <= 1.0 or abs(m) <= 1.0:
                 raise ValueError("ext roots must satisfy |y| > 1")
-            shift = p + 1.0 / p - m - 1.0 / m - 2j / hcoup
-            if abs(shift) > _EXT_SHIFT_TOL:
-                raise ValueError(f"pair ({p}, {m}) violates the shift constraint by {abs(shift):.3e}")
+            gap = shell_gap(hcoup, p, m)
+            if gap > SHELL_TOL:
+                raise ValueError(f"pair ({p}, {m}) violates the shift constraint by {gap:.3e}")
         return cls("ext", float(hcoup), yplus=yp, yminus=ym, mtheta=len(yp))
 
     @classmethod
@@ -157,46 +163,6 @@ class SourceF:
 
     def __call__(self, u: complex, sheet: str = OUTER, side: int = 0) -> complex:
         return self.eval_x(x_of_u(u, self.hcoup, sheet, side))
-
-    def as_json(self) -> dict:
-        def pairs(vals):
-            return [[v.real, v.imag] for v in vals]
-
-        data = {"kind": self.kind, "hcoup": self.hcoup}
-        if self.kind == "ext":
-            data["yplus"] = pairs(self.yplus)
-            data["yminus"] = pairs(self.yminus)
-        elif self.kind == "pol":
-            data["theta"] = pairs(self.thetas)
-            data["sign"] = self.sign
-        elif self.kind == "polinf":
-            data["Mtheta"] = self.mtheta
-        elif self.kind == "exp":
-            data["theta"] = [self.thetas[0].real, self.thetas[0].imag]
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SourceF":
-        kind = data["kind"]
-        h = float(data["hcoup"])
-        if kind == "ext":
-            yp = [complex(a, b) for a, b in data["yplus"]]
-            ym = [complex(a, b) for a, b in data["yminus"]]
-            return cls.ext(h, yp, ym)
-        if kind == "pol":
-            ts = [complex(a, b) for a, b in data.get("theta", [])]
-            return cls.pol(h, ts, int(data.get("sign", 1)))
-        if kind == "polinf":
-            return cls.pol_infinity(h, int(data["Mtheta"]))
-        if kind == "exp":
-            a, b = data["theta"]
-            return cls.exp_kind(h, complex(a, b))
-        raise ValueError(f"unknown kind {kind!r}")
-
-
-def eval_F(source: SourceF, point: ZhukPoint) -> complex:
-    """Value of the source function at a sheet-aware point."""
-    return source.eval_x(point.x(source.hcoup))
 
 
 def shell_pair(hcoup: float, v: float) -> Tuple[complex, complex]:
@@ -320,22 +286,6 @@ def mu_omega(source: SourceF, n_trunc: int, u: complex,
         mu *= fp / fm
         omega *= fp * fm
     return mu, omega
-
-
-def f_cauchy_gaps(source: SourceF, orders: Sequence[int], u: complex,
-                  normalize: Callable[[complex], complex] | None = None) -> list:
-    """Successive relative gaps |f_{N'}/f_N - 1| of (optionally rescaled) f_N.
-
-    Convergence diagnostic only; nothing here is regulator independent,
-    so callers decide what shrinkage to expect.
-    """
-    vals = []
-    for n in sorted(orders):
-        v = truncated_f(source, n, u)
-        if normalize is not None:
-            v = normalize(v)
-        vals.append(v)
-    return [abs(b / a - 1.0) for a, b in zip(vals, vals[1:])]
 
 
 def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],

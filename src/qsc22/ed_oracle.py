@@ -26,13 +26,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._newton import NoConvergence
+
+_SWEEP_CAP = 64
+
 
 class SectorTooLarge(ValueError):
     """Requested sector dimension exceeds the dense-oracle cap."""
-
-
-class NoConvergence(RuntimeError):
-    """Jacobi sweeps exhausted without reaching the off-diagonal target."""
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,12 @@ def build_hamiltonian(
     return ham
 
 
-def spectrum(ham: np.ndarray, *, sweep_cap: int = 64) -> np.ndarray:
+def spectrum(ham: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues via cyclic Jacobi rotations.
 
     Sweeps run until the largest off-diagonal entry drops below
-    1e-12 * max|entry|; exceeding the sweep cap raises NoConvergence.
+    1e-12 * max|entry|; more than _SWEEP_CAP (64) sweeps raise
+    NoConvergence.
     """
     a = np.array(ham, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -134,7 +135,7 @@ def spectrum(ham: np.ndarray, *, sweep_cap: int = 64) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(n)
     target = 1e-12 * scale
-    for _ in range(sweep_cap):
+    for _ in range(_SWEEP_CAP):
         strip = np.abs(a - np.diag(np.diag(a)))
         if float(strip.max()) < target:
             return np.sort(np.diag(a).copy())
@@ -154,7 +155,7 @@ def spectrum(ham: np.ndarray, *, sweep_cap: int = 64) -> np.ndarray:
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
                 a[p, q] = a[q, p] = 0.0
-    raise NoConvergence(f"off-diagonal still {float(strip.max()):.3e} after {sweep_cap} sweeps")
+    raise NoConvergence(f"off-diagonal still {float(strip.max()):.3e} after {_SWEEP_CAP} sweeps")
 
 
 @dataclass(frozen=True)

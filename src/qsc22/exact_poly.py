@@ -288,16 +288,6 @@ class TwistedPoly:
     def twists(self) -> Tuple[GaussRat, ...]:
         return tuple(s for s, _ in self.terms)
 
-    def constant_value(self) -> GaussRat:
-        """Value of an untwisted constant element; raises otherwise."""
-        if self.is_zero:
-            return GaussRat.ZERO
-        if len(self.terms) == 1:
-            s, coeffs = self.terms[0]
-            if s == GaussRat.ONE and len(coeffs) == 1:
-                return coeffs[0]
-        raise ValueError("element is not an untwisted constant")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedPoly):
             return NotImplemented

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._newton import (NoConvergence, PathCollision, SingularDenominator,
                       _log, _ratio, continue_path, solve_damped)
-from .analytic_layer import u_of_x
+from .analytic_layer import SHELL_TOL, shell_gap, u_of_x
 
 __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
@@ -36,6 +36,9 @@ __all__ = [
     "liebwu_residuals", "solve_liebwu", "energy_momentum",
     "u_of_x", "NoConvergence", "PathCollision", "SingularDenominator",
 ]
+
+_LIEBWU_STEPS = 40
+_LIEBWU_TOL = 1e-13
 
 
 def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
@@ -52,12 +55,12 @@ class HubbardSpec:
     """Coupling, site count, optional inhomogeneity pairs, and twists.
 
     The twists are the diagonal parameters (tx, 1/tx) and (ty, 1/ty);
-    only the ratio tx/ty and ty**2 enter the equations.  The plain
+    only the ratio tx/ty and ty**2 enter the equations.  The
     constructor checks the pairing identity
-    y+ + 1/y+ - y- - 1/y- = 2i/h for every pair; the `ext` factory
-    additionally insists on |y| > 1, the physical configuration.  The
-    relaxed constructor exists because the homogeneous limit drives y-
-    inside the unit disk.
+    y+ + 1/y+ - y- - 1/y- = 2i/h for every pair to within
+    analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous limit
+    drives y- inside the unit disk.  SourceF.ext adds the |y| > 1 rule
+    of the physical configuration.
     """
 
     hcoup: float
@@ -78,21 +81,9 @@ class HubbardSpec:
             raise ValueError("yplus and yminus lengths differ")
         if self.yplus and len(self.yplus) != self.mtheta:
             raise ValueError("inhomogeneity count must equal mtheta")
-        target = 2.0j / self.hcoup
         for yp, ym in zip(self.yplus, self.yminus):
-            gap = yp + 1.0 / yp - ym - 1.0 / ym - target
-            if abs(gap) > 1e-8 * (1.0 + abs(yp) + abs(ym)):
+            if shell_gap(self.hcoup, yp, ym) > SHELL_TOL:
                 raise ValueError(f"pair ({yp}, {ym}) violates the shift constraint")
-
-    @classmethod
-    def ext(cls, hcoup: float, yplus: Sequence[complex], yminus: Sequence[complex],
-            *, twist_x: complex = 1.0, twist_y: complex = 1.0) -> "HubbardSpec":
-        spec = cls(hcoup, len(tuple(yplus)), tuple(yplus), tuple(yminus),
-                   complex(twist_x), complex(twist_y))
-        for y in spec.yplus + spec.yminus:
-            if abs(y) <= 1.0:
-                raise ValueError(f"inhomogeneity {y} not outside the unit circle")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -107,10 +98,6 @@ class HubbardRoots:
         object.__setattr__(self, "x1e", _distinct(self.x1e, "x1e"))
         object.__setattr__(self, "u11", _distinct(self.u11, "u11"))
         object.__setattr__(self, "x112", _distinct(self.x112, "x112"))
-
-    @property
-    def counts(self) -> Tuple[int, int, int]:
-        return (len(self.x1e), len(self.u11), len(self.x112))
 
 
 @dataclass(frozen=True)
@@ -167,7 +154,6 @@ def solve_nested(
     seed: HubbardRoots,
     *,
     tol: float = 1e-13,
-    max_iter: int = 60,
 ) -> HubbardRoots:
     """Damped Newton on the nested log residuals from a caller seed."""
     m_first, m_mid, m_last = counts
@@ -185,7 +171,7 @@ def solve_nested(
     def fun(z: np.ndarray) -> np.ndarray:
         return nested_residuals(spec, unpack(z))
 
-    return unpack(solve_damped(fun, z0, tol=tol, max_iter=max_iter))
+    return unpack(solve_damped(fun, z0, tol=tol))
 
 
 def liebwu_residuals(lsites: int, u_coupling: float, roots: LiebWuRoots) -> np.ndarray:
@@ -251,9 +237,6 @@ def solve_liebwu(
     m_spin: int,
     mode_k: Sequence[int],
     mode_lam: Sequence[int],
-    *,
-    steps: int = 40,
-    tol: float = 1e-13,
 ) -> LiebWuRoots:
     """Homotopy in the coupling plus damped Newton on the counting form.
 
@@ -292,11 +275,11 @@ def solve_liebwu(
         z0 = np.array(ks0 + list(lam0), dtype=float)
         try:
             z = solve_damped(lambda v: fun_of_t(u_start, v), z0,
-                             tol=tol, real=True)
+                             tol=_LIEBWU_TOL, real=True)
             if u_coupling > u_start:
-                path = np.linspace(u_start, u_coupling, steps + 1)[1:]
-                z = continue_path(fun_of_t, path, z,
-                                  collision_groups=groups, real=True, tol=tol)
+                path = np.linspace(u_start, u_coupling, _LIEBWU_STEPS + 1)[1:]
+                z = continue_path(fun_of_t, path, z, collision_groups=groups,
+                                  real=True, tol=_LIEBWU_TOL)
         except (NoConvergence, PathCollision) as exc:
             last_error = exc
             continue

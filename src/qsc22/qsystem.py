@@ -36,7 +36,7 @@ SLOTS = (
 # signs are a frozen convention: they are the unique assignment (up to
 # the constant-rotation orbit) under which every relation family below
 # holds identically for generated systems, with the corner orientation
-# chosen so that completing (1, u, 1) yields -i.
+# Q_{12|0} Q_{0|0} = -W(Q_{1|0}, Q_{2|0}) of the corner relations.
 _BASE = {
     "0|0": (3, 4), "1|0": (1, 3, 4), "2|0": (2, 3, 4), "12|0": (1, 2, 3, 4),
     "0|1": (4,), "0|2": (3,), "0|12": (),
@@ -321,30 +321,6 @@ def check_qq(q: QSystem) -> QQReport:
         failures=tuple(failures),
         zero_slots=q.zero_slots(),
     )
-
-
-def complete_corners(partial: Mapping[str, TwistedPoly]) -> Dict[str, TwistedPoly]:
-    """Fill the corner slots from the Wronskian completion.
-
-    Computes Q_{12|0} = -W(Q_{1|0}, Q_{2|0}) / Q_{0|0} whenever the three
-    inputs are present, and Q_{0|12} = -W(Q_{0|1}, Q_{0|2}) / Q_{0|0}
-    likewise.  Returns a copy of the input with the computable corners
-    replaced; raises NotDivisible when a quotient leaves the ring and
-    ValueError when neither corner is computable.
-    """
-    out = dict(partial)
-    done = False
-    if all(s in partial for s in ("0|0", "1|0", "2|0")):
-        w = wronskian(partial["1|0"], partial["2|0"])
-        out["12|0"] = exact_div(-w, partial["0|0"])
-        done = True
-    if all(s in partial for s in ("0|0", "0|1", "0|2")):
-        w = wronskian(partial["0|1"], partial["0|2"])
-        out["0|12"] = exact_div(-w, partial["0|0"])
-        done = True
-    if not done:
-        raise ValueError("no corner is computable from the given slots")
-    return out
 
 
 def gauge_transform(q: QSystem, g_even: TwistedPoly, g_odd: TwistedPoly) -> QSystem:

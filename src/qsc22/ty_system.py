@@ -15,7 +15,7 @@ therefore skips exactly that cell.  All checks are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .exact_poly import GaussRat, TwistedPoly
 from .qsystem import QSystem, gauge_transform, generate_from_seed, h_rotate
@@ -63,40 +63,13 @@ def t_function(q: QSystem, a: int, s: int, reverse: bool = False) -> TwistedPoly
     return sgn(s) * (S("12|0", s) * S("0|12", -s))
 
 
+@dataclass(frozen=True)
 class THook:
-    """T values on a rectangular window of the hook lattice."""
+    """T values on a rectangular window (A, S) of the hook lattice:
+    one entry per cell (a, s) with 0 <= a <= A and 0 <= s <= S."""
 
-    __slots__ = ("window", "values")
-
-    def __init__(self, window: Tuple[int, int], values: Mapping[Tuple[int, int], TwistedPoly]) -> None:
-        amax, smax = int(window[0]), int(window[1])
-        vals = {}
-        for a in range(amax + 1):
-            for s in range(smax + 1):
-                if (a, s) not in values:
-                    raise ValueError(f"missing cell ({a},{s})")
-                vals[(a, s)] = values[(a, s)]
-        self.window = (amax, smax)
-        self.values = vals
-
-    def __getitem__(self, key: Tuple[int, int]) -> TwistedPoly:
-        return self.values[key]
-
-    def as_json(self) -> dict:
-        return {
-            "window": list(self.window),
-            "T": {f"{a},{s}": p.as_json() for (a, s), p in sorted(self.values.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "THook":
-        if not isinstance(data, dict) or "window" not in data or "T" not in data:
-            raise ValueError("expected {'window': [A,S], 'T': {...}}")
-        vals = {}
-        for key, p in data["T"].items():
-            a, s = key.split(",")
-            vals[(int(a), int(s))] = TwistedPoly.from_json(p)
-        return cls(tuple(data["window"]), vals)
+    window: Tuple[int, int]
+    values: Dict[Tuple[int, int], TwistedPoly]
 
 
 def wronskian_T(q: QSystem, window: Tuple[int, int] = (4, 4), reverse_shifts: bool = False) -> THook:

@@ -8,10 +8,10 @@ import pytest
 from qsc22._newton import NoConvergence
 from qsc22.ads3 import (
     AdS3Roots,
+    AsymptoticQ,
     DressingModel,
     ShellViolation,
     aba_residuals,
-    asymptotic_q,
     aux_b,
     aux_r,
     crossing_structure_check,
@@ -114,13 +114,13 @@ def test_dual_auxiliary_towers():
 
 
 def test_duality_report():
-    aq = asymptotic_q(solve_with_auxiliary(1.0, 8, (0.4, 1.2)))
+    aq = AsymptoticQ(solve_with_auxiliary(1.0, 8, (0.4, 1.2)))
     rep = aq.duality
     assert not rep.trivial
     assert abs(rep.ratio_mean - 1.0) < 1e-12
     assert rep.ratio_rel_std < 1e-12
     assert rep.given_root_gap < 1e-12
-    trivial = asymptotic_q(AdS3Roots(1.0, 2)).duality
+    trivial = AsymptoticQ(AdS3Roots(1.0, 2)).duality
     assert trivial.trivial
     assert trivial.ratio_mean == 1.0
     assert trivial.ratio_rel_std == 0.0
@@ -134,7 +134,7 @@ def test_aux_b_is_reflected_aux_r():
 
 
 def test_trivial_asymptotic_q():
-    aq = asymptotic_q(AdS3Roots(1.0, 2))
+    aq = AsymptoticQ(AdS3Roots(1.0, 2))
     u = 0.37 + 0.82j
     x = x_of_u(u, 1.0, OUTER)
     assert aq.q("1|0")(u) == x ** -1.0
@@ -150,13 +150,12 @@ def test_trivial_asymptotic_q():
 
 def test_massless_source_enters_left_tower_only():
     state = solve_two_particle(1.0, 8)
-    bare = asymptotic_q(state, n_trunc=6)
-    dressed = asymptotic_q(state, n_trunc=6,
-                           massless=SourceF.exp_kind(1.0, 0.3 - 0.1j))
+    bare = AsymptoticQ(state, n_trunc=6)
+    dressed = AsymptoticQ(state, n_trunc=6,
+                          massless=SourceF.exp_kind(1.0, 0.3 - 0.1j))
     u = 0.37 + 0.82j
     assert dressed.fbar(u) == bare.fbar(u)
     assert abs(dressed.f(u) - bare.f(u)) > 1e-6
-    assert bare.f_tot(u) == bare.f(u) * bare.fbar(u)
 
 
 def test_weight_exponents():

@@ -10,25 +10,27 @@ import numpy as np
 import pytest
 
 from qsc22.acceptance import _canonical_nested
+from qsc22.ads3 import AdS3Roots, ShellViolation
 from qsc22.analytic_layer import (
     INNER,
     OUTER,
+    SHELL_TOL,
     MassiveTower,
     OnCut,
     SourceF,
     ZhukPoint,
     baxter_step,
     caseb_p_evaluators,
-    eval_F,
-    f_cauchy_gaps,
     mu_omega,
     pmu_residual_caseB,
+    shell_gap,
     shell_pair,
     shell_pairs,
     truncated_f,
     u_of_x,
     x_of_u,
 )
+from qsc22.hubbard_bethe import HubbardSpec
 
 
 def _off_cut_points(seed: int, count: int) -> list:
@@ -92,7 +94,6 @@ def test_source_sheet_swap_inverts():
     source = _sources()[0]
     u = 0.8 + 0.6j
     assert abs(source(u, OUTER) * source(u, INNER) - 1.0) < 1e-12
-    assert eval_F(source, ZhukPoint(u)) == source(u, OUTER)
 
 
 def test_ext_source_validation():
@@ -104,10 +105,21 @@ def test_ext_source_validation():
         SourceF.pol(1.0, [2.0], sign=3)
 
 
-def test_source_json_round_trip():
-    for source in _sources():
-        again = SourceF.from_json(source.as_json())
-        assert again == source
+def test_shell_validators_share_one_bound():
+    yplus, yminus = shell_pair(1.0, 0.7)
+    assert shell_gap(1.0, yplus, yminus) < 1e-15
+    SourceF.ext(1.0, [yplus], [yminus])
+    HubbardSpec(1.0, 1, (yplus,), (yminus,))
+    AdS3Roots(1.0, 2, (yplus,), (yminus,))
+    off = yminus + 5e-9
+    assert shell_gap(1.0, yplus, off) == pytest.approx(5.65e-9, abs=1e-11)
+    assert shell_gap(1.0, yplus, off) > SHELL_TOL
+    with pytest.raises(ValueError):
+        SourceF.ext(1.0, [yplus], [off])
+    with pytest.raises(ValueError):
+        HubbardSpec(1.0, 1, (yplus,), (off,))
+    with pytest.raises(ShellViolation):
+        AdS3Roots(1.0, 2, (yplus,), (off,))
 
 
 def _qq_gap(tower: MassiveTower) -> float:
@@ -145,18 +157,6 @@ def test_mu_omega_swap_ratio_is_f_squared():
                 mut, omt = mu_omega(source, n, u, swap_sheet=True)
                 assert abs(mu / mut / fsq - 1.0) < 1e-12
                 assert abs(om / omt / fsq - 1.0) < 1e-12
-
-
-def test_cauchy_gaps_report_successive_ratios():
-    source = _sources()[0]
-    u = 0.45 + 0.38j
-    gaps = f_cauchy_gaps(source, (16, 4, 8), u)
-    assert len(gaps) == 2
-    f4 = truncated_f(source, 4, u)
-    f8 = truncated_f(source, 8, u)
-    assert gaps[0] == pytest.approx(abs(f8 / f4 - 1.0))
-    normalized = f_cauchy_gaps(source, (4, 8), u, normalize=lambda v: v / v)
-    assert normalized == [0.0]
 
 
 def test_null_pair_solves_the_system_identically():

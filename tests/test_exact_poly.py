@@ -118,6 +118,9 @@ def test_wronskian_of_twisted_constants():
     w = wronskian(one, tw)
     assert not w.is_zero
     assert w.degree() == 0
+    # Orientation: W(f, g) = f^+ g^- - f^- g^+, so W(u, 1) = +i.
+    u = _poly([0, 1])
+    assert wronskian(u, one) == TwistedPoly.constant(GaussRat(0, 1))
 
 
 def test_exact_div_round_trip():
@@ -141,7 +144,6 @@ def test_poly_accessors():
     assert f.twists() == (GaussRat(0, 1),)
     assert not f.is_zero
     assert TwistedPoly.zero().is_zero
-    assert TwistedPoly.constant(GaussRat(5)).constant_value() == GaussRat(5)
     mixed = f + TwistedPoly.one()
     assert len(mixed.twists()) == 2
 

@@ -40,15 +40,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         HubbardSpec(1.0, 1, (2.0 + 1.0j,), (1.5 - 2.0j,))
     with pytest.raises(ValueError):
-        HubbardSpec.ext(1.0, [0.3 + 0.2j], [0.4 - 0.9j])
+        HubbardSpec(1.0, 1, (0.3 + 0.2j,), (0.4 - 0.9j,))
     with pytest.raises(ValueError):
         HubbardSpec(-1.0, 0)
-
-
-def test_spec_ext_accepts_shell_pairs():
-    yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
-    spec = HubbardSpec.ext(1.0, yplus, yminus)
-    assert spec.mtheta == 2
 
 
 def test_single_root_newton_agrees_with_bisection():
@@ -68,7 +62,7 @@ def test_reference_three_node_configuration():
     seed = HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
                         (cmath.exp(2.9j) / 1j,))
     roots = solve_nested(spec, (1, 1, 1), seed)
-    assert roots.counts == (1, 1, 1)
+    assert (len(roots.x1e), len(roots.u11), len(roots.x112)) == (1, 1, 1)
     assert roots.x1e[0] == pytest.approx(-9.0792186463333, abs=1e-9)
     assert roots.u11[0] == pytest.approx(-1.3197361875357865, abs=1e-9)
     assert roots.x112[0] == pytest.approx(-2.119023208181012, abs=1e-9)

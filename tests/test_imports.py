@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used."""
+"""Every imported name in the package and the tests is used, and every
+name a module lists in `__all__` is bound in it."""
 
 from __future__ import annotations
 
@@ -37,6 +38,26 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def stale_exports(source: str) -> list:
+    """Names listed in `__all__` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(_exported(tree) - bound)
+
+
+def _sources():
+    return sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport math\nimport os\n" \
              "from typing import Any, List\n__all__ = ['Any']\nos.sep\n"
@@ -45,7 +66,22 @@ def test_unused_imports_are_found():
 
 def test_no_unused_imports_in_src_and_tests():
     found = []
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+    for path in _sources():
         for line, name in unused_imports(path.read_text(encoding="utf-8")):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_stale_exports_are_found():
+    source = "import os\nfrom math import pi as tau\nX: int = 1\nY = 2\n" \
+             "def f():\n    gone = 1\nclass C:\n    pass\n" \
+             "__all__ = ['os', 'tau', 'X', 'Y', 'f', 'C', 'gone', 'pi']\n"
+    assert stale_exports(source) == ["gone", "pi"]
+
+
+def test_every_export_is_bound():
+    found = []
+    for path in _sources():
+        for name in stale_exports(path.read_text(encoding="utf-8")):
+            found.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not found, "names in __all__ but not bound:\n" + "\n".join(found)

@@ -12,7 +12,6 @@ from qsc22.qsystem import (
     SLOTS,
     QSystem,
     check_qq,
-    complete_corners,
     gauge_transform,
     h_rotate,
     hodge,
@@ -117,21 +116,6 @@ def test_h_rotation_preserves_relations():
     out = h_rotate(q, h_even, h_odd)
     assert out != q
     assert check_qq(out).ok
-
-
-def test_complete_corners_pins_the_orientation():
-    partial = {
-        "0|0": TwistedPoly.one(),
-        "1|0": TwistedPoly.from_coeffs([GaussRat.ZERO, GaussRat.ONE]),
-        "2|0": TwistedPoly.one(),
-    }
-    out = complete_corners(partial)
-    assert out["12|0"] == TwistedPoly.constant(GaussRat(0, -1))
-
-
-def test_complete_corners_needs_inputs():
-    with pytest.raises(ValueError):
-        complete_corners({"0|0": TwistedPoly.one()})
 
 
 def test_json_round_trip_and_stability():

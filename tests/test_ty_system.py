@@ -11,6 +11,7 @@ from qsc22.qsystem import check_qq, hodge, random_qsystem
 from qsc22.ty_system import (
     DegenerateTwist,
     THook,
+    in_hook,
     character_solution,
     check_hirota,
     gauge_T,
@@ -66,28 +67,66 @@ def test_y_identity_on_generated_systems():
         assert n11 * n22 * corner.shift(-1) == d11 * d22 * corner.shift(1)
 
 
+def _hirota_failures(th: THook, window) -> list:
+    """Cells of the window whose bilinear equation fails on the table.
+
+    Like check_hirota, (0,0) and out-of-hook cells are skipped; the
+    table must reach one row and one column past the window.
+    """
+    def T(a, s):
+        return th.values[(a, s)] if a >= 0 and s >= 0 else TwistedPoly.zero()
+
+    failures = []
+    for a in range(window[0] + 1):
+        for s in range(window[1] + 1):
+            if (a, s) == (0, 0) or not in_hook(a, s):
+                continue
+            mid = T(a, s)
+            res = (mid.shift(1) * mid.shift(-1)
+                   - T(a, s + 1) * T(a, s - 1) - T(a + 1, s) * T(a - 1, s))
+            if not res.is_zero:
+                failures.append((a, s))
+    return failures
+
+
 def test_reverse_shift_convention_also_satisfies_hirota():
-    q = random_qsystem(15)
-    th = wronskian_T(q, (3, 3), reverse_shifts=True)
-    assert th.window == (3, 3)
-    assert th[(1, 1)] == t_function(q, 1, 1, reverse=True)
+    for seed in (4, 15):
+        q = random_qsystem(seed)
+        assert _hirota_failures(wronskian_T(q, (5, 5), reverse_shifts=True),
+                                (4, 4)) == []
+        plain = wronskian_T(q, (3, 3)).values
+        raised = hodge(q)
+        dual = wronskian_T(raised, (3, 3), reverse_shifts=True).values
+        assert len(plain) == 16
+        assert all(dual[cell] == val for cell, val in plain.items())
+        # Without the reversal the raised system agrees only where both
+        # tables are forced: T_{0,0} and the out-of-hook zero T_{3,3}.
+        unreversed = wronskian_T(raised, (3, 3)).values
+        assert sum(unreversed[cell] == val for cell, val in plain.items()) == 2
+
+
+def _y_cross(t, a, s):
+    """Cleared Y_{a,s}: (T_{a,s-1} T_{a,s+1}, T_{a-1,s} T_{a+1,s})."""
+    return (t[(a, s - 1)] * t[(a, s + 1)], t[(a - 1, s)] * t[(a + 1, s)])
 
 
 def test_gauge_T_rescales_cells():
-    q = random_qsystem(10)
-    th = wronskian_T(q, (2, 2))
-    gs = (TwistedPoly.one(), TwistedPoly.from_coeffs([GaussRat.ONE, GaussRat.ONE]),
-          TwistedPoly.one(), TwistedPoly.one())
+    th = wronskian_T(random_qsystem(10), (5, 5))
+    gs = [TwistedPoly.from_coeffs([GaussRat.coerce(c0), GaussRat.ONE])
+          for c0 in (1, GaussRat(0, 1), -2, GaussRat(1, 1))]
     out = gauge_T(th, gs)
     assert out.window == th.window
-    assert out[(1, 1)] != th[(1, 1)]
-
-
-def test_thook_json_round_trip():
-    th = wronskian_T(random_qsystem(5), (2, 3))
-    again = THook.from_json(th.as_json())
-    assert again.window == th.window
-    assert again.values == th.values
+    assert _hirota_failures(out, (4, 4)) == []
+    for a, s in ((1, 1), (2, 2), (1, 2)):
+        num, den = _y_cross(th.values, a, s)
+        gnum, gden = _y_cross(out.values, a, s)
+        assert gnum != num
+        assert gnum * den == num * gden
+    # Gauging one cell alone breaks exactly the equations it enters.
+    one_cell = dict(th.values)
+    one_cell[(1, 1)] = out.values[(1, 1)]
+    assert _hirota_failures(THook(th.window, one_cell), (4, 4)) == [
+        (1, 1), (1, 2), (2, 1)]
 
 
 def test_character_solution_frozen_values():
