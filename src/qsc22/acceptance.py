@@ -59,7 +59,7 @@ def _battery_hodge(rng_seed: int, tol) -> Tuple[bool, dict]:
         dd = qsystem.hodge(qsystem.hodge(q))
         for slot in q:
             na, ni = qsystem.slot_grades(slot)
-            signed = q[slot] if (na + ni) % 2 == 0 else GaussRat(-1) * q[slot]
+            signed = q[slot] if (na + ni) % 2 == 0 else -q[slot]
             if dd[slot] != signed:
                 failures.append((s, slot))
     return not failures, {"systems": 3, "failures": failures}

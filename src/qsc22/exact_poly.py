@@ -16,14 +16,34 @@ evaluation uses the principal logarithm per term, so evaluating a
 product can differ from the product of evaluations when twist
 arguments wrap past pi.  All identity checks elsewhere compare ring
 elements exactly and never rely on numeric evaluation.
+
+Representation.  A `TwistedPoly` stores each term as (s, d, re, im):
+the twist s as a `GaussRat`, a denominator d > 0 and two equally long
+tuples of Python ints, standing for
+
+    p_t(u) = (1/d) * sum_k (re[k] + i*im[k]) * u^k.
+
+The form is canonical (gcd(d, *re, *im) == 1, nonzero top coefficient,
+terms sorted by twist), so equal elements have equal term tuples and
+`==` and `hash` compare structure.  Products, sums, shifts and exact
+division run on these integers; `GaussRat` coefficients are built only
+when `.terms` is read, once per instance.  `shift(n)` runs an integer
+Taylor shift on the numerators (scaled by 2^deg for odd n, where the
+step i*n/2 is not a Gaussian integer), multiplies by s^n and reduces
+once by the gcd.
+
+Elements are immutable, so `f.shift(n)` keeps its result in a memo on
+f, and `-f` answers `shift(n)` with `-(f.shift(n))`: an element and its
+negative share one set of shifts.  A memo lives and dies with its
+instance; nothing is cached across instances.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from math import gcd
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction, str]
 
@@ -36,7 +56,8 @@ class GaussRat:
     """Gaussian rational re + im*i with exact field operations.
 
     Instances are treated as immutable; `sort_key` gives the canonical
-    (re, im) ordering used to normalize term lists.
+    (re, im) ordering used to normalize term lists.  A real GaussRat
+    hashes like its `Fraction`, because it compares equal to it.
     """
 
     __slots__ = ("re", "im")
@@ -66,6 +87,8 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other) -> "GaussRat":
@@ -177,86 +200,179 @@ GaussRat.ONE = GaussRat(1)
 GaussRat.I = GaussRat(0, 1)
 
 Coeffs = Tuple[GaussRat, ...]
-Term = Tuple[GaussRat, Coeffs]
+# Canonical term: (twist, d, re, im) for (1/d) * sum_k (re[k] + i*im[k]) u^k.
+IntTerm = Tuple[GaussRat, int, Tuple[int, ...], Tuple[int, ...]]
+# What sums of terms accumulate per twist before canonicalization.
+Bucket = Dict[GaussRat, Tuple[int, List[int], List[int]]]
 
 
-def _padd(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list:
-    n = max(len(a), len(b))
+def _split(c: GaussRat) -> Tuple[int, int, int]:
+    """(d, a, b) with c = (a + b*i)/d and d > 0 the least such."""
+    re, im = c.re, c.im
+    rd, idn = re.denominator, im.denominator
+    d = rd * idn // gcd(rd, idn)
+    return d, re.numerator * (d // rd), im.numerator * (d // idn)
+
+
+def _scalar(value) -> Tuple[int, int, int]:
+    """`_split` of any value `GaussRat.coerce` accepts."""
+    if isinstance(value, int):
+        return 1, value, 0
+    return _split(GaussRat.coerce(value))
+
+
+def _canonical(s: GaussRat, d: int, re: Sequence[int], im: Sequence[int]) -> Optional[IntTerm]:
+    """The canonical term of (1/d) * (re + i*im), or None when it is zero."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
+        return None
+    g = gcd(d, *re[:n], *im[:n])
+    if g == 1:
+        return (s, d, tuple(re[:n]), tuple(im[:n]))
+    return (s, d // g, tuple(x // g for x in re[:n]), tuple(x // g for x in im[:n]))
+
+
+def _accumulate(bucket: Bucket, s: GaussRat, d: int, re: List[int], im: List[int]) -> None:
+    """Add (1/d) * (re + i*im) to the polynomial of twist s in bucket."""
+    prev = bucket.get(s)
+    if prev is None:
+        bucket[s] = (d, re, im)
+        return
+    d0, re0, im0 = prev
+    if d0 != d:
+        g = gcd(d0, d)
+        m0, m = d // g, d0 // g
+        d0 *= m0
+        re0 = [x * m0 for x in re0]
+        im0 = [x * m0 for x in im0]
+        re = [x * m for x in re]
+        im = [x * m for x in im]
+    if len(re0) < len(re):
+        re0, im0, re, im = re, im, re0, im0
+    re0, im0 = list(re0), list(im0)
+    for k, (a, b) in enumerate(zip(re, im)):
+        re0[k] += a
+        im0[k] += b
+    bucket[s] = (d0, re0, im0)
+
+
+def _collect(bucket: Bucket) -> "TwistedPoly":
+    """The element with the bucket's terms, in canonical form."""
     out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else GaussRat.ZERO
-        y = b[k] if k < len(b) else GaussRat.ZERO
-        out.append(x + y)
-    return out
+    for s in sorted(bucket, key=GaussRat.sort_key):
+        t = _canonical(s, *bucket[s])
+        if t is not None:
+            out.append(t)
+    return TwistedPoly._wrap(tuple(out))
 
 
-def _pmul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list:
-    if not a or not b:
-        return []
-    out = [GaussRat.ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
+def _convolve(r1, i1, r2, i2) -> Tuple[List[int], List[int]]:
+    """Product of two Gaussian-integer coefficient lists."""
+    n = len(r1) + len(r2) - 1
+    re = [0] * n
+    im = [0] * n
+    pairs = tuple(zip(r2, i2))
+    for j, (a, b) in enumerate(zip(r1, i1)):
+        for k, (c, e) in enumerate(pairs, j):
+            re[k] += a * c - b * e
+            im[k] += a * e + b * c
+    return re, im
 
 
-def _pdivmod(num: Sequence[GaussRat], den: Sequence[GaussRat]) -> Tuple[list, list]:
-    """Exact polynomial long division over the Gaussian rationals."""
-    rem = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(rem) <= dd:
-        return [], rem
-    quot = [GaussRat.ZERO] * (len(rem) - dd)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + dd] / lead
-        if not c:
-            continue
-        quot[k] = c
-        for j, d in enumerate(den):
-            rem[k + j] = rem[k + j] - c * d
-    return quot, rem[:dd]
+def _times(re, im, a: int, b: int) -> Tuple[List[int], List[int]]:
+    """Every coefficient re[k] + i*im[k] multiplied by a + b*i."""
+    return ([x * a - y * b for x, y in zip(re, im)],
+            [x * b + y * a for x, y in zip(re, im)])
 
 
-def _term_key(term: Term):
-    s, coeffs = term
-    return (len(coeffs), s.sort_key())
+def _twist_power(s: GaussRat, n: int) -> Tuple[int, int, int]:
+    """(e, a, b) with s**n = (a + b*i)/e and e > 0."""
+    e, a, b = _split(s)
+    if n < 0:
+        e, a, b = a * a + b * b, e * a, -e * b
+        n = -n
+    pe, pa, pb = 1, 1, 0
+    for _ in range(n):
+        pe, pa, pb = pe * e, pa * a - pb * b, pa * b + pb * a
+    return pe, pa, pb
+
+
+def _shift_term(term: IntTerm, n: int) -> IntTerm:
+    """The term of s^n * p(u + i*n/2), exact.
+
+    With h = 2 for odd n (1 otherwise), Q(v) = h^deg p(v/h) has integer
+    coefficients, Q(v + i*n*h/2) by the Horner Taylor shift is
+    h^deg p((v + i*n*h/2)/h), and v = h*u gives h^deg p(u + i*n/2).
+    """
+    s, d, re, im = term
+    deg = len(re) - 1
+    odd = n & 1
+    step = n if odd else n // 2
+    re = [x << (odd * (deg - k)) for k, x in enumerate(re)]
+    im = [x << (odd * (deg - k)) for k, x in enumerate(im)]
+    for lo in range(deg):
+        for j in range(deg - 1, lo - 1, -1):
+            re[j] -= step * im[j + 1]
+            im[j] += step * re[j + 1]
+    if odd:
+        re = [x << k for k, x in enumerate(re)]
+        im = [x << k for k, x in enumerate(im)]
+        d <<= deg
+    e, a, b = _twist_power(s, n)
+    if b or a != e:
+        re, im = _times(re, im, a, b)
+        d *= e
+    return _canonical(s, d, re, im)
+
+
+def _lead_key(term: IntTerm):
+    return (len(term[2]), term[0].sort_key())
 
 
 class TwistedPoly:
-    """Normalized finite sum of terms (s, p): s^(-2iu) * p(u).
+    """Canonical finite sum of terms s^(-2iu) * p(u).
 
     Invariants: term twists are distinct and sorted by `sort_key`, every
-    coefficient list has a nonzero top coefficient, and the zero element
-    has no terms at all.  The constructor enforces all of this, so any
-    two equal ring elements compare equal as tuples.
+    polynomial has a nonzero top coefficient and its integer numerators
+    and denominator have no common factor, and the zero element has no
+    terms at all.  Every constructor enforces this, so any two equal
+    ring elements are equal term tuples.
+
+    `.terms` gives the terms as (twist, coefficients) with `GaussRat`
+    coefficients in ascending order, the form the constructor accepts.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "_terms", "_shifts", "_neg")
 
     def __init__(self, terms: Iterable = ()) -> None:
-        bucket = {}
+        bucket: Bucket = {}
         for s, coeffs in terms:
             s = GaussRat.coerce(s)
             if not s:
                 raise ValueError("twist must be nonzero")
-            cs = [GaussRat.coerce(c) for c in coeffs]
-            key = s.sort_key()
-            if key in bucket:
-                bucket[key] = (s, _padd(bucket[key][1], cs))
-            else:
-                bucket[key] = (s, cs)
-        out = []
-        for key in sorted(bucket):
-            s, cs = bucket[key]
-            while cs and not cs[-1]:
-                cs.pop()
-            if cs:
-                out.append((s, tuple(cs)))
-        self.terms = tuple(out)
+            parts = [_scalar(c) for c in coeffs]
+            d = 1
+            for e, _, _ in parts:
+                d = d * e // gcd(d, e)
+            re = [a * (d // e) for e, a, _ in parts]
+            im = [b * (d // e) for e, _, b in parts]
+            _accumulate(bucket, s, d, re, im)
+        self._set(_collect(bucket)._t)
+
+    def _set(self, t: Tuple[IntTerm, ...]) -> None:
+        self._t = t
+        self._terms = None
+        self._shifts = None
+        self._neg = None
+
+    @classmethod
+    def _wrap(cls, t: Tuple[IntTerm, ...]) -> "TwistedPoly":
+        """The element with canonical terms t, without re-checking them."""
+        out = object.__new__(cls)
+        out._set(t)
+        return out
 
     @classmethod
     def zero(cls) -> "TwistedPoly":
@@ -276,95 +392,127 @@ class TwistedPoly:
         return cls(((GaussRat.coerce(twist), tuple(coeffs)),))
 
     @property
+    def terms(self) -> Tuple[Tuple[GaussRat, Coeffs], ...]:
+        if self._terms is None:
+            self._terms = tuple(
+                (s, tuple(GaussRat(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
+                for s, d, re, im in self._t
+            )
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def degree(self) -> int:
         """Largest polynomial degree over all terms; -1 for zero."""
-        if not self.terms:
+        if not self._t:
             return -1
-        return max(len(coeffs) - 1 for _, coeffs in self.terms)
+        return max(len(re) for _, _, re, _ in self._t) - 1
 
     def twists(self) -> Tuple[GaussRat, ...]:
-        return tuple(s for s, _ in self.terms)
+        return tuple(s for s, _, _, _ in self._t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(self._t)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __add__(self, other) -> "TwistedPoly":
         if not isinstance(other, TwistedPoly):
             other = TwistedPoly.constant(GaussRat.coerce(other))
-        return TwistedPoly(self.terms + other.terms)
+        if not other._t:
+            return self
+        if not self._t:
+            return other
+        bucket: Bucket = {}
+        for s, d, re, im in self._t + other._t:
+            _accumulate(bucket, s, d, re, im)
+        return _collect(bucket)
 
     __radd__ = __add__
 
+    def _negated(self) -> "TwistedPoly":
+        if self._neg is not None:
+            return self._neg
+        out = TwistedPoly._wrap(tuple(
+            (s, d, tuple(-x for x in re), tuple(-x for x in im))
+            for s, d, re, im in self._t
+        ))
+        out._neg = self
+        return out
+
     def __neg__(self) -> "TwistedPoly":
-        return TwistedPoly(
-            (s, tuple(-c for c in coeffs)) for s, coeffs in self.terms
-        )
+        return self._negated()
 
     def __sub__(self, other) -> "TwistedPoly":
         if not isinstance(other, TwistedPoly):
             other = TwistedPoly.constant(GaussRat.coerce(other))
-        return self + (-other)
+        return self + other._negated()
 
     def __rsub__(self, other) -> "TwistedPoly":
-        return (-self) + other
+        return self._negated() + other
+
+    def _scaled(self, c) -> "TwistedPoly":
+        """self * c for a scalar c; the factors 1 and -1 keep the memo."""
+        e, a, b = _scalar(c)
+        if not b and a == e:
+            return self
+        if not b and a == -e:
+            return self._negated()
+        return _collect({s: (d * e, *_times(re, im, a, b)) for s, d, re, im in self._t})
 
     def __mul__(self, other) -> "TwistedPoly":
         if not isinstance(other, TwistedPoly):
-            c = GaussRat.coerce(other)
-            return TwistedPoly(
-                (s, tuple(c * x for x in coeffs)) for s, coeffs in self.terms
-            )
-        prods = []
-        for s1, p1 in self.terms:
-            for s2, p2 in other.terms:
-                prods.append((s1 * s2, _pmul(p1, p2)))
-        return TwistedPoly(prods)
+            return self._scaled(other)
+        bucket: Bucket = {}
+        for s1, d1, r1, i1 in self._t:
+            for s2, d2, r2, i2 in other._t:
+                re, im = _convolve(r1, i1, r2, i2)
+                _accumulate(bucket, s1 * s2, d1 * d2, re, im)
+        return _collect(bucket)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TwistedPoly":
         if isinstance(other, TwistedPoly):
             return exact_div(self, other)
-        return self * GaussRat.coerce(other).inverse()
+        return self._scaled(GaussRat.coerce(other).inverse())
 
     def shift(self, n: int) -> "TwistedPoly":
         """f(u + i*n/2), recomposed exactly in powers of u."""
-        if n == 0 or self.is_zero:
+        return self._shifted(n)
+
+    def _shifted(self, n: int) -> "TwistedPoly":
+        # Internal callers come here, so a wrapper around `shift` (as in
+        # bench/tracing.py) counts the calls from outside only.
+        if n == 0 or not self._t:
             return self
-        step = GaussRat(0, Fraction(n, 2))
-        new_terms = []
-        for s, coeffs in self.terms:
-            sn = s ** n
-            new = [GaussRat.ZERO] * len(coeffs)
-            for m, c in enumerate(coeffs):
-                if not c:
-                    continue
-                c = c * sn
-                p = GaussRat.ONE
-                for j in range(m, -1, -1):
-                    new[j] = new[j] + c * math.comb(m, j) * p
-                    p = p * step
-            new_terms.append((s, new))
-        return TwistedPoly(new_terms)
+        memo = self._shifts
+        if memo is None:
+            memo = self._shifts = {}
+        elif n in memo:
+            return memo[n]
+        if self._neg is not None:
+            out = self._neg._shifted(n)._negated()
+        else:
+            out = TwistedPoly._wrap(tuple(_shift_term(t, n) for t in self._t))
+        memo[n] = out
+        return out
 
     def __call__(self, u) -> complex:
         uc = complex(u)
         total = 0j
-        for s, coeffs in self.terms:
+        for s, d, re, im in self._t:
             acc = 0j
-            for c in reversed(coeffs):
-                acc = acc * uc + c.to_complex()
+            for a, b in zip(reversed(re), reversed(im)):
+                acc = acc * uc + complex(a / d, b / d)
             sc = s.to_complex()
             if sc != 1:
                 acc *= cmath.exp(-2j * uc * cmath.log(sc))
@@ -394,7 +542,7 @@ class TwistedPoly:
         return cls(terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "TwistedPoly(0)"
         parts = []
         for s, coeffs in self.terms:
@@ -415,6 +563,40 @@ def wronskian(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     return f.shift(1) * g.shift(-1) - f.shift(-1) * g.shift(1)
 
 
+def _divide(df, rf, jf, dg, rg, jg) -> Tuple[int, List[int], List[int]]:
+    """(d, re, im) of the quotient (F/df) / (G/dg) of one-twist polynomials.
+
+    With L the top coefficient of G and N = |L|^2, G' = conj(L)*G has
+    top coefficient N, and pseudo-division gives N^(m+1) F = Q G' + R
+    with every step an exact integer division by N (m = deg F - deg G).
+    Then F/G = conj(L) Q / N^(m+1) when R is zero.
+    """
+    lr, li = rg[-1], jg[-1]
+    norm = lr * lr + li * li
+    gr, gi = _times(rg, jg, lr, -li)
+    dd = len(gr) - 1
+    m = len(rf) - 1 - dd
+    if m < 0:
+        raise NotDivisible("nonzero remainder in long division")
+    scale = norm ** (m + 1)
+    rem_r = [x * scale for x in rf]
+    rem_i = [x * scale for x in jf]
+    qr = [0] * (m + 1)
+    qi = [0] * (m + 1)
+    for k in range(m, -1, -1):
+        cr = rem_r[k + dd] // norm
+        ci = rem_i[k + dd] // norm
+        if not cr and not ci:
+            continue
+        qr[k], qi[k] = cr, ci
+        for j, (a, b) in enumerate(zip(gr, gi), k):
+            rem_r[j] -= cr * a - ci * b
+            rem_i[j] -= cr * b + ci * a
+    if any(rem_r[:dd]) or any(rem_i[:dd]):
+        raise NotDivisible("nonzero remainder in long division")
+    return (df * scale, *_times(qr, qi, dg * lr, -dg * li))
+
+
 def exact_div(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     """Exact quotient f/g in the ring.
 
@@ -428,29 +610,25 @@ def exact_div(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
         raise ZeroDivisionError("division by zero element")
     if f.is_zero:
         return TwistedPoly.zero()
-    if len(g.terms) == 1:
-        sg, pg = g.terms[0]
-        out = []
-        for sf, pf in f.terms:
-            quot, rem = _pdivmod(pf, pg)
-            if any(rem):
-                raise NotDivisible("nonzero remainder in long division")
-            out.append((sf / sg, quot))
-        return TwistedPoly(out)
-    sg, pg = max(g.terms, key=_term_key)
-    lead = pg[-1]
-    dg = len(pg) - 1
+    if len(g._t) == 1:
+        sg, dg, rg, jg = g._t[0]
+        return _collect({
+            sf / sg: _divide(df, rf, jf, dg, rg, jg) for sf, df, rf, jf in f._t
+        })
+    sg, dg, rg, jg = max(g._t, key=_lead_key)
+    lr, li = rg[-1], jg[-1]
     quot = TwistedPoly.zero()
     rem = f
-    cap = 64 + 8 * len(f.terms) * (f.degree() + 2)
+    cap = 64 + 8 * len(f._t) * (f.degree() + 2)
     for _ in range(cap):
         if rem.is_zero:
             break
-        sr, pr = max(rem.terms, key=_term_key)
-        if len(pr) - 1 < dg:
+        sr, dr, rr, jr = max(rem._t, key=_lead_key)
+        if len(rr) < len(rg):
             break
-        mono = [GaussRat.ZERO] * (len(pr) - 1 - dg) + [pr[-1] / lead]
-        t = TwistedPoly(((sr / sg, mono),))
+        pad = [0] * (len(rr) - len(rg))
+        (a,), (b,) = _times(rr[-1:], jr[-1:], dg * lr, -dg * li)
+        t = _collect({sr / sg: (dr * (lr * lr + li * li), pad + [a], pad + [b])})
         quot = quot + t
         rem = rem - t * g
     if not rem.is_zero or quot * g != f:

@@ -184,7 +184,7 @@ def hodge(q: QSystem) -> QSystem:
     out = {}
     for slot in SLOTS:
         sgn, src = _HODGE[slot]
-        out[slot] = sgn * q[src]
+        out[slot] = q[src] if sgn > 0 else -q[src]
     return QSystem(out)
 
 

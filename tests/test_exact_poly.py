@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,44 @@ def _poly(coeffs, twist=1) -> TwistedPoly:
                                    twist=GaussRat.coerce(twist))
 
 
+TWISTS = (GaussRat(1), GaussRat(0, 1), GaussRat(2, 1), GaussRat(1, -1))
+
 small_polys = st.builds(
     _poly,
     st.lists(rationals, min_size=1, max_size=3),
-    st.sampled_from([1, GaussRat(0, 1), GaussRat(2, 1), GaussRat(1, -1)]),
+    st.sampled_from(TWISTS),
 )
+
+
+def _top_poly(low, top, twist) -> TwistedPoly:
+    """Single-twist polynomial of degree len(low) (top is nonzero)."""
+    return _poly(list(low) + [top], twist=twist)
+
+
+single_twist = st.builds(_top_poly, st.lists(gauss, max_size=2),
+                         nonzero_gauss, st.sampled_from(TWISTS))
+
+
+@st.composite
+def two_twist(draw) -> TwistedPoly:
+    """g = hi + lo on two twists with deg lo < deg hi, so the top degree
+    sits in one term and g's top coefficient is a unit: the multi-twist
+    branch of exact_div is then complete and the quotient unique."""
+    s_hi, s_lo = draw(st.sampled_from(list(itertools.permutations(TWISTS, 2))))
+    hi = draw(st.builds(_top_poly, st.lists(gauss, min_size=1, max_size=2),
+                        nonzero_gauss, st.just(s_hi)))
+    lo = draw(st.builds(_top_poly, st.lists(gauss, max_size=hi.degree() - 1),
+                        nonzero_gauss, st.just(s_lo)))
+    return hi + lo
+
+
+def _assert_canonical(p: TwistedPoly) -> None:
+    keys = [s.sort_key() for s in p.twists()]
+    assert keys == sorted(set(keys))
+    for _, d, re, im in p._t:
+        assert d > 0 and len(re) == len(im)
+        assert re[-1] or im[-1]
+        assert gcd(d, *re, *im) == 1
 
 
 @given(gauss, gauss, gauss)
@@ -58,6 +93,20 @@ def test_gauss_coerce_forms():
     assert GaussRat.coerce("2/7") == GaussRat(Fraction(2, 7))
     assert GaussRat.coerce((1, 2)) == GaussRat(1, 2)
     assert GaussRat.coerce(GaussRat(0, 5)) == GaussRat(0, 5)
+
+
+def test_real_gaussrat_hashes_like_its_fraction():
+    assert GaussRat(3) == 3 and hash(GaussRat(3)) == hash(3)
+    assert hash(GaussRat(Fraction(-5, 7))) == hash(Fraction(-5, 7))
+    assert len({GaussRat(3), 3}) == 1
+    assert len({GaussRat(Fraction(1, 2)), Fraction(1, 2), GaussRat(0, 1)}) == 2
+
+
+@given(gauss)
+def test_gauss_hash_agrees_with_eq(a):
+    assert hash(a) == hash(GaussRat(a.re, a.im))
+    if not a.im:
+        assert hash(a) == hash(a.re)
 
 
 def test_gauss_constants_and_powers():
@@ -99,6 +148,49 @@ def test_shift_is_a_ring_homomorphism(f, m, n):
     assert g.shift(m) == f.shift(m) * f.shift(m) + f.shift(m)
 
 
+@given(small_polys, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=60)
+def test_shift_memo_matches_a_fresh_copy(f, k):
+    before = TwistedPoly(f.terms)
+    first = f.shift(k)
+    assert f.shift(k) is first
+    assert first == TwistedPoly(f.terms).shift(k)
+    # A memo entry never changes the element it hangs on.
+    assert f == before and hash(f) == hash(before)
+    assert f.terms == before.terms
+
+
+@given(small_polys, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=60)
+def test_negation_shares_shifts(f, k):
+    neg = -f
+    assert neg.shift(k) == -(f.shift(k))
+    assert neg.shift(k) == (-TwistedPoly(f.terms)).shift(k)
+    assert -neg == f
+    assert (-1) * f == neg and (-neg).shift(k) == f.shift(k)
+    _assert_canonical(neg.shift(k))
+
+
+@given(small_polys, small_polys, st.integers(min_value=2, max_value=12))
+@settings(max_examples=60)
+def test_canonical_form_ignores_the_denominator(f, g, k):
+    h = f * g + f.shift(1)
+    sixfold = TwistedPoly((s, [6 * c for c in cs]) for s, cs in h.terms)
+    for same in ((h / k) * k, (h * k) / k, TwistedPoly(h.terms), sixfold / 6):
+        assert same == h
+        assert hash(same) == hash(h)
+        _assert_canonical(same)
+    _assert_canonical(h)
+
+
+def test_canonical_form_reduces_by_the_gcd():
+    f = _poly([Fraction(1, 2), GaussRat(0, Fraction(1, 3)), 1])
+    thirds = _poly([Fraction(1, 6), GaussRat(0, Fraction(1, 9)), Fraction(1, 3)])
+    assert thirds * 3 == f and hash(thirds * 3) == hash(f)
+    assert (f / 3) * 3 == f
+    assert f._t == ((GaussRat(1), 6, (3, 0, 6), (0, 2, 0)),)
+
+
 @given(small_polys, small_polys)
 @settings(max_examples=60)
 def test_wronskian_antisymmetry(f, g):
@@ -129,6 +221,22 @@ def test_exact_div_round_trip():
     assert exact_div(f, g) == g
     with pytest.raises(NotDivisible):
         exact_div(_poly([1, 0, 1]), _poly([1, 1]))
+
+
+@given(small_polys, st.one_of(single_twist, two_twist()))
+@settings(max_examples=60)
+def test_exact_div_inverts_multiplication(f, g):
+    q = exact_div(f * g, g)
+    assert q == f
+    _assert_canonical(q)
+
+
+@given(small_polys, st.one_of(single_twist.filter(lambda g: g.degree() >= 1),
+                              two_twist()))
+@settings(max_examples=60)
+def test_exact_div_rejects_a_remainder(f, g):
+    with pytest.raises(NotDivisible):
+        exact_div(f * g + 1, g)
 
 
 def test_exact_div_twisted():
