@@ -11,7 +11,6 @@ code with their own parameters.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import itertools
 import math
 import random
@@ -158,18 +157,6 @@ def _admissible_modes(lsites: int, n_charge: int, m_spin: int):
     )
 
 
-def match_energies(energies, eigs, tol: float) -> ed_oracle.MatchReport:
-    """`ed_oracle.match_spectrum` for energies that may be non-real.
-
-    The real parts are matched; a non-real energy keeps its imaginary
-    part in its gap, so it fails the match instead of raising.
-    """
-    report = ed_oracle.match_spectrum([e.real for e in energies], eigs, tol)
-    gaps = tuple(abs(e - level) for e, level in zip(energies, report.nearest))
-    return dataclasses.replace(report, gaps=gaps,
-                               passed=all(g < tol for g in gaps))
-
-
 def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
                  tol: float):
     """Solve every admissible mode set of a sector and match the oracle.
@@ -192,7 +179,7 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
         outcomes.append((mk, ml, roots, None))
     energies = [hb.energy_momentum(lsites, coupling, roots)[0]
                 for _, _, roots, error in outcomes if error is None]
-    return outcomes, match_energies(energies, eigs, tol)
+    return outcomes, ed_oracle.match_spectrum(energies, eigs, tol)
 
 
 def _match_sectors(sectors, tol: float, key):
@@ -440,7 +427,18 @@ def _battery_ed(rng_seed: int, tol) -> Tuple[bool, dict]:
     eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(2, 1.0, (1, 0)))
     pinned = float(np.max(np.abs(eigs - np.array([-2.0, 2.0]))))
     checks["pinned_sector_gap"] = pinned
-    ok = dims_ok and trace_gap < tol and swap_gap < tol and pinned < tol
+    # At u = 0 each species fills single-particle levels -2 cos(2 pi k / L)
+    # independently; a wrong fermionic sign moves the many-body levels.
+    free_gap = 0.0
+    for lsites, sector in ((3, (2, 1)), (4, (2, 2))):
+        levels = [-2.0 * math.cos(2.0 * math.pi * k / lsites) for k in range(lsites)]
+        up, down = ([sum(occ) for occ in itertools.combinations(levels, n)] for n in sector)
+        free = np.sort(np.add.outer(up, down), axis=None)
+        eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(lsites, 0.0, sector))
+        free_gap = max(free_gap, float(np.max(np.abs(eigs - free))))
+    checks["free_fermion_gap"] = free_gap
+    ok = (dims_ok and trace_gap < tol and swap_gap < tol and pinned < tol
+          and free_gap < tol)
     return ok, checks
 
 

@@ -334,8 +334,7 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
         except ed_oracle.SectorTooLarge as exc:
             raise click.UsageError(str(exc))
         energy, _ = hb.energy_momentum(lsites, coupling, roots)
-        match = acceptance.match_energies(
-            [energy], ed_oracle.spectrum(ham), tol)
+        match = ed_oracle.match_spectrum([energy], ed_oracle.spectrum(ham), tol)
         payload["ed"] = {
             "sector": list(sector),
             "gap": match.gaps[0],
@@ -359,7 +358,7 @@ def cmd_ed(lsites, coupling, nup, ndown, fmt) -> None:
     """Diagonalize one charge sector of the lattice Hamiltonian."""
     try:
         ham = ed_oracle.build_hamiltonian(lsites, coupling, (nup, ndown))
-    except (ValueError, ed_oracle.SectorTooLarge) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     eigs = ed_oracle.spectrum(ham)
     if fmt == "json":

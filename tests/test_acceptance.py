@@ -14,7 +14,7 @@ import time
 
 from click.testing import CliRunner
 
-from qsc22 import acceptance, hubbard_bethe, qsystem
+from qsc22 import acceptance, ed_oracle, hubbard_bethe, qsystem
 from qsc22.acceptance import BATTERIES
 from qsc22.cli import main
 
@@ -125,3 +125,21 @@ def test_criterion_10_ed_self_checks():
     assert detail["trace_gap"] < 1e-9
     assert detail["swap_gap"] < 1e-9
     assert detail["pinned_sector_gap"] < 1e-9
+    assert detail["free_fermion_gap"] < 1e-9
+
+
+def test_criterion_10_fails_on_a_dropped_fermion_sign(monkeypatch):
+    apply_hop = ed_oracle._apply_hop
+
+    def bosonic(mask, src, dst):
+        hop = apply_hop(mask, src, dst)
+        return None if hop is None else (hop[0], 1)
+
+    monkeypatch.setattr(ed_oracle, "_apply_hop", bosonic)
+    result = CliRunner().invoke(main, ["suite", "--only", "ed"])
+    assert result.exit_code == 1
+    detail = json.loads(result.stdout)["results"][0]["detail"]
+    # The older checks cannot see the sign; the free-fermion spectra can.
+    assert max(detail["trace_gap"], detail["swap_gap"],
+               detail["pinned_sector_gap"]) < 1e-9
+    assert detail["free_fermion_gap"] >= 1.0

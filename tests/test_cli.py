@@ -146,8 +146,8 @@ def test_ed_json():
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert payload["sector"] == [1, 0]
-    assert payload["eigenvalues"][0] == -1.9999999999999996
-    assert payload["eigenvalues"][-1] == 1.9999999999999996
+    assert payload["eigenvalues"][0] == -2.0
+    assert payload["eigenvalues"][-1] == 2.0
 
 
 def test_ed_csv_uses_crlf():
@@ -156,12 +156,21 @@ def test_ed_csv_uses_crlf():
     assert result.exit_code == 0
     assert result.stdout_bytes.startswith(b"L,u,nup,ndown,eigenvalue\r\n")
     rows = result.stdout_bytes.decode().split("\r\n")
-    assert rows[1].split(",")[-1] == "-1.9999999999999996"
+    assert rows[1].split(",")[-1] == "-2.0"
 
 
 def test_ed_rejects_bad_sector():
     assert _run("ed", "--L", "2", "--u", "1", "--nup", "3",
                 "--ndown", "0").exit_code == 2
+    oversized = _run("ed", "--L", "12", "--u", "1", "--nup", "6", "--ndown", "6")
+    assert oversized.exit_code == 2
+    assert "exceeds cap" in oversized.stderr
+
+
+def test_ed_small_sector_of_a_long_chain():
+    result = _run("ed", "--L", "40", "--u", "1", "--nup", "1", "--ndown", "0")
+    assert result.exit_code == 0
+    assert len(json.loads(result.stdout)["eigenvalues"]) == 40
 
 
 def test_character_explicit_twists():

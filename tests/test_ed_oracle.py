@@ -91,11 +91,49 @@ def test_match_spectrum_reports_gaps():
     rep_bad = match_spectrum([-2.0, 2.5], spectrum(ham), 1e-8)
     assert not rep_bad.passed
     assert rep_bad.nearest[1] == pytest.approx(2.0)
+    rep_complex = match_spectrum([-2.0, 2.0 + 1e-3j], spectrum(ham), 1e-8)
+    assert not rep_complex.passed
+    assert rep_complex.energies == (-2.0, 2.0)
+    assert rep_complex.nearest == (-2.0, 2.0)
+    assert rep_complex.gaps[1] == pytest.approx(1e-3)
 
 
 def test_dimension_cap():
     with pytest.raises(SectorTooLarge):
-        build_hamiltonian(10, 1.0, (5, 5), dim_cap=1000)
+        build_hamiltonian(12, 1.0, (6, 6))
+
+
+def test_small_sector_of_a_long_chain():
+    assert fock_sector(40, 1, 0).dim == 40
+    eigs = spectrum(build_hamiltonian(40, 1.0, (1, 0)))
+    assert eigs.shape == (40,)
+
+
+def _shift_value(vals, vecs):
+    vals = vals.copy()
+    vals[0] += 1e-6
+    return vals, vecs
+
+
+def _swap_columns(vals, vecs):
+    return vals, vecs[:, [1, 0] + list(range(2, vecs.shape[1]))]
+
+
+def _duplicate_pair(vals, vecs):
+    vals, vecs = vals.copy(), vecs.copy()
+    vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+    return vals, vecs
+
+
+@pytest.mark.parametrize("mutate", [_shift_value, _swap_columns, _duplicate_pair])
+def test_certificate_rejects_a_wrong_eigensystem(monkeypatch, mutate):
+    ham = build_hamiltonian(4, 0.7, (2, 2))
+    eigs = spectrum(ham)
+    assert eigs[1] - eigs[0] > 0.1
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a)))
+    with pytest.raises(ArithmeticError, match="certificate"):
+        spectrum(ham)
 
 
 def test_sector_validation():
