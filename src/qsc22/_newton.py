@@ -1,9 +1,8 @@
 """Damped Newton iteration and one-parameter continuation.
 
-Solvers here work on vector residual functions, real or complex; the
-Jacobian is formed by central differences (a complex step along each
-coordinate for complex unknowns, which is exact enough for the
-holomorphic residuals used by the Bethe modules).  Damping is Armijo
+Solvers here work on vector residual functions, real or complex, and
+every caller supplies the Jacobian in closed form alongside the
+residual; nothing here takes finite differences.  Damping is Armijo
 backtracking on the residual 2-norm.
 """
 
@@ -11,18 +10,26 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_FD_STEP = 1e-7
 _ARMIJO = 1e-4
 _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 200
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration failed to reach the residual target."""
+    """Newton iteration failed to reach the residual target.
+
+    `residual` is the smallest max-norm residual reached, or inf when
+    the failure is not a residual stall.
+    """
+
+    def __init__(self, message: str, residual: float = math.inf) -> None:
+        super().__init__(message)
+        self.residual = residual
 
 
 class PathCollision(RuntimeError):
@@ -46,19 +53,9 @@ def _log(value: complex) -> complex:
     return cmath.log(value)
 
 
-def _jacobian(fun: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-              f0: np.ndarray, step: float) -> np.ndarray:
-    n = z.size
-    jac = np.zeros((f0.size, n), dtype=complex)
-    for k in range(n):
-        h = step * max(1.0, abs(z[k]))
-        zp = z.copy(); zp[k] += h
-        zm = z.copy(); zm[k] -= h
-        jac[:, k] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return jac
-
 def solve_damped(
     fun: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     z0: Sequence[complex],
     *,
     tol: float = 1e-13,
@@ -67,26 +64,25 @@ def solve_damped(
 ) -> np.ndarray:
     """Newton with Armijo backtracking; returns the root vector.
 
-    With real=True the iteration stays on the real axis (for residual
-    functions that are real-valued on real input).
+    jac(z) is the Jacobian of fun at z.  With real=True the iterate is a
+    float array, for residual functions and Jacobians that are
+    real-valued on real input.
     """
     z = np.asarray(z0, dtype=float if real else complex).copy()
     if z.size == 0:
         return z
     fval = np.asarray(fun(z))
+    best = math.inf
     for _ in range(max_iter):
         norm = float(np.linalg.norm(fval))
-        if float(np.max(np.abs(fval))) < tol:
+        worst = float(np.max(np.abs(fval)))
+        if worst < tol:
             return z
-        jac = _jacobian(fun, z, fval, _FD_STEP)
-        if real:
-            jac = jac.real
+        best = min(best, worst)
         try:
-            step = np.linalg.solve(jac, -fval)
+            step = np.linalg.solve(jac(z), -fval)
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Jacobian at |f|={norm:.3e}") from exc
-        if real:
-            step = step.real
+            raise NoConvergence(f"singular Jacobian at |f|={norm:.3e}", best) from exc
         alpha = 1.0
         for _ in range(40):
             trial = z + alpha * step
@@ -96,15 +92,17 @@ def solve_damped(
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(f"line search stalled at |f|={norm:.3e}")
-    if float(np.max(np.abs(fval))) < tol:
+            raise NoConvergence(f"line search stalled at |f|={norm:.3e}", best)
+    worst = float(np.max(np.abs(fval)))
+    if worst < tol:
         return z
-    raise NoConvergence(
-        f"residual {float(np.max(np.abs(fval))):.3e} after {max_iter} iterations")
+    raise NoConvergence(f"residual {worst:.3e} after {max_iter} iterations",
+                        min(best, worst))
 
 
 def continue_path(
     fun_of_t: Callable[[float, np.ndarray], np.ndarray],
+    jac_of_t: Callable[[float, np.ndarray], np.ndarray],
     ts: Iterable[float],
     z0: Sequence[complex],
     *,
@@ -112,10 +110,14 @@ def continue_path(
     collision_tol: float = 1e-9,
     **newton_kwargs,
 ) -> np.ndarray:
-    """Track a root along parameter values ts, guarding group collisions."""
+    """Track a root along parameter values ts, guarding group collisions.
+
+    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.
+    """
     z = np.asarray(z0, dtype=complex if not newton_kwargs.get("real") else float).copy()
     for t in ts:
-        z = solve_damped(lambda v: fun_of_t(t, v), z, **newton_kwargs)
+        z = solve_damped(partial(fun_of_t, t), partial(jac_of_t, t), z,
+                         **newton_kwargs)
         for group in collision_groups:
             idx = list(group)
             for a in range(len(idx)):

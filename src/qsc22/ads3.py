@@ -244,6 +244,52 @@ def _symmetric_state(hcoup: float, volume: int, v1: float, v2: float,
                      y1=(y, -y))
 
 
+def _aux_residuals(hcoup: float, volume: int, z: np.ndarray) -> np.ndarray:
+    """Phases of the y, first-pair and second-pair equations of the
+    mirror-symmetric state at z = (v1, v2, y)."""
+    state = _symmetric_state(hcoup, volume, float(z[0]), float(z[1]), float(z[2]))
+    res = aba_residuals(state)
+    return np.array([res[0].imag, res[2].imag, res[4].imag])
+
+
+def _aux_jacobian(hcoup: float, volume: int, z: np.ndarray) -> np.ndarray:
+    """Jacobian of _aux_residuals in (v1, v2, y).
+
+    Each residual is the phase of a product of ratios, so its
+    derivative is the imaginary part of a sum of log-derivatives.  The
+    roots move with v through dx/dv = 2 / (h (1 - 1/x^2)); the massive
+    rapidities of (p1, -m1, p2, -m2) are (v1, -v1, v2, -v2).
+    """
+    v1, v2, y = (float(c) for c in z)
+    state = _symmetric_state(hcoup, volume, v1, v2, y)
+    xp, xm = np.array(state.xp), np.array(state.xm)
+    dxdv = [2.0 / (hcoup * (1.0 - 1.0 / (x * x)))
+            for x in (xp[0], xm[0], xp[2], xm[2])]
+    # Derivatives of each root in (v1, v2, y), one row per root.
+    dxp = np.array([[dxdv[0], 0, 0], [-dxdv[1], 0, 0],
+                    [0, dxdv[2], 0], [0, -dxdv[3], 0]], dtype=complex)
+    dxm = np.array([[dxdv[1], 0, 0], [-dxdv[0], 0, 0],
+                    [0, dxdv[3], 0], [0, -dxdv[2], 0]], dtype=complex)
+    us = np.array([v1, -v1, v2, -v2])
+    dus = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+    ys = np.array([y, -y])
+    dys = np.array([[0, 0, 1.0], [0, 0, -1.0]])
+
+    aux = sum((dys[0] - dxm[k]) / (ys[0] - xm[k])
+              - (dys[0] - dxp[k]) / (ys[0] - xp[k]) for k in range(4))
+    rows = [aux]
+    for k in (0, 2):
+        row = volume * (dxm[k] / xm[k] - dxp[k] / xp[k])
+        for j in range(4):
+            if j != k:
+                diff = us[k] - us[j]
+                row = row + (dus[k] - dus[j]) * (1.0 / (diff + 1j) - 1.0 / (diff - 1j))
+        for yl, dyl in zip(ys, dys):
+            row = row + (dxm[k] - dyl) / (xm[k] - yl) - (dxp[k] - dyl) / (xp[k] - yl)
+        rows.append(row)
+    return np.array(rows).imag
+
+
 def solve_with_auxiliary(hcoup: float, volume: int,
                          seed: Tuple[float, float]) -> AdS3Roots:
     """Four mirror-symmetric left pairs with an auxiliary pair {y, -y}.
@@ -255,20 +301,15 @@ def solve_with_auxiliary(hcoup: float, volume: int,
     from bracketing the auxiliary equation at the seed rapidities.
     """
     v1s, v2s = float(seed[0]), float(seed[1])
-
-    def fun(z: np.ndarray) -> np.ndarray:
-        state = _symmetric_state(hcoup, volume, float(z[0]), float(z[1]),
-                                 float(z[2]))
-        res = aba_residuals(state)
-        return np.array([res[0].imag, res[2].imag, res[4].imag])
-
     xp_seed = _symmetric_state(hcoup, volume, v1s, v2s, 0.0).xp
 
     def aux_phase(y: float) -> float:
         return sum(np.angle(y - x) for x in xp_seed) + math.pi
 
     y0 = bisect_real(aux_phase, 1e-4, _AUX_Y_SPAN)
-    z = solve_damped(fun, np.array([v1s, v2s, y0]), tol=_AUX_TOL, real=True)
+    z = solve_damped(partial(_aux_residuals, hcoup, volume),
+                     partial(_aux_jacobian, hcoup, volume),
+                     np.array([v1s, v2s, y0]), tol=_AUX_TOL, real=True)
     state = _symmetric_state(hcoup, volume, float(z[0]), float(z[1]),
                              float(z[2]))
     worst = float(np.max(np.abs(aba_residuals(state))))

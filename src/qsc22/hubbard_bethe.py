@@ -22,6 +22,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -39,6 +40,12 @@ __all__ = [
 
 _LIEBWU_STEPS = 40
 _LIEBWU_TOL = 1e-13
+# Target of the start solve at u_start when a continuation follows.  A
+# spin root between two nearly equal sin k_j has dF/dlambda ~ 4/u, so
+# at u = 1e-3 one ulp of lambda moves the residual by about 2e-13 and
+# _LIEBWU_TOL can lie below the rounding floor.  Every continuation
+# step, the last one included, still solves to _LIEBWU_TOL.
+_START_TOL = 1e-10
 
 
 def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
@@ -148,6 +155,48 @@ def nested_residuals(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
     return np.array(res, dtype=complex)
 
 
+def _nested_jacobian(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
+    """Jacobian of nested_residuals in the roots, in the same order.
+
+    Each residual is a sum of logs of ratios, so each entry is a sum of
+    log-derivatives; an x root enters the middle node through its
+    rapidity, with du/dx = h (1 - 1/x^2) / 2.
+    """
+    m_first, m_mid = len(roots.x1e), len(roots.u11)
+    xs = roots.x1e + roots.x112
+    us = [u_of_x(x, spec.hcoup) for x in xs]
+    dudx = [spec.hcoup * (1.0 - 1.0 / (x * x)) / 2.0 for x in xs]
+    size = len(xs) + m_mid
+    jac = np.zeros((size, size), dtype=complex)
+    # Row and column of each x root: the middle-node block sits between
+    # the two sheets.
+    slot = [i if i < m_first else i + m_mid for i in range(len(xs))]
+    for i, (x, u) in enumerate(zip(xs, us)):
+        row = slot[i]
+        for yp, ym in zip(spec.yplus, spec.yminus):
+            if i < m_first:
+                # d/dx log(y - 1/x) = 1 / (x (x y - 1))
+                jac[row, row] += 1.0 / (x * (x * yp - 1.0)) - 1.0 / (x * (x * ym - 1.0))
+            else:
+                jac[row, row] += 1.0 / (x - yp) - 1.0 / (x - ym)
+        for b, v in enumerate(roots.u11):
+            d = 1.0 / (u - v + 0.5j) - 1.0 / (u - v - 0.5j)
+            jac[row, row] += dudx[i] * d
+            jac[row, m_first + b] -= d
+    for a, v in enumerate(roots.u11):
+        row = m_first + a
+        for b, w in enumerate(roots.u11):
+            if b != a:
+                d = 1.0 / (v - w + 1.0j) - 1.0 / (v - w - 1.0j)
+                jac[row, row] += d
+                jac[row, m_first + b] -= d
+        for i, u in enumerate(us):
+            d = 1.0 / (v - u - 0.5j) - 1.0 / (v - u + 0.5j)
+            jac[row, row] += d
+            jac[row, slot[i]] -= dudx[i] * d
+    return jac
+
+
 def solve_nested(
     spec: HubbardSpec,
     counts: Tuple[int, int, int],
@@ -171,7 +220,10 @@ def solve_nested(
     def fun(z: np.ndarray) -> np.ndarray:
         return nested_residuals(spec, unpack(z))
 
-    return unpack(solve_damped(fun, z0, tol=tol))
+    def jac(z: np.ndarray) -> np.ndarray:
+        return _nested_jacobian(spec, unpack(z))
+
+    return unpack(solve_damped(fun, jac, z0, tol=tol))
 
 
 def liebwu_residuals(lsites: int, u_coupling: float, roots: LiebWuRoots) -> np.ndarray:
@@ -200,7 +252,7 @@ def _counting_residuals(lsites: int, u_coupling: float,
                         z: np.ndarray) -> np.ndarray:
     n = len(mode_k)
     m = len(mode_lam)
-    ks, lams = z[:n], z[n:]
+    ks, lams = z[:n].tolist(), z[n:].tolist()
     out = np.empty(n + m)
     for j in range(n):
         val = lsites * ks[j] - 2.0 * math.pi * mode_k[j] - math.pi * m
@@ -216,6 +268,36 @@ def _counting_residuals(lsites: int, u_coupling: float,
                 val -= 2.0 * math.atan((lams[a] - lams[b]) / (2.0 * u_coupling))
         out[n + a] = val
     return out
+
+
+def _counting_jacobian(lsites: int, u_coupling: float, n_charge: int,
+                       z: np.ndarray) -> np.ndarray:
+    """Jacobian of _counting_residuals in (k, lambda).
+
+    With w_ja = 2u / (u^2 + (sin k_j - lambda_a)^2) and
+    v_ab = 4u / (4u^2 + (lambda_a - lambda_b)^2): charge row j has
+    L + cos k_j sum_a w_ja on its diagonal and -w_ja under lambda_a;
+    spin row a has -cos k_j w_ja under k_j, v_ab under lambda_b != a,
+    and sum_j w_ja - sum_{b != a} v_ab on its diagonal.
+    """
+    ks, lams = z[:n_charge].tolist(), z[n_charge:].tolist()
+    jac = [[0.0] * z.size for _ in range(z.size)]
+    for j, k in enumerate(ks):
+        sin_k, cos_k = math.sin(k), math.cos(k)
+        jac[j][j] = lsites
+        for a, lam in enumerate(lams, n_charge):
+            w = 2.0 * u_coupling / (u_coupling ** 2 + (sin_k - lam) ** 2)
+            jac[j][j] += cos_k * w
+            jac[j][a] = -w
+            jac[a][j] = -cos_k * w
+            jac[a][a] += w
+    for a, lam_a in enumerate(lams, n_charge):
+        for b, lam_b in enumerate(lams, n_charge):
+            if b != a:
+                v = 4.0 * u_coupling / (4.0 * u_coupling ** 2 + (lam_a - lam_b) ** 2)
+                jac[a][b] = v
+                jac[a][a] -= v
+    return np.array(jac)
 
 
 def _lambda_seed_pool(sins: Sequence[float]) -> list:
@@ -258,6 +340,7 @@ def solve_liebwu(
         return LiebWuRoots()
 
     u_start = min(1e-3, u_coupling)
+    continued = u_coupling > u_start
     ks0 = [(2.0 * math.pi * i + math.pi * m_spin) / lsites for i in mode_k]
     pool = _lambda_seed_pool([math.sin(k) for k in ks0])
     groups = [range(n_charge), range(n_charge, n_charge + m_spin)]
@@ -265,7 +348,12 @@ def solve_liebwu(
     def fun_of_t(t: float, z: np.ndarray) -> np.ndarray:
         return _counting_residuals(lsites, t, mode_k, mode_lam, z)
 
+    def jac_of_t(t: float, z: np.ndarray) -> np.ndarray:
+        return _counting_jacobian(lsites, t, n_charge, z)
+
     last_error: Exception | None = None
+    best = math.inf
+    invalid = 0
     seen = set()
     for subset in itertools.combinations(range(len(pool)), m_spin):
         lam0 = tuple(round(pool[i], 12) for i in subset)
@@ -274,22 +362,32 @@ def solve_liebwu(
         seen.add(lam0)
         z0 = np.array(ks0 + list(lam0), dtype=float)
         try:
-            z = solve_damped(lambda v: fun_of_t(u_start, v), z0,
-                             tol=_LIEBWU_TOL, real=True)
-            if u_coupling > u_start:
+            z = solve_damped(partial(fun_of_t, u_start), partial(jac_of_t, u_start),
+                             z0, tol=_START_TOL if continued else _LIEBWU_TOL,
+                             real=True)
+            if continued:
                 path = np.linspace(u_start, u_coupling, _LIEBWU_STEPS + 1)[1:]
-                z = continue_path(fun_of_t, path, z, collision_groups=groups,
-                                  real=True, tol=_LIEBWU_TOL)
+                z = continue_path(fun_of_t, jac_of_t, path, z,
+                                  collision_groups=groups, real=True,
+                                  tol=_LIEBWU_TOL)
         except (NoConvergence, PathCollision) as exc:
+            best = min(best, getattr(exc, "residual", math.inf))
             last_error = exc
             continue
         roots = LiebWuRoots(tuple(z[:n_charge]), tuple(z[n_charge:]))
-        if float(np.max(np.abs(liebwu_residuals(lsites, u_coupling, roots)))) < 1e-12:
+        gap = float(np.max(np.abs(liebwu_residuals(lsites, u_coupling, roots))))
+        if gap < 1e-12:
             return roots
+        invalid += 1
+        last_error = NoConvergence(
+            f"product-form residual {gap:.3e} at lambda seed {lam0}", gap)
+        best = min(best, gap)
     if isinstance(last_error, PathCollision):
         raise last_error
     raise NoConvergence(
-        f"no spin seed converged for modes I={mode_k}, J={mode_lam}"
+        f"no spin seed converged for modes I={mode_k}, J={mode_lam}: "
+        f"best residual {best:.3e} over {len(seen)} spin seeds, {invalid} of "
+        f"{len(seen)} converged but failed the product-form check", best,
     ) from last_error
 
 

@@ -66,6 +66,7 @@ def test_criterion_04_liebwu_roots_match_ed_spectra():
     assert detail["max_free_gap"] < 1e-4
     assert detail["attempted"] == 156 and detail["free_attempted"] == 49
     assert detail["solved"] + detail["skipped"] == detail["attempted"]
+    assert detail["skipped"] == 0
     assert elapsed < 120.0
 
 

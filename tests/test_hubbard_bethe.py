@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from qsc22._newton import bisect_real
-from qsc22.acceptance import match_sector
+from qsc22 import hubbard_bethe as hb
+from qsc22._newton import NoConvergence, bisect_real
+from qsc22.acceptance import _admissible_modes, _liebwu_grid_cases, match_sector
 from qsc22.analytic_layer import shell_pairs
 from qsc22.hubbard_bethe import (
     HubbardRoots,
@@ -131,3 +132,39 @@ def test_liebwu_matches_oracle_on_a_small_grid():
             for m_spin in range(0, n_charge // 2 + 1):
                 _, report = match_sector(lsites, 1.0, n_charge, m_spin, 1e-10)
                 assert report.gaps and report.passed, (lsites, n_charge, m_spin)
+
+
+def test_liebwu_solves_every_mode_set_of_a_start_floor_sector():
+    # Four of these mode sets used to stall in the start solve at
+    # u = 1e-3, where rounding alone leaves a residual near 2e-13.
+    outcomes, report = match_sector(4, 0.5, 3, 1, 1e-8)
+    assert len(outcomes) == 8
+    assert [error for _, _, _, error in outcomes] == [None] * 8
+    assert report.passed and len(report.gaps) == 8
+
+
+def test_liebwu_answers_meet_the_final_tolerance_at_the_target_coupling():
+    # The start solve may stop at the looser hb._START_TOL; every answer
+    # must still satisfy the counting equations to _LIEBWU_TOL.
+    worst = 0.0
+    for lsites, coupling, n_charge, m_spin in _liebwu_grid_cases():
+        if n_charge == 0:
+            continue
+        for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
+            roots = solve_liebwu(lsites, coupling, n_charge, m_spin, list(mk), list(ml))
+            z = np.array([k.real for k in roots.k + roots.lam])
+            res = hb._counting_residuals(lsites, coupling, list(mk), list(ml), z)
+            worst = max(worst, float(np.max(np.abs(res))))
+    assert worst < hb._LIEBWU_TOL
+
+
+def test_liebwu_failure_names_its_best_residual(monkeypatch):
+    # Every seed converges but fails the product-form check: the error
+    # must say so instead of dropping the seeds silently.
+    monkeypatch.setattr(hb, "liebwu_residuals", lambda *args: np.array([3e-9]))
+    with pytest.raises(NoConvergence) as info:
+        solve_liebwu(2, 1.0, 2, 1, [0, 1], [-1])
+    assert info.value.residual == 3e-9
+    assert str(info.value).endswith(
+        "best residual 3.000e-09 over 3 spin seeds, 3 of 3 converged but "
+        "failed the product-form check")

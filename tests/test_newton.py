@@ -20,7 +20,10 @@ def test_solve_damped_complex_system():
     def fun(z):
         return np.array([z[0] ** 2 + 1.0, z[0] * z[1] - 2.0])
 
-    z = solve_damped(fun, np.array([0.3 + 0.8j, 1.0 + 0.0j]))
+    def jac(z):
+        return np.array([[2.0 * z[0], 0.0], [z[1], z[0]]])
+
+    z = solve_damped(fun, jac, np.array([0.3 + 0.8j, 1.0 + 0.0j]))
     assert abs(z[0] - 1j) < 1e-12 or abs(z[0] + 1j) < 1e-12
     assert abs(z[0] * z[1] - 2.0) < 1e-12
 
@@ -29,7 +32,10 @@ def test_solve_damped_real_mode_stays_real():
     def fun(z):
         return np.array([math.cos(z[0]) - z[0]])
 
-    z = solve_damped(fun, np.array([0.5]), real=True)
+    def jac(z):
+        return np.array([[-math.sin(z[0]) - 1.0]])
+
+    z = solve_damped(fun, jac, np.array([0.5]), real=True)
     assert z.dtype.kind == "f"
     assert abs(math.cos(z[0]) - z[0]) < 1e-13
 
@@ -38,16 +44,45 @@ def test_solve_damped_reports_failure():
     def fun(z):
         return np.array([z[0] ** 2 + 1.0])
 
+    def jac(z):
+        return np.array([[2.0 * z[0]]])
+
+    with pytest.raises(NoConvergence) as info:
+        solve_damped(fun, jac, np.array([1.0]), real=True, max_iter=25)
+    # No real root: the best residual is the minimum of x^2 + 1 or above.
+    assert info.value.residual >= 1.0
+
+
+def test_solve_damped_rejects_a_sign_flipped_jacobian():
+    # Negative control: with the sign of the Jacobian flipped every
+    # Newton step points uphill, so the line search must stall.
+    def fun(z):
+        return np.array([z[0] ** 2 - 2.0, z[1] - 1.0])
+
+    def jac(z):
+        return np.array([[2.0 * z[0], 0.0], [0.0, 1.0]])
+
+    def flipped(z):
+        out = jac(z)
+        out[0, 0] = -out[0, 0]
+        return out
+
+    start = np.array([1.0, 1.0])
+    z = solve_damped(fun, jac, start, real=True)
+    assert abs(z[0] - math.sqrt(2.0)) < 1e-13
     with pytest.raises(NoConvergence):
-        solve_damped(fun, np.array([1.0]), real=True, max_iter=25)
+        solve_damped(fun, flipped, start, real=True)
 
 
 def test_continue_path_tracks_a_moving_root():
     def fun_of_t(t, z):
         return np.array([z[0] ** 2 - (1.0 + t)])
 
+    def jac_of_t(t, z):
+        return np.array([[2.0 * z[0]]])
+
     ts = np.linspace(0.0, 3.0, 31)[1:]
-    z = continue_path(fun_of_t, ts, np.array([1.0]), real=True)
+    z = continue_path(fun_of_t, jac_of_t, ts, np.array([1.0]), real=True)
     assert abs(z[0] - 2.0) < 1e-12
 
 
@@ -57,9 +92,12 @@ def test_continue_path_detects_collisions():
     def fun_of_t(t, z):
         return np.array([z[0] + z[1], z[0] * z[1] + (1.0 - t)])
 
+    def jac_of_t(t, z):
+        return np.array([[1.0, 1.0], [z[1], z[0]]])
+
     ts = np.linspace(0.0, 0.999, 101)[1:]
     with pytest.raises(PathCollision):
-        continue_path(fun_of_t, ts, np.array([1.0, -1.0]),
+        continue_path(fun_of_t, jac_of_t, ts, np.array([1.0, -1.0]),
                       collision_groups=(range(2),), collision_tol=0.25,
                       real=True)
 
