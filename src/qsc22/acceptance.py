@@ -1,11 +1,12 @@
 """Acceptance batteries: the ten checks behind `qsc22 suite` and the tests.
 
-Each battery takes (rng_seed, tol) and returns (ok, detail), where the
-detail is a JSON-ready dict of margins and counts.  A tol of None means
-the battery's own default; batteries that check exact identities ignore
-it.  `BATTERIES` lists them in suite order.  The command line checks
-`check-qq`, `character --random`, `check-f` and `pmu-check` run the same
-code with their own parameters.
+Each battery takes an rng_seed and returns (ok, detail), where the
+detail is a JSON-ready dict of margins and counts.  The bounds live
+here, one module constant per float battery, and each such battery
+reports its bound in the detail as `bound`; no option overrides them.
+The exact batteries compare polynomials and have no bound.  `BATTERIES` lists them in suite order.  The command line checks
+`check-qq`, `check-hirota`, `character --random`, `check-f` and
+`pmu-check` run the same code with their own parameters.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
 from .exact_poly import GaussRat
 
+_LIEBWU_BOUND = 1e-8
+_FREE_BOUND = 1e-4
+_TRUNCATION_BOUND = 1e-12
+_BAXTER_BOUND = 1e-12
+_PMU_BOUND = 1e-8
+_ADS3_BOUND = 1e-10
+_ED_BOUND = 1e-9
 
 # --------------------------------------------------------------------------
 # Exact layer
@@ -42,7 +50,7 @@ def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
     return out
 
 
-def _battery_qq(rng_seed: int, tol) -> Tuple[bool, dict]:
+def _battery_qq(rng_seed: int) -> Tuple[bool, dict]:
     seeds = _draw_seed_ints(rng_seed, 20, 3)
     reports = [(s, qsystem.check_qq(qsystem.generate_from_seed(
         *qsystem.random_seed_polys(s), audit=False))) for s in seeds]
@@ -51,10 +59,11 @@ def _battery_qq(rng_seed: int, tol) -> Tuple[bool, dict]:
                      "checked": sum(rep.checked for _, rep in reports)}
 
 
-def _battery_hodge(rng_seed: int, tol) -> Tuple[bool, dict]:
+def _battery_hodge(rng_seed: int) -> Tuple[bool, dict]:
     failures = []
     for s in _draw_seed_ints(rng_seed + 1, 3, 3):
-        q = qsystem.random_qsystem(s)
+        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
+                                       audit=False)
         dd = qsystem.hodge(qsystem.hodge(q))
         for slot in q:
             na, ni = qsystem.slot_grades(slot)
@@ -64,7 +73,7 @@ def _battery_hodge(rng_seed: int, tol) -> Tuple[bool, dict]:
     return not failures, {"systems": 3, "failures": failures}
 
 
-def _battery_hirota(rng_seed: int, tol) -> Tuple[bool, dict]:
+def _battery_hirota(rng_seed: int) -> Tuple[bool, dict]:
     # The same 20 systems as the qq battery, which checks their QQ
     # relations; this one checks Hirota and the Y identity on them.
     seeds = _draw_seed_ints(rng_seed, 20, 3)
@@ -126,7 +135,7 @@ def character_runs(rng_seed: int, count: int) -> list:
     return runs
 
 
-def _battery_character(rng_seed: int, tol) -> Tuple[bool, dict]:
+def _battery_character(rng_seed: int) -> Tuple[bool, dict]:
     runs = character_runs(rng_seed, 10)
     ok = all(r["ok"] for r in runs)
     return ok, {"twists": len(runs), "failed": [r for r in runs if not r["ok"]]}
@@ -202,10 +211,9 @@ def _match_sectors(sectors, tol: float, key):
     return counts, results
 
 
-def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-8 if tol is None else tol
+def _battery_liebwu(rng_seed: int) -> Tuple[bool, dict]:
     errors = []
-    grid, results = _match_sectors(_liebwu_grid_cases(), tol,
+    grid, results = _match_sectors(_liebwu_grid_cases(), _LIEBWU_BOUND,
                                    lambda case: "L=%d u=%g N=%d M=%d" % case)
     for case, _, report in results:
         if not report.gaps and case[2] > 0:
@@ -224,7 +232,7 @@ def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
         sorted({(lsites, free_u, n_charge, m_spin)
                 for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
                 if n_charge > 0}),
-        1e-4, lambda case: "L=%d N=%d M=%d" % (case[0], *case[2:]))
+        _FREE_BOUND, lambda case: "L=%d N=%d M=%d" % (case[0], *case[2:]))
     worst_free = 0.0
     for (lsites, _, n_charge, m_spin), outcomes, report in results:
         if not report.gaps:
@@ -239,8 +247,9 @@ def _battery_liebwu(rng_seed: int, tol) -> Tuple[bool, dict]:
                         math.cos(2.0 * math.pi * i / lsites) for i in mk)
                     gaps.append(abs(energy - closed))
         worst_free = max([worst_free, *gaps])
-    ok = not errors and worst_free < 1e-4
+    ok = not errors and worst_free < _FREE_BOUND
     return ok, {"max_gap": worst, "max_free_gap": worst_free, "errors": errors,
+                "bound": _LIEBWU_BOUND, "free_bound": _FREE_BOUND,
                 "solved": grid["attempted"] - grid["skipped"], **grid,
                 **{"free_" + name: value for name, value in free.items()}}
 
@@ -280,13 +289,13 @@ def truncation_errors(hcoup: float, vs: Sequence[float],
     return worst
 
 
-def _battery_truncation(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-12 if tol is None else tol
+def _battery_truncation(rng_seed: int) -> Tuple[bool, dict]:
     orders, points = (4, 16), 200
     worst = max(truncation_errors(1.0, (0.7, -0.7), orders, points,
                                   rng_seed).values())
-    return worst < tol, {"max_rel_err": worst, "orders": list(orders),
-                         "points": points}
+    return worst < _TRUNCATION_BOUND, {
+        "max_rel_err": worst, "bound": _TRUNCATION_BOUND,
+        "orders": list(orders), "points": points}
 
 
 def _conditioned_baxter_draw(rng: random.Random):
@@ -311,8 +320,7 @@ def _conditioned_baxter_draw(rng: random.Random):
         return mu, p, pstar, fval
 
 
-def _battery_baxter(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-12 if tol is None else tol
+def _battery_baxter(rng_seed: int) -> Tuple[bool, dict]:
     rng = random.Random(rng_seed)
     worst = 0.0
     for _ in range(100):
@@ -324,7 +332,8 @@ def _battery_baxter(rng_seed: int, tol) -> Tuple[bool, dict]:
         det_in = np.linalg.det((mu + mu.T) / 2.0)
         det_out = np.linalg.det((out + out.T) / 2.0)
         worst = max(worst, abs(det_out / det_in * fval ** 4 - 1.0))
-    return worst < tol, {"max_rel_err": worst, "draws": 100}
+    return worst < _BAXTER_BOUND, {"max_rel_err": worst,
+                                   "bound": _BAXTER_BOUND, "draws": 100}
 
 
 _PMU_PROBES = (0.31 + 0.77j, -0.52 + 0.61j, 1.27 + 0.39j, 0.08 - 0.84j,
@@ -360,12 +369,11 @@ def pmu_residuals(n_trunc: int):
     return spec, roots, fit, worst
 
 
-def _battery_pmu(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-8 if tol is None else tol
+def _battery_pmu(rng_seed: int) -> Tuple[bool, dict]:
     n_trunc = 12
     _, _, fit, worst = pmu_residuals(n_trunc)
-    ok = worst < tol and fit < tol
-    return ok, {"max_residual": worst, "fit_residual": fit,
+    ok = worst < _PMU_BOUND and fit < _PMU_BOUND
+    return ok, {"max_residual": worst, "fit_residual": fit, "bound": _PMU_BOUND,
                 "n_trunc": n_trunc, "probes": len(_PMU_PROBES)}
 
 
@@ -373,17 +381,7 @@ def _battery_pmu(rng_seed: int, tol) -> Tuple[bool, dict]:
 # AdS3 and the oracle itself
 
 
-def crossing_reports(state: ads3.AdS3Roots, eta: int, tol: float):
-    """(const, toy) crossing reports; only the toy model should pass."""
-    const = ads3.crossing_structure_check(
-        state, lambda u, crossings: 1.0 + 0j, eta=eta, tol=tol)
-    toy = ads3.crossing_structure_check(
-        state, ads3.toy_sigma_plus(state, eta), eta=eta, tol=tol)
-    return const, toy
-
-
-def _battery_ads3(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-8 if tol is None else tol
+def _battery_ads3(rng_seed: int) -> Tuple[bool, dict]:
     ys = [1.7 - 0.4j, -2.25 + 0.5j]
     ybars = [3.5 + 1.5j]
     cont = all(
@@ -392,18 +390,20 @@ def _battery_ads3(rng_seed: int, tol) -> Tuple[bool, dict]:
         for n in (0, 1, 2) for m in (0, 1))
     state = ads3.solve_two_particle(1.0, 8)
     worst = float(np.max(np.abs(ads3.aba_residuals(state))))
-    const, toy = crossing_reports(state, 1, tol)
-    ok = cont and worst < 1e-10 and (not const.passed) and toy.passed
+    # The constant model returns to itself after two crossings, so it
+    # must miss the double-crossing factor of a state with massive roots.
+    const = ads3.crossing_structure_check(state, lambda u, crossings: 1.0 + 0j)
+    ok = cont and worst < _ADS3_BOUND and not const.passed
     return ok, {
         "continuation_exact": cont,
         "max_residual": worst,
+        "bound": _ADS3_BOUND,
         "const_passed": const.passed,
-        "toy_rel_gap": toy.rel_gap,
+        "const_rel_gap": const.rel_gap,
     }
 
 
-def _battery_ed(rng_seed: int, tol) -> Tuple[bool, dict]:
-    tol = 1e-9 if tol is None else tol
+def _battery_ed(rng_seed: int) -> Tuple[bool, dict]:
     checks = {}
     dims_ok = True
     sites = [1, 2, 3, 4]
@@ -437,8 +437,9 @@ def _battery_ed(rng_seed: int, tol) -> Tuple[bool, dict]:
         eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(lsites, 0.0, sector))
         free_gap = max(free_gap, float(np.max(np.abs(eigs - free))))
     checks["free_fermion_gap"] = free_gap
-    ok = (dims_ok and trace_gap < tol and swap_gap < tol and pinned < tol
-          and free_gap < tol)
+    checks["bound"] = _ED_BOUND
+    ok = dims_ok and all(gap < _ED_BOUND
+                         for gap in (trace_gap, swap_gap, pinned, free_gap))
     return ok, checks
 
 

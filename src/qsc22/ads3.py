@@ -6,8 +6,11 @@ y1, y3, y1bar, y3bar.  This module evaluates the six Bethe equation
 families in log form with pluggable dressing phases, builds the
 asymptotic Q-function evaluators out of the B, R and truncated f
 products, extracts dual auxiliary roots from the fermionic duality
-combination W = R+ Bbar- - R- Bbar+, and checks the logarithmic
-monodromy structure of the crossing factor.
+combination W = R+ Bbar- - R- Bbar+, and compares a caller-supplied
+dressing model with the double-crossing factor of the roots.  No
+dressing phase ships here: the one statement the crossing check makes
+today is that the constant model, which returns to itself after two
+crossings, misses the factor.
 
 The B, R and QQ factors of a massive tower (`MassiveTower`), the
 auxiliary products and W itself live in `analytic_layer`.  The
@@ -38,8 +41,7 @@ __all__ = [
     "aba_residuals", "solve_single", "solve_two_particle",
     "solve_with_auxiliary", "dual_auxiliary_roots", "DualityReport",
     "AsymptoticQ", "weight_exponents",
-    "MuRatioReport", "mu_as_ratio_check",
-    "CrossingReport", "crossing_structure_check", "toy_sigma_plus",
+    "CrossingReport", "crossing_structure_check",
 ]
 
 _AUX_TOL = 1e-12
@@ -486,61 +488,6 @@ def weight_exponents(charges: Sequence[float]) -> dict:
 
 
 @dataclass(frozen=True)
-class MuRatioReport:
-    """Finite-truncation check of the mu_as shift identity."""
-
-    points: Tuple[complex, ...]
-    max_rel_err: float
-    boundary_gap: float
-    passed: bool
-
-
-_MU_POINTS = (0.31 + 0.417j, -0.53 + 0.611j, 1.27 + 0.39j,
-              0.08 - 0.344j, -1.62 + 0.27j)
-_MU_TOL = 1e-8
-
-
-def mu_as_ratio_check(data: AdS3Roots, n_trunc: int,
-                      massless: Optional[SourceF] = None) -> MuRatioReport:
-    """Compare mu_as(u+i)/mu_as(u) against its displayed right side.
-
-    The truncated products telescope exactly: the measured ratio equals
-    the displayed one times a single boundary factor
-    g(u - i(N+1)) / g(u + i(N+1)), which tends to 1 as the truncation
-    grows.  Agreement is checked against that exact prediction; the
-    distance of the boundary factor from 1 is reported as the
-    truncation diagnostic.
-    """
-    left = MassiveTower(data.hcoup, data.xp, data.xm)
-    right = MassiveTower(data.hcoup, data.xbp, data.xbm)
-
-    def g(u: complex) -> complex:
-        x = x_of_u(u, data.hcoup, OUTER)
-        val = (left.b(+1, x) * right.b(+1, x)) / (left.b(-1, x) * right.b(-1, x))
-        if massless is not None:
-            val *= massless.eval_x(x)
-        return val
-
-    f_n = partial(truncated_f, g, n_trunc)
-
-    def mu_n(u: complex) -> complex:
-        qmin = left.qq(u - 0.5j) * right.qq(u - 0.5j)
-        return qmin * f_n(u) / f_n(u - 1j, bar=True)
-
-    worst = 0.0
-    boundary_gap = 0.0
-    for u in _MU_POINTS:
-        lhs = mu_n(u + 1j) / mu_n(u)
-        qratio = (left.qq(u + 0.5j) * right.qq(u + 0.5j)) \
-            / (left.qq(u - 0.5j) * right.qq(u - 0.5j))
-        rhs = qratio * (f_n(u + 1j) / f_n(u)) ** 2
-        corr = g(u - 1j * (n_trunc + 1)) / g(u + 1j * (n_trunc + 1))
-        worst = max(worst, abs(lhs / (rhs * corr) - 1.0))
-        boundary_gap = max(boundary_gap, abs(corr - 1.0))
-    return MuRatioReport(_MU_POINTS, worst, boundary_gap, worst < _MU_TOL)
-
-
-@dataclass(frozen=True)
 class CrossingReport:
     """Double-crossing monodromy comparison."""
 
@@ -555,23 +502,6 @@ def _crossing_factor(data: AdS3Roots, x: complex, eta: int) -> complex:
     right = MassiveTower(data.hcoup, data.xbp, data.xbm)
     base = (left.b(-1, x) / left.b(+1, x)) * (right.r(+1, x) / right.r(-1, x))
     return base ** (2 * eta)
-
-
-def toy_sigma_plus(data: AdS3Roots, eta: int = 1) -> Callable[[complex, int], complex]:
-    """Minimal model with the required logarithmic monodromy.
-
-    Each crossing multiplies the value by the algebraic factor to the
-    power eta, so the double-crossed value picks up the full factor;
-    a finite sum of logarithms, not a square root.  The model is built
-    from `_crossing_factor`, the very factor crossing_structure_check
-    compares against, so its rel_gap of 0.0 demonstrates the
-    construction and is not evidence for any dressing phase.
-    """
-    def model(u: complex, crossings: int) -> complex:
-        x = x_of_u(u, data.hcoup, OUTER)
-        return cmath.exp(eta * crossings
-                         * cmath.log(_crossing_factor(data, x, 1)) / 2.0)
-    return model
 
 
 def crossing_structure_check(data: AdS3Roots,

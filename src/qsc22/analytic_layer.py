@@ -253,18 +253,17 @@ def w_combination(left: MassiveTower, right: MassiveTower, x: complex) -> comple
     return left.r(+1, x) * right.b(-1, x) - left.r(-1, x) * right.b(+1, x)
 
 
-def truncated_f(source: Callable[[complex], complex], n_trunc: int, u: complex,
-                bar: bool = False) -> complex:
-    """f_N(u) = prod_{n=0..N} F(x(u + i n)); bar=True mirrors the shifts.
+def truncated_f(source: Callable[[complex], complex], n_trunc: int,
+                u: complex) -> complex:
+    """f_N(u) = prod_{n=0..N} F(x(u + i n)).
 
     Telescoping gives the exact finite-order identity
     f_N(u)/f_N(u + i) = F(x(u)) / F(x(u + i(N+1))).  Any function of u
     may stand in for the source F.
     """
-    step = -1j if bar else 1j
     out = 1.0 + 0j
     for n in range(n_trunc + 1):
-        out *= source(u + step * n)
+        out *= source(u + 1j * n)
     return out
 
 

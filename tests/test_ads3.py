@@ -17,11 +17,9 @@ from qsc22.ads3 import (
     crossing_structure_check,
     dual_auxiliary_roots,
     momentum_defect,
-    mu_as_ratio_check,
     solve_single,
     solve_two_particle,
     solve_with_auxiliary,
-    toy_sigma_plus,
     u_rapidity,
     weight_exponents,
 )
@@ -171,23 +169,9 @@ def test_weight_exponents():
             assert len(pair) == 2
 
 
-def test_mu_ratio_truncation():
-    state = solve_two_particle(1.0, 8)
-    coarse = mu_as_ratio_check(state, 4)
-    fine = mu_as_ratio_check(state, 16)
-    assert coarse.passed and fine.passed
-    assert coarse.max_rel_err < 1e-12
-    assert fine.max_rel_err < 1e-12
-    assert 0.0 < fine.boundary_gap < coarse.boundary_gap
-
-
 def test_crossing_rules_out_constant_dressing():
     state = solve_two_particle(1.0, 8)
     constant = crossing_structure_check(state, lambda u, crossings: 1.0 + 0.0j)
     assert not constant.passed
     assert constant.rel_gap == pytest.approx(0.46165266784314857, abs=1e-12)
     assert constant.factor != 1.0
-    toy = crossing_structure_check(state, toy_sigma_plus(state))
-    assert toy.passed
-    assert toy.rel_gap < 1e-12
-    assert toy.measured == pytest.approx(toy.factor, rel=1e-12)
