@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,20 @@ def _log(value: complex) -> complex:
     return cmath.log(value)
 
 
+def _norms(fval: np.ndarray) -> Tuple[float, float]:
+    """2-norm and max-norm of a residual vector, from one pass.
+
+    A NaN entry makes the max-norm NaN, as numpy's reductions would.
+    """
+    total = worst = 0.0
+    for entry in fval.tolist():
+        size = abs(entry)
+        total += size * size
+        if size > worst or size != size:
+            worst = size
+    return math.sqrt(total), worst
+
+
 def solve_damped(
     fun: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
@@ -72,10 +86,9 @@ def solve_damped(
     if z.size == 0:
         return z
     fval = np.asarray(fun(z))
+    norm, worst = _norms(fval)
     best = math.inf
     for _ in range(max_iter):
-        norm = float(np.linalg.norm(fval))
-        worst = float(np.max(np.abs(fval)))
         if worst < tol:
             return z
         best = min(best, worst)
@@ -87,13 +100,13 @@ def solve_damped(
         for _ in range(40):
             trial = z + alpha * step
             ftrial = np.asarray(fun(trial))
-            if float(np.linalg.norm(ftrial)) <= (1.0 - _ARMIJO * alpha) * norm:
-                z, fval = trial, ftrial
+            trial_norm, trial_worst = _norms(ftrial)
+            if trial_norm <= (1.0 - _ARMIJO * alpha) * norm:
+                z, fval, norm, worst = trial, ftrial, trial_norm, trial_worst
                 break
             alpha *= 0.5
         else:
             raise NoConvergence(f"line search stalled at |f|={norm:.3e}", best)
-    worst = float(np.max(np.abs(fval)))
     if worst < tol:
         return z
     raise NoConvergence(f"residual {worst:.3e} after {max_iter} iterations",
@@ -112,11 +125,17 @@ def continue_path(
 ) -> np.ndarray:
     """Track a root along parameter values ts, guarding group collisions.
 
-    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.
+    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  z0 is the
+    root one step before ts[0], and the steps are taken as equal: every
+    step after the first starts Newton from the secant prediction
+    2 z_k - z_{k-1} of the last two roots.
     """
     z = np.asarray(z0, dtype=complex if not newton_kwargs.get("real") else float).copy()
+    prev = None
     for t in ts:
-        z = solve_damped(partial(fun_of_t, t), partial(jac_of_t, t), z,
+        guess = z if prev is None else 2.0 * z - prev
+        prev = z
+        z = solve_damped(partial(fun_of_t, t), partial(jac_of_t, t), guess,
                          **newton_kwargs)
         for group in collision_groups:
             idx = list(group)

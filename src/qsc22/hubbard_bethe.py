@@ -40,11 +40,12 @@ __all__ = [
 
 _LIEBWU_STEPS = 40
 _LIEBWU_TOL = 1e-13
-# Target of the start solve at u_start when a continuation follows.  A
-# spin root between two nearly equal sin k_j has dF/dlambda ~ 4/u, so
-# at u = 1e-3 one ulp of lambda moves the residual by about 2e-13 and
-# _LIEBWU_TOL can lie below the rounding floor.  Every continuation
-# step, the last one included, still solves to _LIEBWU_TOL.
+# Target of the start solve at u_start and of every continuation step
+# when a continuation follows.  A spin root between two nearly equal
+# sin k_j has dF/dlambda ~ 4/u, so near u = 1e-3 one ulp of lambda
+# moves the residual by about 2e-13 and _LIEBWU_TOL can lie below the
+# rounding floor.  Those points only seed the next Newton solve; the
+# answer is polished at the target coupling to _LIEBWU_TOL.
 _START_TOL = 1e-10
 
 
@@ -323,7 +324,10 @@ def solve_liebwu(
     """Homotopy in the coupling plus damped Newton on the counting form.
 
     Mode numbers are plain integers, distinct within each family; they
-    fix the branch of every arctan sum.  The returned roots satisfy the
+    fix the branch of every arctan sum.  Spin seeds are tried in
+    increasing start residual.  Each continuation step starts from the
+    secant prediction and stops at _START_TOL; the endpoint is then
+    polished to _LIEBWU_TOL.  The returned roots satisfy the
     product-form residuals below 1e-12.
     """
     mode_k = [int(i) for i in mode_k]
@@ -351,25 +355,31 @@ def solve_liebwu(
     def jac_of_t(t: float, z: np.ndarray) -> np.ndarray:
         return _counting_jacobian(lsites, t, n_charge, z)
 
+    def start_gap(z0: np.ndarray) -> float:
+        return float(np.max(np.abs(fun_of_t(u_start, z0))))
+
+    seeds = {}
+    for subset in itertools.combinations(range(len(pool)), m_spin):
+        lam0 = tuple(round(pool[i], 12) for i in subset)
+        seeds.setdefault(lam0, np.array(ks0 + list(lam0), dtype=float))
+    path = np.linspace(u_start, u_coupling, _LIEBWU_STEPS + 1)[1:]
     last_error: Exception | None = None
     best = math.inf
     invalid = 0
-    seen = set()
-    for subset in itertools.combinations(range(len(pool)), m_spin):
-        lam0 = tuple(round(pool[i], 12) for i in subset)
-        if lam0 in seen:
-            continue
-        seen.add(lam0)
-        z0 = np.array(ks0 + list(lam0), dtype=float)
+    # Seeds in increasing start residual; sorted() is stable, so ties
+    # keep pool order.
+    for lam0, z0 in sorted(seeds.items(), key=lambda item: start_gap(item[1])):
         try:
             z = solve_damped(partial(fun_of_t, u_start), partial(jac_of_t, u_start),
                              z0, tol=_START_TOL if continued else _LIEBWU_TOL,
                              real=True)
             if continued:
-                path = np.linspace(u_start, u_coupling, _LIEBWU_STEPS + 1)[1:]
                 z = continue_path(fun_of_t, jac_of_t, path, z,
                                   collision_groups=groups, real=True,
-                                  tol=_LIEBWU_TOL)
+                                  tol=_START_TOL)
+                z = solve_damped(partial(fun_of_t, u_coupling),
+                                 partial(jac_of_t, u_coupling), z,
+                                 tol=_LIEBWU_TOL, real=True)
         except (NoConvergence, PathCollision) as exc:
             best = min(best, getattr(exc, "residual", math.inf))
             last_error = exc
@@ -386,8 +396,8 @@ def solve_liebwu(
         raise last_error
     raise NoConvergence(
         f"no spin seed converged for modes I={mode_k}, J={mode_lam}: "
-        f"best residual {best:.3e} over {len(seen)} spin seeds, {invalid} of "
-        f"{len(seen)} converged but failed the product-form check", best,
+        f"best residual {best:.3e} over {len(seeds)} spin seeds, {invalid} of "
+        f"{len(seeds)} converged but failed the product-form check", best,
     ) from last_error
 
 

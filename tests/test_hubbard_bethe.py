@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from qsc22 import ed_oracle
 from qsc22 import hubbard_bethe as hb
 from qsc22._newton import NoConvergence, bisect_real
 from qsc22.acceptance import _admissible_modes, _liebwu_grid_cases, match_sector
@@ -141,6 +142,48 @@ def test_liebwu_solves_every_mode_set_of_a_start_floor_sector():
     assert len(outcomes) == 8
     assert [error for _, _, _, error in outcomes] == [None] * 8
     assert report.passed and len(report.gaps) == 8
+
+
+def test_liebwu_solves_past_the_first_step_floor():
+    # Lambda sits between sin k_2 and sin k_3, nearly equal, where
+    # dF/dlambda ~ 4/t: demanding _LIEBWU_TOL at the first continuation
+    # step (t ~ 0.009) stalled this mode set at a residual of 1.09e-13.
+    lsites, coupling = 4, 0.3174760939461972
+    roots = solve_liebwu(lsites, coupling, 3, 1, [1, 2, 3], [-2])
+    energy, _ = energy_momentum(lsites, coupling, roots)
+    eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(lsites, coupling, (2, 1)))
+    assert min(abs(energy - e) for e in eigs) < 1e-12
+
+
+def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
+    # Start solves are the solve_damped calls at the start tolerance;
+    # one that fails costs up to 60 Newton iterations.  Trying the spin
+    # seeds in pool order failed 24 of 171 start solves on this grid.
+    solve = hb.solve_damped
+    starts, failures = [], []
+
+    def counting(fun, jac, z0, **kwargs):
+        is_start = kwargs.get("tol") == hb._START_TOL
+        starts.append(is_start)
+        try:
+            return solve(fun, jac, z0, **kwargs)
+        except NoConvergence:
+            failures.append(is_start)
+            raise
+
+    monkeypatch.setattr(hb, "solve_damped", counting)
+    mode_sets = 0
+    for lsites in (2, 3, 4):
+        for coupling in (0.35, 1.0, 2.8):
+            for n_charge in range(1, lsites + 1):
+                for m_spin in range(0, n_charge // 2 + 1):
+                    for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
+                        solve_liebwu(lsites, coupling, n_charge, m_spin,
+                                     list(mk), list(ml))
+                        mode_sets += 1
+    assert mode_sets == 147
+    assert sum(failures) == 0
+    assert sum(starts) == mode_sets
 
 
 def test_liebwu_answers_meet_the_final_tolerance_at_the_target_coupling():

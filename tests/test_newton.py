@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -84,6 +85,28 @@ def test_continue_path_tracks_a_moving_root():
     ts = np.linspace(0.0, 3.0, 31)[1:]
     z = continue_path(fun_of_t, jac_of_t, ts, np.array([1.0]), real=True)
     assert abs(z[0] - 2.0) < 1e-12
+
+
+def test_continue_path_starts_each_step_from_the_secant_prediction():
+    # The root z(t) = 1 + t moves linearly, so from the third step on
+    # the secant prediction 2 z_k - z_{k-1} is the root up to rounding
+    # and one residual evaluation confirms it.  Starting from the last
+    # root instead costs a Newton step and a second evaluation.
+    evals = collections.Counter()
+
+    def fun_of_t(t, z):
+        evals[t] += 1
+        return np.array([z[0] ** 2 - (1.0 + t) ** 2])
+
+    def jac_of_t(t, z):
+        return np.array([[2.0 * z[0]]])
+
+    ts = [0.25 * k for k in range(1, 11)]
+    z = continue_path(fun_of_t, jac_of_t, ts, np.array([1.0]), real=True,
+                      tol=1e-10)
+    assert abs(z[0] - 3.5) < 1e-12
+    assert evals[ts[0]] > 1
+    assert [evals[t] for t in ts[2:]] == [1] * 8
 
 
 def test_continue_path_detects_collisions():
