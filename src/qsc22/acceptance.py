@@ -1,12 +1,13 @@
 """Acceptance batteries: the ten checks behind `qsc22 suite` and the tests.
 
-Each battery takes an rng_seed and returns (ok, detail), where the
-detail is a JSON-ready dict of margins and counts.  The bounds live
-here, one module constant per float battery, and each such battery
-reports its bound in the detail as `bound`; no option overrides them.
-The exact batteries compare polynomials and have no bound.  `BATTERIES` lists them in suite order.  The command line checks
-`check-qq`, `check-hirota`, `character --random`, `check-f` and
-`pmu-check` run the same code with their own parameters.
+Each battery takes an rng_seed and returns a `BatteryResult`, which
+alone decides whether the battery passed and by what margin.  The
+bounds are the public constants below; no option overrides them.  The
+exact batteries compare polynomials and have no bound.  `BATTERIES`
+lists the batteries in suite order.  The commands `check-qq`,
+`check-hirota` and `character --random` run the exact checks with
+their own counts; `compare`, `solve-liebwu --compare-ed` and
+`ads3-residuals` gate on the bounds below.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import cmath
 import itertools
 import math
 import random
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -26,13 +28,59 @@ from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
 from .exact_poly import GaussRat
 
-_LIEBWU_BOUND = 1e-8
-_FREE_BOUND = 1e-4
-_TRUNCATION_BOUND = 1e-12
-_BAXTER_BOUND = 1e-12
-_PMU_BOUND = 1e-8
-_ADS3_BOUND = 1e-10
-_ED_BOUND = 1e-9
+LIEBWU_BOUND = 1e-8
+FREE_BOUND = 1e-4
+TRUNCATION_BOUND = 1e-12
+BAXTER_BOUND = 1e-12
+PMU_BOUND = 1e-8
+ADS3_BOUND = 1e-10
+ED_BOUND = 1e-9
+
+
+@dataclass(frozen=True)
+class BatteryResult:
+    """What one battery attempted, measured and found wrong.
+
+    `measured` and `bound` map a gap name to its value and to the bound
+    it must stay strictly below; `skipped` maps a label to the cases
+    skipped under it; `failures` lists JSON-ready entries.
+    """
+
+    attempted: int
+    failures: tuple = ()
+    measured: Mapping[str, float] = field(default_factory=dict)
+    bound: Mapping[str, float] = field(default_factory=dict)
+    skipped: Mapping[str, int] = field(default_factory=dict)
+    detail: Mapping = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and all(
+            self.measured[name] < bound for name, bound in self.bound.items())
+
+    @property
+    def margin(self) -> Optional[float]:
+        """Smallest bound/gap ratio (inf for a zero gap), None if unbounded."""
+        if not self.bound:
+            return None
+        return min(bound / self.measured[name] if self.measured[name] else math.inf
+                   for name, bound in self.bound.items())
+
+    def as_json(self) -> dict:
+        return _plain({"ok": self.ok, "margin": self.margin,
+                       "attempted": self.attempted, "failures": self.failures,
+                       "measured": self.measured, "bound": self.bound,
+                       "skipped": self.skipped, "detail": self.detail})
+
+
+def _plain(obj):
+    """obj with tuples as lists, as json.loads would return it."""
+    if isinstance(obj, Mapping):
+        return {name: _plain(value) for name, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
 
 # --------------------------------------------------------------------------
 # Exact layer
@@ -50,18 +98,19 @@ def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
     return out
 
 
-def _battery_qq(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_qq(rng_seed: int) -> BatteryResult:
     seeds = _draw_seed_ints(rng_seed, 20, 3)
     reports = [(s, qsystem.check_qq(qsystem.generate_from_seed(
         *qsystem.random_seed_polys(s), audit=False))) for s in seeds]
     bad = [s for s, rep in reports if not rep.ok or rep.checked != 49]
-    return not bad, {"systems": len(seeds), "failed_seeds": bad,
-                     "checked": sum(rep.checked for _, rep in reports)}
+    return BatteryResult(len(seeds), tuple(bad), detail={
+        "checked": sum(rep.checked for _, rep in reports)})
 
 
-def _battery_hodge(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_hodge(rng_seed: int) -> BatteryResult:
     failures = []
-    for s in _draw_seed_ints(rng_seed + 1, 3, 3):
+    seeds = _draw_seed_ints(rng_seed + 1, 3, 3)
+    for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
                                        audit=False)
         dd = qsystem.hodge(qsystem.hodge(q))
@@ -70,29 +119,26 @@ def _battery_hodge(rng_seed: int) -> Tuple[bool, dict]:
             signed = q[slot] if (na + ni) % 2 == 0 else -q[slot]
             if dd[slot] != signed:
                 failures.append((s, slot))
-    return not failures, {"systems": 3, "failures": failures}
+    return BatteryResult(len(seeds), tuple(failures))
 
 
-def _battery_hirota(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_hirota(rng_seed: int) -> BatteryResult:
     # The same 20 systems as the qq battery, which checks their QQ
     # relations; this one checks Hirota and the Y identity on them.
     seeds = _draw_seed_ints(rng_seed, 20, 3)
-    bad = []
-    y_bad = []
+    failures = []
     for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
                                        audit=False)
         if not ty_system.check_hirota(q).ok:
-            bad.append(s)
+            failures.append(("hirota", s))
         num, den = ty_system.y_pair(q, 1, 1)
         num2, den2 = ty_system.y_pair(q, 2, 2)
         lhs = num * num2 * q["12|12"].shift(-1)
         rhs = den * den2 * q["12|12"].shift(1)
         if lhs != rhs:
-            y_bad.append(s)
-    return not bad and not y_bad, {
-        "systems": len(seeds), "hirota_failed": bad, "y_identity_failed": y_bad,
-    }
+            failures.append(("y identity", s))
+    return BatteryResult(len(seeds), tuple(failures))
 
 
 def _random_half_twist(rng: random.Random) -> GaussRat:
@@ -135,10 +181,9 @@ def character_runs(rng_seed: int, count: int) -> list:
     return runs
 
 
-def _battery_character(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_character(rng_seed: int) -> BatteryResult:
     runs = character_runs(rng_seed, 10)
-    ok = all(r["ok"] for r in runs)
-    return ok, {"twists": len(runs), "failed": [r for r in runs if not r["ok"]]}
+    return BatteryResult(len(runs), tuple(r for r in runs if not r["ok"]))
 
 
 # --------------------------------------------------------------------------
@@ -191,36 +236,34 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
     return outcomes, ed_oracle.match_spectrum(energies, eigs, tol)
 
 
-def _match_sectors(sectors, tol: float, key):
-    """match_sector over (L, u, N, M) sectors, counting the mode sets.
+def _match_sectors(sectors, tol: float):
+    """match_sector over (L, u, N, M) sectors.
 
-    Returns (counts, results): counts holds the attempted and skipped
-    mode sets, with the skips by key(sector); results lists
-    (sector, outcomes, report).
+    Returns (skipped, results): skipped maps a sector label to the mode
+    sets that sector did not solve; results lists (sector, outcomes,
+    report).
     """
-    counts = {"attempted": 0, "skipped": 0, "skipped_by_sector": {}}
+    skipped = {}
     results = []
     for sector in sectors:
         outcomes, report = match_sector(*sector, tol)
-        skipped = len(outcomes) - len(report.gaps)
-        counts["attempted"] += len(outcomes)
-        counts["skipped"] += skipped
-        if skipped:
-            counts["skipped_by_sector"][key(sector)] = skipped
+        if len(outcomes) > len(report.gaps):
+            skipped["L=%d u=%g N=%d M=%d" % sector] = (len(outcomes)
+                                                      - len(report.gaps))
         results.append((sector, outcomes, report))
-    return counts, results
+    return skipped, results
 
 
-def _battery_liebwu(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_liebwu(rng_seed: int) -> BatteryResult:
     errors = []
-    grid, results = _match_sectors(_liebwu_grid_cases(), _LIEBWU_BOUND,
-                                   lambda case: "L=%d u=%g N=%d M=%d" % case)
+    skipped, results = _match_sectors(_liebwu_grid_cases(), LIEBWU_BOUND)
     for case, _, report in results:
         if not report.gaps and case[2] > 0:
             errors.append(("empty sector", case))
         if not report.passed:
             errors.append(("oracle mismatch", case))
     worst = max(report.max_gap for _, _, report in results)
+    grid = sum(len(outcomes) for _, outcomes, _ in results)
 
     # Free limit.  Without spin roots the momenta decouple and the
     # closed form -2 sum cos(2 pi I / L) applies; a spin root shifts
@@ -228,11 +271,10 @@ def _battery_liebwu(rng_seed: int) -> Tuple[bool, dict]:
     # so those sectors are matched against the oracle at the same
     # coupling instead.
     free_u = 1e-8
-    free, results = _match_sectors(
+    free_skipped, results = _match_sectors(
         sorted({(lsites, free_u, n_charge, m_spin)
                 for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
-                if n_charge > 0}),
-        _FREE_BOUND, lambda case: "L=%d N=%d M=%d" % (case[0], *case[2:]))
+                if n_charge > 0}), FREE_BOUND)
     worst_free = 0.0
     for (lsites, _, n_charge, m_spin), outcomes, report in results:
         if not report.gaps:
@@ -247,11 +289,13 @@ def _battery_liebwu(rng_seed: int) -> Tuple[bool, dict]:
                         math.cos(2.0 * math.pi * i / lsites) for i in mk)
                     gaps.append(abs(energy - closed))
         worst_free = max([worst_free, *gaps])
-    ok = not errors and worst_free < _FREE_BOUND
-    return ok, {"max_gap": worst, "max_free_gap": worst_free, "errors": errors,
-                "bound": _LIEBWU_BOUND, "free_bound": _FREE_BOUND,
-                "solved": grid["attempted"] - grid["skipped"], **grid,
-                **{"free_" + name: value for name, value in free.items()}}
+    free = sum(len(outcomes) for _, outcomes, _ in results)
+    return BatteryResult(
+        grid + free, tuple(errors),
+        measured={"max_gap": worst, "max_free_gap": worst_free},
+        bound={"max_gap": LIEBWU_BOUND, "max_free_gap": FREE_BOUND},
+        skipped={**skipped, **free_skipped},
+        detail={"grid_attempted": grid, "free_attempted": free})
 
 
 # --------------------------------------------------------------------------
@@ -263,17 +307,16 @@ def _off_cut_points(rng: random.Random, count: int) -> list:
             for _ in range(count)]
 
 
-def truncation_errors(hcoup: float, vs: Sequence[float],
-                      orders: Sequence[int], points: int,
-                      rng_seed: int) -> dict:
+def _battery_truncation(rng_seed: int) -> BatteryResult:
     """Worst relative errors of the exact truncation identities.
 
     'telescope' is f_N(u) / f_N(u + i) against F(u) / F(u + i(N + 1));
     'mu' and 'omega' are the sheet-swap ratios against F(u)^2, each at
-    `points` random off-cut points per truncation order.
+    200 random off-cut points per truncation order.
     """
-    yplus, yminus = al.shell_pairs(hcoup, vs)
-    source = al.SourceF.ext(hcoup, yplus, yminus)
+    orders, points = (4, 16), 200
+    yplus, yminus = al.shell_pairs(1.0, (0.7, -0.7))
+    source = al.SourceF.ext(1.0, yplus, yminus)
     rng = random.Random(rng_seed)
     worst = {"telescope": 0.0, "mu": 0.0, "omega": 0.0}
     for n in orders:
@@ -286,16 +329,9 @@ def truncation_errors(hcoup: float, vs: Sequence[float],
             mut, omt = al.mu_omega(source, n, u, swap_sheet=True)
             worst["mu"] = max(worst["mu"], abs(mu / mut / fsq - 1.0))
             worst["omega"] = max(worst["omega"], abs(om / omt / fsq - 1.0))
-    return worst
-
-
-def _battery_truncation(rng_seed: int) -> Tuple[bool, dict]:
-    orders, points = (4, 16), 200
-    worst = max(truncation_errors(1.0, (0.7, -0.7), orders, points,
-                                  rng_seed).values())
-    return worst < _TRUNCATION_BOUND, {
-        "max_rel_err": worst, "bound": _TRUNCATION_BOUND,
-        "orders": list(orders), "points": points}
+    return BatteryResult(len(orders) * points, measured=worst,
+                         bound=dict.fromkeys(worst, TRUNCATION_BOUND),
+                         detail={"orders": list(orders), "points": points})
 
 
 def _conditioned_baxter_draw(rng: random.Random):
@@ -320,10 +356,11 @@ def _conditioned_baxter_draw(rng: random.Random):
         return mu, p, pstar, fval
 
 
-def _battery_baxter(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_baxter(rng_seed: int) -> BatteryResult:
     rng = random.Random(rng_seed)
     worst = 0.0
-    for _ in range(100):
+    draws = 100
+    for _ in range(draws):
         mu, p, pstar, fval = _conditioned_baxter_draw(rng)
         out = al.baxter_step(mu, p, pstar, fval)
         anti_in = (mu[0, 1] - mu[1, 0]) / 2.0
@@ -332,8 +369,8 @@ def _battery_baxter(rng_seed: int) -> Tuple[bool, dict]:
         det_in = np.linalg.det((mu + mu.T) / 2.0)
         det_out = np.linalg.det((out + out.T) / 2.0)
         worst = max(worst, abs(det_out / det_in * fval ** 4 - 1.0))
-    return worst < _BAXTER_BOUND, {"max_rel_err": worst,
-                                   "bound": _BAXTER_BOUND, "draws": 100}
+    return BatteryResult(draws, measured={"max_rel_err": worst},
+                         bound={"max_rel_err": BAXTER_BOUND})
 
 
 _PMU_PROBES = (0.31 + 0.77j, -0.52 + 0.61j, 1.27 + 0.39j, 0.08 - 0.84j,
@@ -352,12 +389,13 @@ def _canonical_nested():
     return spec, roots
 
 
-def pmu_residuals(n_trunc: int):
+def _battery_pmu(rng_seed: int) -> BatteryResult:
     """Case-B P-mu residuals of the solved reference configuration.
 
-    Returns (spec, roots, fit, worst): the fit residual of the P pair
-    and the largest monodromy residual over the fixed probe points.
+    Measures the fit residual of the P pair and the largest monodromy
+    residual at truncation 12 over the fixed probe points.
     """
+    n_trunc = 12
     spec, roots = _canonical_nested()
     source = al.SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
     p_eval, pstar_eval, fit = al.caseb_p_evaluators(
@@ -366,53 +404,46 @@ def pmu_residuals(n_trunc: int):
     for u in _PMU_PROBES:
         res = al.pmu_residual_caseB(p_eval, pstar_eval, source, n_trunc, u)
         worst = max(worst, float(np.max(np.abs(res))))
-    return spec, roots, fit, worst
-
-
-def _battery_pmu(rng_seed: int) -> Tuple[bool, dict]:
-    n_trunc = 12
-    _, _, fit, worst = pmu_residuals(n_trunc)
-    ok = worst < _PMU_BOUND and fit < _PMU_BOUND
-    return ok, {"max_residual": worst, "fit_residual": fit, "bound": _PMU_BOUND,
-                "n_trunc": n_trunc, "probes": len(_PMU_PROBES)}
+    return BatteryResult(
+        len(_PMU_PROBES), measured={"max_residual": worst, "fit_residual": fit},
+        bound={"max_residual": PMU_BOUND, "fit_residual": PMU_BOUND},
+        detail={"n_trunc": n_trunc})
 
 
 # --------------------------------------------------------------------------
 # AdS3 and the oracle itself
 
 
-def _battery_ads3(rng_seed: int) -> Tuple[bool, dict]:
+def _battery_ads3(rng_seed: int) -> BatteryResult:
     ys = [1.7 - 0.4j, -2.25 + 0.5j]
     ybars = [3.5 + 1.5j]
-    cont = all(
-        ads3.aux_r(1.0 / x, ys[:n], ybars[:m]) == ads3.aux_b(x, ys[:n], ybars[:m])
-        for x in (2.0, -1.5 + 0.0j, 0.25 + 0.0j)
-        for n in (0, 1, 2) for m in (0, 1))
+    failures = []
+    if not all(
+            ads3.aux_r(1.0 / x, ys[:n], ybars[:m]) == ads3.aux_b(x, ys[:n], ybars[:m])
+            for x in (2.0, -1.5 + 0.0j, 0.25 + 0.0j)
+            for n in (0, 1, 2) for m in (0, 1)):
+        failures.append("continuation not exact")
     state = ads3.solve_two_particle(1.0, 8)
     worst = float(np.max(np.abs(ads3.aba_residuals(state))))
     # The constant model returns to itself after two crossings, so it
     # must miss the double-crossing factor of a state with massive roots.
     const = ads3.crossing_structure_check(state, lambda u, crossings: 1.0 + 0j)
-    ok = cont and worst < _ADS3_BOUND and not const.passed
-    return ok, {
-        "continuation_exact": cont,
-        "max_residual": worst,
-        "bound": _ADS3_BOUND,
-        "const_passed": const.passed,
-        "const_rel_gap": const.rel_gap,
-    }
+    if const.passed:
+        failures.append("constant model passes crossing")
+    return BatteryResult(1, tuple(failures), measured={"max_residual": worst},
+                         bound={"max_residual": ADS3_BOUND},
+                         detail={"const_rel_gap": const.rel_gap})
 
 
-def _battery_ed(rng_seed: int) -> Tuple[bool, dict]:
-    checks = {}
-    dims_ok = True
+def _battery_ed(rng_seed: int) -> BatteryResult:
+    failures = []
     sites = [1, 2, 3, 4]
     for lsites in sites:
         total = sum(ed_oracle.fock_sector(lsites, a, b).dim
                     for a, b in ed_oracle.sector_table(lsites))
-        dims_ok = dims_ok and total == 4 ** lsites
-    checks["dimension_audit"] = dims_ok
-    checks["audited_sites"] = sites
+        if total != 4 ** lsites:
+            failures.append(("dimension audit", lsites, total))
+    spectra = 0
     trace_gap = 0.0
     swap_gap = 0.0
     for lsites, coupling, sector in ((2, 1.0, (1, 1)), (3, 0.5, (2, 1))):
@@ -422,11 +453,10 @@ def _battery_ed(rng_seed: int) -> Tuple[bool, dict]:
         swapped = ed_oracle.spectrum(
             ed_oracle.build_hamiltonian(lsites, coupling, sector[::-1]))
         swap_gap = max(swap_gap, float(np.max(np.abs(eigs - swapped))))
-    checks["trace_gap"] = trace_gap
-    checks["swap_gap"] = swap_gap
+        spectra += 2
     eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(2, 1.0, (1, 0)))
     pinned = float(np.max(np.abs(eigs - np.array([-2.0, 2.0]))))
-    checks["pinned_sector_gap"] = pinned
+    spectra += 1
     # At u = 0 each species fills single-particle levels -2 cos(2 pi k / L)
     # independently; a wrong fermionic sign moves the many-body levels.
     free_gap = 0.0
@@ -436,11 +466,12 @@ def _battery_ed(rng_seed: int) -> Tuple[bool, dict]:
         free = np.sort(np.add.outer(up, down), axis=None)
         eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(lsites, 0.0, sector))
         free_gap = max(free_gap, float(np.max(np.abs(eigs - free))))
-    checks["free_fermion_gap"] = free_gap
-    checks["bound"] = _ED_BOUND
-    ok = dims_ok and all(gap < _ED_BOUND
-                         for gap in (trace_gap, swap_gap, pinned, free_gap))
-    return ok, checks
+        spectra += 1
+    measured = {"trace_gap": trace_gap, "swap_gap": swap_gap,
+                "pinned_sector_gap": pinned, "free_fermion_gap": free_gap}
+    return BatteryResult(spectra, tuple(failures), measured=measured,
+                         bound=dict.fromkeys(measured, ED_BOUND),
+                         detail={"audited_sites": sites})
 
 
 BATTERIES = (

@@ -47,6 +47,7 @@ __all__ = [
 _AUX_TOL = 1e-12
 _AUX_Y_SPAN = 12.0
 _CROSSING_U = 0.4 + 0.7j
+_CROSSING_TOL = 1e-8
 
 
 class ShellViolation(ValueError):
@@ -506,8 +507,7 @@ def _crossing_factor(data: AdS3Roots, x: complex, eta: int) -> complex:
 
 def crossing_structure_check(data: AdS3Roots,
                              sigma_plus: Callable[[complex, int], complex],
-                             eta: int = 1,
-                             tol: float = 1e-8) -> CrossingReport:
+                             eta: int = 1) -> CrossingReport:
     """Compare the measured double-crossing ratio with the root factor.
 
     The factor (B-/B+ * Rbar+/Rbar-)^(2 eta) differs from 1 whenever
@@ -518,4 +518,4 @@ def crossing_structure_check(data: AdS3Roots,
     factor = _crossing_factor(data, x, eta)
     measured = sigma_plus(_CROSSING_U, 2) / sigma_plus(_CROSSING_U, 0)
     rel = abs(measured / factor - 1.0)
-    return CrossingReport(factor, measured, rel, rel < tol)
+    return CrossingReport(factor, measured, rel, rel < _CROSSING_TOL)

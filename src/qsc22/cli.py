@@ -29,19 +29,8 @@ def _cj(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                          default=_json_default))
+    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _load_json(path: str) -> dict:
@@ -230,8 +219,7 @@ def cmd_character(sx, sy, random_count, rng_seed) -> None:
 @main.command("solve-nested")
 @click.option("--input", "input_path", type=click.Path(), required=True,
               help="JSON with h, Mtheta, yplus, yminus, twists, counts, seed.")
-@click.option("--tol", type=float, default=1e-13, show_default=True)
-def cmd_solve_nested(input_path, tol) -> None:
+def cmd_solve_nested(input_path) -> None:
     """Solve the three-node nested equations from a caller seed."""
     data = _load_json(input_path)
     try:
@@ -253,7 +241,7 @@ def cmd_solve_nested(input_path, tol) -> None:
         raise click.UsageError(f"bad nested input: {exc}")
 
     try:
-        roots = hb.solve_nested(spec, counts, seed, tol=tol)
+        roots = hb.solve_nested(spec, counts, seed)
     except NoConvergence as exc:
         _emit({"ok": False, "error": str(exc)})
         sys.exit(1)
@@ -298,10 +286,8 @@ def _liebwu_payload(lsites, coupling, roots) -> dict:
               help="JSON input {L, u, N, M, I, J} instead of flags.")
 @click.option("--compare-ed", is_flag=True,
               help="Match the energy against the diagonalization oracle.")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Oracle match tolerance.")
 def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
-                     input_path, compare_ed, tol) -> None:
+                     input_path, compare_ed) -> None:
     """Solve the Lieb-Wu equations for one set of mode numbers."""
     if input_path is not None:
         data = _load_json(input_path)
@@ -334,7 +320,8 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
         except ed_oracle.SectorTooLarge as exc:
             raise click.UsageError(str(exc))
         energy, _ = hb.energy_momentum(lsites, coupling, roots)
-        match = ed_oracle.match_spectrum([energy], ed_oracle.spectrum(ham), tol)
+        match = ed_oracle.match_spectrum([energy], ed_oracle.spectrum(ham),
+                                         acceptance.LIEBWU_BOUND)
         payload["ed"] = {
             "sector": list(sector),
             "gap": match.gaps[0],
@@ -380,14 +367,13 @@ def cmd_ed(lsites, coupling, nup, ndown, fmt) -> None:
 @click.option("--u", "coupling", type=float, required=True)
 @click.option("--N", "n_charge", type=int, required=True)
 @click.option("--M", "m_spin", type=int, required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-def cmd_compare(lsites, coupling, n_charge, m_spin, tol) -> None:
+def cmd_compare(lsites, coupling, n_charge, m_spin) -> None:
     """Solve every admissible mode set of a sector and match the oracle."""
     if not 0 <= m_spin <= n_charge <= lsites:
         raise click.UsageError("need 0 <= M <= N <= L")
     try:
         outcomes, match = acceptance.match_sector(
-            lsites, coupling, n_charge, m_spin, tol)
+            lsites, coupling, n_charge, m_spin, acceptance.LIEBWU_BOUND)
     except ed_oracle.SectorTooLarge as exc:
         raise click.UsageError(str(exc))
     rows = [{"I": list(mk), "J": list(ml), "skipped": error}
@@ -411,50 +397,6 @@ def cmd_compare(lsites, coupling, n_charge, m_spin, tol) -> None:
 
 
 # --------------------------------------------------------------------------
-# Analytic layer commands
-
-
-@main.command("check-f")
-@click.option("--h", "hcoup", type=float, default=1.0, show_default=True)
-@click.option("--v", "vs", type=float, multiple=True, default=(0.7, -0.7),
-              show_default=True, help="Shell rapidities of the ext source.")
-@click.option("--N", "orders", type=int, multiple=True, default=(4, 16),
-              show_default=True, help="Truncation orders to test.")
-@click.option("--points", type=int, default=200, show_default=True)
-@click.option("--rng-seed", type=int, default=1, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-def cmd_check_f(hcoup, vs, orders, points, rng_seed, tol) -> None:
-    """Verify the exact truncation identities of the f, mu, omega products."""
-    worst = acceptance.truncation_errors(hcoup, vs, orders, points, rng_seed)
-    ok = max(worst.values()) < tol
-    _emit({"ok": ok, "orders": sorted(orders), "points": points, **worst})
-    sys.exit(0 if ok else 1)
-
-
-@main.command("pmu-check")
-@click.option("--N", "n_trunc", type=int, default=12, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-def cmd_pmu_check(n_trunc, tol) -> None:
-    """Monodromy residuals of the P pair built from the solved reference."""
-    spec, roots, fit, worst = acceptance.pmu_residuals(n_trunc)
-    nested = float(np.max(np.abs(hb.nested_residuals(spec, roots))))
-    ok = worst < tol and fit < tol
-    _emit({
-        "ok": ok,
-        "roots": {
-            "x1e": [_cj(z) for z in roots.x1e],
-            "u11": [_cj(z) for z in roots.u11],
-            "x112": [_cj(z) for z in roots.x112],
-        },
-        "nested_residual": nested,
-        "fit_residual": fit,
-        "max_residual": worst,
-        "N": n_trunc,
-    })
-    sys.exit(0 if ok else 1)
-
-
-# --------------------------------------------------------------------------
 # AdS3 commands
 
 
@@ -474,8 +416,7 @@ def _ads3_state(hcoup, volume, mode, winding):
 @click.option("--winding", type=int, default=1, show_default=True)
 @click.option("--input", "input_path", type=click.Path(), default=None,
               help="Root data JSON instead of solving.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path, tol) -> None:
+def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path) -> None:
     """Bethe residuals of massive root data, solved or supplied."""
     if input_path is not None:
         try:
@@ -490,7 +431,8 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path, tol) -> None:
             sys.exit(1)
     res = ads3.aba_residuals(state)
     worst = float(np.max(np.abs(res))) if res.size else 0.0
-    ok = worst < tol
+    ok = acceptance.BatteryResult(1, measured={"max_residual": worst},
+                                  bound={"max_residual": acceptance.ADS3_BOUND}).ok
     _emit({
         "ok": ok,
         "roots": state.as_json(),
@@ -499,24 +441,6 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path, tol) -> None:
         "momentum_defect": _cj(ads3.momentum_defect(state)),
     })
     sys.exit(0 if ok else 1)
-
-
-@main.command("ads3-crossing")
-@click.option("--h", "hcoup", type=float, default=1.0, show_default=True)
-@click.option("--L", "volume", type=int, default=8, show_default=True)
-@click.option("--eta", type=int, default=1, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-def cmd_ads3_crossing(hcoup, volume, eta, tol) -> None:
-    """Show the double-crossing factor rejects constant dressing models."""
-    const = ads3.crossing_structure_check(
-        ads3.solve_two_particle(hcoup, volume),
-        lambda u, crossings: 1.0 + 0j, eta=eta, tol=tol)
-    _emit({
-        "ok": not const.passed,
-        "factor": _cj(const.factor),
-        "const": {"rel_gap": const.rel_gap, "passed": const.passed},
-    })
-    sys.exit(1 if const.passed else 0)
 
 
 # --------------------------------------------------------------------------
@@ -537,14 +461,14 @@ def cmd_suite(only, rng_seed) -> None:
     first_fail = None
     for name, fn in selected:
         start = time.monotonic()
-        ok, detail = fn(rng_seed)
-        ok = bool(ok)
+        result = fn(rng_seed)
         elapsed = time.monotonic() - start
-        click.echo(f"[{'PASS' if ok else 'FAIL'}] {name} ({elapsed:.1f}s)",
-                   err=True)
-        results.append({"name": name, "ok": ok, "detail": detail,
+        margin = "exact" if result.margin is None else f"margin {result.margin:.3g}"
+        click.echo(f"[{'PASS' if result.ok else 'FAIL'}] {name} "
+                   f"({elapsed:.1f}s, {margin})", err=True)
+        results.append({"name": name, **result.as_json(),
                         "seconds": round(elapsed, 3)})
-        if not ok and first_fail is None:
+        if not result.ok and first_fail is None:
             first_fail = name
     _emit({"ok": first_fail is None, "first_failure": first_fail,
            "results": results})

@@ -38,6 +38,7 @@ __all__ = [
     "u_of_x", "NoConvergence", "PathCollision", "SingularDenominator",
 ]
 
+_NESTED_TOL = 1e-13
 _LIEBWU_STEPS = 40
 _LIEBWU_TOL = 1e-13
 # Target of the start solve at u_start and of every continuation step
@@ -202,8 +203,6 @@ def solve_nested(
     spec: HubbardSpec,
     counts: Tuple[int, int, int],
     seed: HubbardRoots,
-    *,
-    tol: float = 1e-13,
 ) -> HubbardRoots:
     """Damped Newton on the nested log residuals from a caller seed."""
     m_first, m_mid, m_last = counts
@@ -224,7 +223,7 @@ def solve_nested(
     def jac(z: np.ndarray) -> np.ndarray:
         return _nested_jacobian(spec, unpack(z))
 
-    return unpack(solve_damped(fun, jac, z0, tol=tol))
+    return unpack(solve_damped(fun, jac, z0, tol=_NESTED_TOL))
 
 
 def liebwu_residuals(lsites: int, u_coupling: float, roots: LiebWuRoots) -> np.ndarray:

@@ -3,52 +3,105 @@
 Each test runs one battery of `qsc22.acceptance`, the same code as
 `qsc22 suite`, and restates the guarantee's bounds as literals, so a
 change to a battery's bound cannot loosen a test.  Each prints one
-[PASS] line with the battery's margins, so a verbose run reads as a
+[PASS] line with the battery's result, so a verbose run reads as a
 checklist.
 
-Each battery but pmu also has a negative control: a mutation of the
-program that `qsc22 suite --only <battery>` must report as a failure,
-with JSON on stdout and no traceback.  `NEGATIVE_CONTROLS` lists them.
+Each battery but pmu also has a negative control that
+`qsc22 suite --only <battery>` must report as a failure, with JSON on
+stdout and no traceback.  A "data" control feeds wrong input to the
+unchanged checker; a "mutation" control patches the code under test.
+`NEGATIVE_CONTROLS` lists them by kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from qsc22 import acceptance, ads3, ed_oracle, hubbard_bethe, qsystem, ty_system
 from qsc22 import analytic_layer as al
-from qsc22.acceptance import BATTERIES
+from qsc22.acceptance import BATTERIES, BatteryResult
 from qsc22.cli import main
 
 
 def _run(name: str) -> tuple:
-    """Detail and wall time of one battery at the suite's seed."""
+    """JSON result and wall time of one battery at the suite's seed."""
     start = time.perf_counter()
-    ok, detail = dict(BATTERIES)[name](7)
+    result = dict(BATTERIES)[name](7).as_json()
     elapsed = time.perf_counter() - start
-    assert ok, detail
-    print(f"[PASS] {name} in {elapsed:.1f}s: {json.dumps(detail)}")
-    return detail, elapsed
+    assert result["ok"] and result["failures"] == [], result
+    print(f"[PASS] {name} in {elapsed:.1f}s: {json.dumps(result)}")
+    return result, elapsed
+
+
+def _exact(result: dict) -> dict:
+    """The detail of an exact battery, which measures no gap."""
+    assert result["measured"] == result["bound"] == result["skipped"] == {}
+    assert result["margin"] is None
+    return result["detail"]
 
 
 def _fails(name: str) -> dict:
-    """Detail of `suite --only name`, which must fail that battery cleanly."""
+    """Result of `suite --only name`, which must fail that battery cleanly."""
     result = CliRunner().invoke(main, ["suite", "--only", name])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     payload = json.loads(result.stdout)
     assert payload["ok"] is False and payload["first_failure"] == name
-    return payload["results"][0]["detail"]
+    assert payload["results"][0]["ok"] is False
+    return payload["results"][0]
+
+
+def test_battery_result_gap_equal_to_its_bound_fails():
+    assert not BatteryResult(1, measured={"gap": 1e-8}, bound={"gap": 1e-8}).ok
+    assert BatteryResult(1, measured={"gap": 0.99e-8}, bound={"gap": 1e-8}).ok
+    assert not BatteryResult(1, measured={"gap": math.nan}, bound={"gap": 1.0}).ok
+
+
+def test_battery_result_one_failure_fails_within_bounds():
+    result = BatteryResult(3, ("oracle mismatch",), measured={"gap": 0.0},
+                           bound={"gap": 1.0})
+    assert not result.ok
+    assert BatteryResult(3, ()).ok and not BatteryResult(3, ((1, "1|0"),)).ok
+
+
+def test_battery_result_margin():
+    assert BatteryResult(5).margin is None
+    result = BatteryResult(2, measured={"a": 0.25, "b": 0.5, "c": 0.0},
+                           bound={"a": 4.0, "b": 8.0, "c": 1e-9})
+    assert result.margin == 16.0
+    assert BatteryResult(1, measured={"a": 0.0}, bound={"a": 1.0}).margin == math.inf
+    assert BatteryResult(1, measured={"a": 2.0}, bound={"a": 1.0}).margin == 0.5
+
+
+def test_battery_result_json_round_trips():
+    result = BatteryResult(
+        4, (("oracle mismatch", (2, 1.0, 1, 0)), {"sx": "1/2"}),
+        measured={"gap": 2e-9}, bound={"gap": 1e-8},
+        skipped={"L=4 u=1e-08 N=2 M=1": 2},
+        detail={"orders": (4, 16), "points": 200})
+    payload = result.as_json()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload == {
+        "ok": False, "margin": 5.0, "attempted": 4,
+        "failures": [["oracle mismatch", [2, 1.0, 1, 0]], {"sx": "1/2"}],
+        "measured": {"gap": 2e-9}, "bound": {"gap": 1e-8},
+        "skipped": {"L=4 u=1e-08 N=2 M=1": 2},
+        "detail": {"orders": [4, 16], "points": 200}}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.attempted = 5
 
 
 def test_criterion_01_random_seeds_satisfy_qq_exactly():
-    detail, elapsed = _run("qq")
-    assert detail == {"systems": 20, "failed_seeds": [], "checked": 49 * 20}
+    result, elapsed = _run("qq")
+    assert result["attempted"] == 20
+    assert _exact(result) == {"checked": 49 * 20}
     assert elapsed < 30.0
 
 
@@ -61,12 +114,13 @@ def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
         return qsystem.QSystem(slots)
 
     monkeypatch.setattr(qsystem, "generate_from_seed", corrupted)
-    detail = _fails("qq")
-    assert len(detail["failed_seeds"]) == detail["systems"] == 20
+    result = _fails("qq")
+    assert len(result["failures"]) == result["attempted"] == 20
 
 
 def test_criterion_02_hodge_double_dual_sign():
-    assert _run("hodge")[0] == {"systems": 3, "failures": []}
+    result, _ = _run("hodge")
+    assert result["attempted"] == 3 and _exact(result) == {}
 
 
 def test_criterion_02_fails_on_a_flipped_hodge_sign(monkeypatch):
@@ -74,15 +128,15 @@ def test_criterion_02_fails_on_a_flipped_hodge_sign(monkeypatch):
     # Hodge table, so the battery must build its systems unaudited to
     # report the flip instead of raising.
     monkeypatch.setitem(qsystem._HODGE, "1|0", (-1, "2|12"))
-    detail = _fails("hodge")
-    assert detail["systems"] == 3
-    assert sorted({slot for _, slot in detail["failures"]}) == ["1|0", "2|12"]
-    assert len(detail["failures"]) == 6
+    result = _fails("hodge")
+    assert result["attempted"] == 3
+    assert sorted({slot for _, slot in result["failures"]}) == ["1|0", "2|12"]
+    assert len(result["failures"]) == 6
 
 
 def test_criterion_03_wronskian_t_satisfies_hirota():
-    assert _run("hirota")[0] == {"systems": 20, "hirota_failed": [],
-                                 "y_identity_failed": []}
+    result, _ = _run("hirota")
+    assert result["attempted"] == 20 and _exact(result) == {}
 
 
 def test_criterion_03_fails_on_a_shifted_t_function(monkeypatch):
@@ -93,18 +147,22 @@ def test_criterion_03_fails_on_a_shifted_t_function(monkeypatch):
         return value + 1 if (a, s) == (2, 2) else value
 
     monkeypatch.setattr(ty_system, "t_function", shifted)
-    detail = _fails("hirota")
-    assert len(detail["hirota_failed"]) == detail["systems"] == 20
+    result = _fails("hirota")
+    hirota = [s for kind, s in result["failures"] if kind == "hirota"]
+    assert len(hirota) == result["attempted"] == 20
 
 
 def test_criterion_04_liebwu_roots_match_ed_spectra():
-    detail, elapsed = _run("liebwu")
-    assert detail["errors"] == []
-    assert detail["bound"] == 1e-8 and detail["max_gap"] < 1e-8
-    assert detail["free_bound"] == 1e-4 and detail["max_free_gap"] < 1e-4
-    assert detail["attempted"] == 156 and detail["free_attempted"] == 49
-    assert detail["solved"] + detail["skipped"] == detail["attempted"]
-    assert detail["skipped"] == 0
+    result, elapsed = _run("liebwu")
+    assert result["bound"] == {"max_gap": 1e-8, "max_free_gap": 1e-4}
+    assert result["measured"]["max_gap"] < 1e-8
+    assert result["measured"]["max_free_gap"] < 1e-4
+    assert result["detail"] == {"grid_attempted": 156, "free_attempted": 49}
+    assert result["attempted"] == 156 + 49
+    # Every grid mode set solves; only the free limit skips any.
+    assert result["skipped"] == {"L=4 u=1e-08 N=2 M=1": 2,
+                                 "L=4 u=1e-08 N=3 M=1": 4,
+                                 "L=4 u=1e-08 N=4 M=1": 2}
     assert elapsed < 120.0
 
 
@@ -120,16 +178,38 @@ def test_criterion_04_fails_on_a_non_real_energy(monkeypatch):
     monkeypatch.setattr(acceptance, "_liebwu_grid_cases",
                         lambda: [(2, 1.0, 1, 0), (3, 1.0, 2, 1)])
     monkeypatch.setattr(hubbard_bethe, "energy_momentum", complex_energy)
-    detail = _fails("liebwu")
-    assert detail["errors"] == [["oracle mismatch", [2, 1.0, 1, 0]],
-                                ["oracle mismatch", [3, 1.0, 2, 1]]]
-    assert detail["max_gap"] >= 1e-3 and detail["max_free_gap"] >= 1e-3
+    result = _fails("liebwu")
+    assert result["failures"] == [["oracle mismatch", [2, 1.0, 1, 0]],
+                                  ["oracle mismatch", [3, 1.0, 2, 1]]]
+    assert result["measured"]["max_gap"] >= 1e-3
+    assert result["measured"]["max_free_gap"] >= 1e-3
+
+
+def test_criterion_04_fails_on_roots_of_another_coupling(monkeypatch):
+    solve_liebwu = hubbard_bethe.solve_liebwu
+
+    def misplaced(lsites, coupling, *args):
+        return solve_liebwu(lsites, 1.1 * coupling, *args)
+
+    # Each sector has a spin root; without one k = 2 pi I / L does not
+    # depend on the coupling, and roots of another coupling are right.
+    monkeypatch.setattr(acceptance, "_liebwu_grid_cases",
+                        lambda: [(3, 1.0, 2, 1), (4, 1.0, 3, 1)])
+    monkeypatch.setattr(hubbard_bethe, "solve_liebwu", misplaced)
+    result = _fails("liebwu")
+    assert result["failures"] == [["oracle mismatch", [3, 1.0, 2, 1]],
+                                  ["oracle mismatch", [4, 1.0, 3, 1]]]
+    assert result["measured"]["max_gap"] >= 1e-2
 
 
 def test_criterion_05_truncation_identities():
-    detail, _ = _run("truncation")
-    assert detail["orders"] == [4, 16] and detail["points"] == 200
-    assert detail["bound"] == 1e-12 and detail["max_rel_err"] < 1e-12
+    result, _ = _run("truncation")
+    assert result["detail"] == {"orders": [4, 16], "points": 200}
+    assert result["attempted"] == 2 * 200
+    assert result["bound"] == {"telescope": 1e-12, "mu": 1e-12, "omega": 1e-12}
+    assert result["measured"]["telescope"] < 1e-12
+    assert result["measured"]["mu"] < 1e-12
+    assert result["measured"]["omega"] < 1e-12
 
 
 def test_criterion_05_fails_on_a_short_truncated_product(monkeypatch):
@@ -140,13 +220,14 @@ def test_criterion_05_fails_on_a_short_truncated_product(monkeypatch):
         return out
 
     monkeypatch.setattr(al, "truncated_f", one_factor_short)
-    assert _fails("truncation")["max_rel_err"] > 1e-2
+    assert _fails("truncation")["measured"]["telescope"] > 1e-2
 
 
 def test_criterion_06_baxter_step_projections():
-    detail, _ = _run("baxter")
-    assert detail["draws"] == 100
-    assert detail["bound"] == 1e-12 and detail["max_rel_err"] < 1e-12
+    result, _ = _run("baxter")
+    assert result["attempted"] == 100
+    assert result["bound"] == {"max_rel_err": 1e-12}
+    assert result["measured"]["max_rel_err"] < 1e-12
 
 
 def test_criterion_06_fails_on_an_untransposed_baxter_step(monkeypatch):
@@ -155,18 +236,20 @@ def test_criterion_06_fails_on_an_untransposed_baxter_step(monkeypatch):
         return left @ mu @ left
 
     monkeypatch.setattr(al, "baxter_step", untransposed)
-    assert _fails("baxter")["max_rel_err"] > 1e2
+    assert _fails("baxter")["measured"]["max_rel_err"] > 1e2
 
 
 def test_criterion_07_caseb_pmu_residuals():
-    detail, _ = _run("pmu")
-    assert detail["n_trunc"] == 12 and detail["probes"] == 8
-    assert detail["bound"] == 1e-8
-    assert detail["fit_residual"] < 1e-8 and detail["max_residual"] < 1e-8
+    result, _ = _run("pmu")
+    assert result["detail"] == {"n_trunc": 12} and result["attempted"] == 8
+    assert result["bound"] == {"fit_residual": 1e-8, "max_residual": 1e-8}
+    assert result["measured"]["fit_residual"] < 1e-8
+    assert result["measured"]["max_residual"] < 1e-8
 
 
 def test_criterion_08_character_solutions():
-    assert _run("character")[0] == {"twists": 10, "failed": []}
+    result, _ = _run("character")
+    assert result["attempted"] == 10 and _exact(result) == {}
 
 
 def test_criterion_08_fails_on_a_corrupted_slot(monkeypatch):
@@ -178,17 +261,17 @@ def test_criterion_08_fails_on_a_corrupted_slot(monkeypatch):
         return qsystem.QSystem(slots)
 
     monkeypatch.setattr(ty_system, "character_solution", corrupted)
-    detail = _fails("character")
-    assert len(detail["failed"]) == detail["twists"] == 10
+    result = _fails("character")
+    assert len(result["failures"]) == result["attempted"] == 10
 
 
 def test_criterion_09_ads3_continuation_and_crossing():
-    detail, _ = _run("ads3")
-    assert detail["continuation_exact"] is True
-    assert detail["bound"] == 1e-10 and detail["max_residual"] < 1e-10
-    assert detail["const_passed"] is False
-    assert detail["const_rel_gap"] == 0.46165266784314857
-    assert "toy_rel_gap" not in detail
+    # The continuation identity and the crossing statement fail the
+    # battery through `failures`, which _run requires to be empty.
+    result, _ = _run("ads3")
+    assert result["bound"] == {"max_residual": 1e-10}
+    assert result["measured"]["max_residual"] < 1e-10
+    assert result["detail"] == {"const_rel_gap": 0.46165266784314857}
 
 
 def test_criterion_09_fails_on_roots_of_another_volume(monkeypatch):
@@ -199,20 +282,21 @@ def test_criterion_09_fails_on_roots_of_another_volume(monkeypatch):
                                    volume=volume)
 
     monkeypatch.setattr(ads3, "solve_two_particle", misplaced)
-    detail = _fails("ads3")
-    assert detail["continuation_exact"] is True
-    assert detail["max_residual"] > 0.5
+    result = _fails("ads3")
+    assert result["failures"] == []
+    assert result["measured"]["max_residual"] > 0.5
 
 
 def test_criterion_10_ed_self_checks():
-    detail, _ = _run("ed")
-    assert detail["dimension_audit"] is True
-    assert detail["audited_sites"] == [1, 2, 3, 4]
-    assert detail["bound"] == 1e-9
-    assert detail["trace_gap"] < 1e-9
-    assert detail["swap_gap"] < 1e-9
-    assert detail["pinned_sector_gap"] < 1e-9
-    assert detail["free_fermion_gap"] < 1e-9
+    # A dimension audit that misses 4^L is a failure, which _run rejects.
+    result, _ = _run("ed")
+    assert result["detail"] == {"audited_sites": [1, 2, 3, 4]}
+    assert result["bound"] == dict.fromkeys(
+        ("trace_gap", "swap_gap", "pinned_sector_gap", "free_fermion_gap"), 1e-9)
+    assert result["measured"]["trace_gap"] < 1e-9
+    assert result["measured"]["swap_gap"] < 1e-9
+    assert result["measured"]["pinned_sector_gap"] < 1e-9
+    assert result["measured"]["free_fermion_gap"] < 1e-9
 
 
 def test_criterion_10_fails_on_a_dropped_fermion_sign(monkeypatch):
@@ -223,26 +307,29 @@ def test_criterion_10_fails_on_a_dropped_fermion_sign(monkeypatch):
         return None if hop is None else (hop[0], 1)
 
     monkeypatch.setattr(ed_oracle, "_apply_hop", bosonic)
-    detail = _fails("ed")
+    measured = _fails("ed")["measured"]
     # The older checks cannot see the sign; the free-fermion spectra can.
-    assert max(detail["trace_gap"], detail["swap_gap"],
-               detail["pinned_sector_gap"]) < 1e-9
-    assert detail["free_fermion_gap"] >= 1.0
+    assert max(measured["trace_gap"], measured["swap_gap"],
+               measured["pinned_sector_gap"]) < 1e-9
+    assert measured["free_fermion_gap"] >= 1.0
 
 
-# Battery -> its negative control.  pmu has none: its least-squares fit
-# enforces the Wronskian constraint for any roots, so no wrong input
-# makes it fail until it is rebuilt (ROADMAP item 2).
+# Battery -> its negative controls as (test, kind).  pmu has none: its
+# least-squares fit enforces the Wronskian constraint for any roots, so
+# no wrong input makes it fail until it is rebuilt (ROADMAP item 1).
 NEGATIVE_CONTROLS = {
-    "qq": test_criterion_01_fails_on_a_corrupted_slot,
-    "hodge": test_criterion_02_fails_on_a_flipped_hodge_sign,
-    "hirota": test_criterion_03_fails_on_a_shifted_t_function,
-    "liebwu": test_criterion_04_fails_on_a_non_real_energy,
-    "truncation": test_criterion_05_fails_on_a_short_truncated_product,
-    "baxter": test_criterion_06_fails_on_an_untransposed_baxter_step,
-    "character": test_criterion_08_fails_on_a_corrupted_slot,
-    "ads3": test_criterion_09_fails_on_roots_of_another_volume,
-    "ed": test_criterion_10_fails_on_a_dropped_fermion_sign,
+    "qq": [(test_criterion_01_fails_on_a_corrupted_slot, "data")],
+    "hodge": [(test_criterion_02_fails_on_a_flipped_hodge_sign, "data")],
+    "hirota": [(test_criterion_03_fails_on_a_shifted_t_function, "data")],
+    "liebwu": [(test_criterion_04_fails_on_a_non_real_energy, "mutation"),
+               (test_criterion_04_fails_on_roots_of_another_coupling, "data")],
+    "truncation": [(test_criterion_05_fails_on_a_short_truncated_product,
+                    "mutation")],
+    "baxter": [(test_criterion_06_fails_on_an_untransposed_baxter_step,
+                "mutation")],
+    "character": [(test_criterion_08_fails_on_a_corrupted_slot, "data")],
+    "ads3": [(test_criterion_09_fails_on_roots_of_another_volume, "data")],
+    "ed": [(test_criterion_10_fails_on_a_dropped_fermion_sign, "mutation")],
 }
 
 
@@ -250,3 +337,10 @@ def test_every_battery_but_pmu_has_a_negative_control():
     names = {name for name, _ in BATTERIES}
     assert NEGATIVE_CONTROLS.keys() <= names
     assert names - NEGATIVE_CONTROLS.keys() == {"pmu"}
+    assert all(kind in ("data", "mutation")
+               for controls in NEGATIVE_CONTROLS.values() for _, kind in controls)
+    # A battery whose controls all patch its own code certifies that
+    # code, not the paper; this set may only shrink.
+    mutation_only = {name for name, controls in NEGATIVE_CONTROLS.items()
+                     if all(kind == "mutation" for _, kind in controls)}
+    assert mutation_only <= {"truncation", "baxter", "ed"}

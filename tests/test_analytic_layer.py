@@ -186,6 +186,7 @@ def test_vanishing_p_is_consistent_with_unit_f():
 
 def test_caseb_evaluators_close_the_monodromy_system():
     spec, roots = _canonical_nested()
+    assert roots.x1e[0].real == -9.0792186463333
     source = SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
     p_eval, pstar_eval, fit = caseb_p_evaluators(source, roots.x1e, roots.x112)
     assert fit < 1e-12

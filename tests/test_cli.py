@@ -198,25 +198,6 @@ def test_compare_sector():
     assert energies == [-2.0, 2.0]
 
 
-def test_check_f_quick():
-    result = _run("check-f", "--points", "20")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is True
-    assert payload["telescope"] < 1e-12
-    assert payload["mu"] < 1e-12 and payload["omega"] < 1e-12
-
-
-def test_pmu_check():
-    result = _run("pmu-check")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is True
-    assert payload["max_residual"] < 1e-8
-    assert payload["fit_residual"] < 1e-8
-    assert payload["roots"]["x1e"][0][0] == -9.0792186463333
-
-
 def test_solve_nested_from_file(tmp_path):
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
     seed_x = 1j * cmath.exp(-0.3j)
@@ -260,16 +241,6 @@ def test_ads3_residuals_two_particle():
     assert abs(payload["momentum_defect"][0]) < 1e-12
 
 
-def test_ads3_crossing():
-    result = _run("ads3-crossing")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is True
-    assert payload["const"]["passed"] is False
-    assert payload["const"]["rel_gap"] == 0.46165266784314857
-    assert "toy" not in payload
-
-
 def test_suite_subset():
     outputs = []
     for _ in range(2):
@@ -279,14 +250,23 @@ def test_suite_subset():
         payload = json.loads(result.stdout)
         assert payload["ok"] is True and payload["first_failure"] is None
         assert [r["name"] for r in payload["results"]] == ["hodge"]
+        assert set(payload["results"][0]) == {
+            "name", "ok", "margin", "attempted", "failures", "measured",
+            "bound", "skipped", "detail", "seconds"}
         # Wall time is the one field that may differ between runs.
         assert payload["results"][0].pop("seconds") >= 0.0
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
 
 
-def test_suite_has_no_tolerance_override():
-    # The bounds live in qsc22.acceptance; no option loosens them all.
+def test_no_subcommand_takes_a_tolerance():
+    # The bounds live in qsc22.acceptance; no option loosens them, and
+    # `suite --only` replaces the commands that re-ran one battery.
+    assert len(main.commands) == 10
+    for name, command in main.commands.items():
+        assert "tol" not in {param.name for param in command.params}, name
+    for name in ("check-f", "pmu-check", "ads3-crossing"):
+        assert _run(name).exit_code == 2
     assert _run("suite", "--only", "truncation", "--tol", "0").exit_code == 2
 
 
