@@ -1,4 +1,4 @@
-"""Acceptance batteries: the ten checks behind `qsc22 suite` and the tests.
+"""Acceptance batteries: the eight checks behind `qsc22 suite` and the tests.
 
 Each battery takes an rng_seed and returns a `BatteryResult`, which
 alone decides whether the battery passed and by what margin.  The
@@ -30,8 +30,6 @@ from .exact_poly import GaussRat
 
 LIEBWU_BOUND = 1e-8
 FREE_BOUND = 1e-4
-TRUNCATION_BOUND = 1e-12
-BAXTER_BOUND = 1e-12
 PMU_BOUND = 1e-8
 ADS3_BOUND = 1e-10
 ED_BOUND = 1e-9
@@ -302,77 +300,6 @@ def _battery_liebwu(rng_seed: int) -> BatteryResult:
 # Analytic layer
 
 
-def _off_cut_points(rng: random.Random, count: int) -> list:
-    return [complex(rng.uniform(-3.0, 3.0), 0.21 + rng.uniform(0.0, 0.55))
-            for _ in range(count)]
-
-
-def _battery_truncation(rng_seed: int) -> BatteryResult:
-    """Worst relative errors of the exact truncation identities.
-
-    'telescope' is f_N(u) / f_N(u + i) against F(u) / F(u + i(N + 1));
-    'mu' and 'omega' are the sheet-swap ratios against F(u)^2, each at
-    200 random off-cut points per truncation order.
-    """
-    orders, points = (4, 16), 200
-    yplus, yminus = al.shell_pairs(1.0, (0.7, -0.7))
-    source = al.SourceF.ext(1.0, yplus, yminus)
-    rng = random.Random(rng_seed)
-    worst = {"telescope": 0.0, "mu": 0.0, "omega": 0.0}
-    for n in orders:
-        for u in _off_cut_points(rng, points):
-            lhs = al.truncated_f(source, n, u) / al.truncated_f(source, n, u + 1j)
-            rhs = source(u) / source(u + 1j * (n + 1))
-            worst["telescope"] = max(worst["telescope"], abs(lhs / rhs - 1.0))
-            fsq = source(u) ** 2
-            mu, om = al.mu_omega(source, n, u)
-            mut, omt = al.mu_omega(source, n, u, swap_sheet=True)
-            worst["mu"] = max(worst["mu"], abs(mu / mut / fsq - 1.0))
-            worst["omega"] = max(worst["omega"], abs(om / omt / fsq - 1.0))
-    return BatteryResult(len(orders) * points, measured=worst,
-                         bound=dict.fromkeys(worst, TRUNCATION_BOUND),
-                         detail={"orders": list(orders), "points": points})
-
-
-def _conditioned_baxter_draw(rng: random.Random):
-    """Random step data kept away from the singular strata."""
-    def entry(lo=0.3, hi=1.5):
-        radius = rng.uniform(lo, hi)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        return radius * cmath.exp(1j * angle)
-
-    while True:
-        fval = entry(0.5, 2.0)
-        if abs(fval - 1.0) < 0.2 or abs(fval + 1.0) < 0.2:
-            continue
-        p = np.array([entry(), entry()])
-        direction = np.array([entry(), entry()])
-        scale = (1.0 / fval - fval) / (direction @ p)
-        pstar = direction * scale
-        mu = np.array([[entry(), entry()], [entry(), entry()]])
-        sym = (mu + mu.T) / 2.0
-        if abs(np.linalg.det(sym)) < 0.05 or abs(mu[0, 1] - mu[1, 0]) < 0.05:
-            continue
-        return mu, p, pstar, fval
-
-
-def _battery_baxter(rng_seed: int) -> BatteryResult:
-    rng = random.Random(rng_seed)
-    worst = 0.0
-    draws = 100
-    for _ in range(draws):
-        mu, p, pstar, fval = _conditioned_baxter_draw(rng)
-        out = al.baxter_step(mu, p, pstar, fval)
-        anti_in = (mu[0, 1] - mu[1, 0]) / 2.0
-        anti_out = (out[0, 1] - out[1, 0]) / 2.0
-        worst = max(worst, abs(anti_out / anti_in * fval ** 2 - 1.0))
-        det_in = np.linalg.det((mu + mu.T) / 2.0)
-        det_out = np.linalg.det((out + out.T) / 2.0)
-        worst = max(worst, abs(det_out / det_in * fval ** 4 - 1.0))
-    return BatteryResult(draws, measured={"max_rel_err": worst},
-                         bound={"max_rel_err": BAXTER_BOUND})
-
-
 _PMU_PROBES = (0.31 + 0.77j, -0.52 + 0.61j, 1.27 + 0.39j, 0.08 - 0.84j,
                -1.62 + 0.27j, 0.95 + 1.1j, -0.33 - 0.71j, 2.05 + 0.15j)
 
@@ -480,8 +407,6 @@ BATTERIES = (
     ("hirota", _battery_hirota),
     ("character", _battery_character),
     ("liebwu", _battery_liebwu),
-    ("truncation", _battery_truncation),
-    ("baxter", _battery_baxter),
     ("pmu", _battery_pmu),
     ("ads3", _battery_ads3),
     ("ed", _battery_ed),

@@ -498,24 +498,24 @@ class CrossingReport:
     passed: bool
 
 
-def _crossing_factor(data: AdS3Roots, x: complex, eta: int) -> complex:
+def _crossing_factor(data: AdS3Roots, x: complex) -> complex:
     left = MassiveTower(data.hcoup, data.xp, data.xm)
     right = MassiveTower(data.hcoup, data.xbp, data.xbm)
     base = (left.b(-1, x) / left.b(+1, x)) * (right.r(+1, x) / right.r(-1, x))
-    return base ** (2 * eta)
+    return base ** 2
 
 
-def crossing_structure_check(data: AdS3Roots,
-                             sigma_plus: Callable[[complex, int], complex],
-                             eta: int = 1) -> CrossingReport:
+def crossing_structure_check(
+        data: AdS3Roots,
+        sigma_plus: Callable[[complex, int], complex]) -> CrossingReport:
     """Compare the measured double-crossing ratio with the root factor.
 
-    The factor (B-/B+ * Rbar+/Rbar-)^(2 eta) differs from 1 whenever
+    The factor (B-/B+ * Rbar+/Rbar-)^2 differs from 1 whenever
     massive roots are present, which rules out any model that returns
     to itself after two crossings.
     """
     x = x_of_u(_CROSSING_U, data.hcoup, OUTER)
-    factor = _crossing_factor(data, x, eta)
+    factor = _crossing_factor(data, x)
     measured = sigma_plus(_CROSSING_U, 2) / sigma_plus(_CROSSING_U, 0)
     rel = abs(measured / factor - 1.0)
     return CrossingReport(factor, measured, rel, rel < _CROSSING_TOL)

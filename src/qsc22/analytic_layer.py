@@ -267,16 +267,13 @@ def truncated_f(source: Callable[[complex], complex], n_trunc: int,
     return out
 
 
-def mu_omega(source: SourceF, n_trunc: int, u: complex,
-             swap_sheet: bool = False) -> Tuple[complex, complex]:
+def mu_omega(source: SourceF, n_trunc: int, u: complex) -> Tuple[complex, complex]:
     """Truncated (mu_N, omega_N) at u.
 
     mu_N = F * prod_{n=1..N} F^{[2n]}/F^{[-2n]} and omega_N is the
-    symmetric product over n in [-N, N].  With swap_sheet=True only the
-    n=0 factor moves to the inner sheet, so mu/mu~ = omega/omega~ = F^2
-    holds exactly at every truncation order.
+    symmetric product over n in [-N, N].
     """
-    f0 = source(u, INNER if swap_sheet else OUTER)
+    f0 = source(u)
     mu = f0
     omega = f0
     for n in range(1, n_trunc + 1):

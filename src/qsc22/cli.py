@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -180,6 +181,8 @@ def cmd_check_hirota(seed_path, random_count, degree, rng_seed, window) -> None:
         amax, smax = (int(part) for part in window.split(","))
     except ValueError:
         raise click.UsageError(f"bad window {window!r}, expected 'amax,smax'")
+    if min(amax, smax) < 0 or max(amax, smax) == 0:
+        raise click.UsageError(f"window {window!r} checks no cell")
 
     systems = _systems(seed_path, random_count, degree, rng_seed)
     _emit_runs([(label, ty_system.check_hirota(q, (amax, smax)))
@@ -374,7 +377,7 @@ def cmd_compare(lsites, coupling, n_charge, m_spin) -> None:
     try:
         outcomes, match = acceptance.match_sector(
             lsites, coupling, n_charge, m_spin, acceptance.LIEBWU_BOUND)
-    except ed_oracle.SectorTooLarge as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = [{"I": list(mk), "J": list(ml), "skipped": error}
             for mk, ml, _, error in outcomes]
@@ -424,6 +427,8 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path) -> None:
         except (KeyError, TypeError, ValueError, ads3.ShellViolation) as exc:
             raise click.UsageError(f"bad root data: {exc}")
     else:
+        if not 0 < hcoup < math.inf or volume < 1:
+            raise click.UsageError("need a finite --h > 0 and --L >= 1")
         try:
             state = _ads3_state(hcoup, volume, mode, winding)
         except NoConvergence as exc:

@@ -98,6 +98,8 @@ def _apply_hop(mask: int, src: int, dst: int):
 def build_hamiltonian(lsites: int, u_coupling: float,
                       sector: Tuple[int, int]) -> np.ndarray:
     """Dense real-symmetric Hamiltonian block of one occupation sector."""
+    if not math.isfinite(u_coupling):
+        raise ValueError("coupling must be finite")
     n_up, n_down = sector
     dim = _sector_dim(lsites, n_up, n_down)
     if dim > _DIM_CAP:

@@ -337,8 +337,10 @@ def solve_liebwu(
         raise ValueError("mode numbers must be distinct within each family")
     if not 0 <= m_spin <= n_charge:
         raise ValueError("spin count must satisfy 0 <= M <= N")
-    if u_coupling <= 0:
-        raise ValueError("coupling must be positive")
+    if lsites < 1:
+        raise ValueError("need at least one site")
+    if not 0 < u_coupling < math.inf:
+        raise ValueError("coupling must be positive and finite")
     if n_charge == 0:
         return LiebWuRoots()
 

@@ -148,15 +148,15 @@ def test_truncation_telescopes():
                 assert abs(lhs / rhs - 1.0) < 1e-12
 
 
-def test_mu_omega_swap_ratio_is_f_squared():
+def test_mu_omega_matches_truncated_products():
+    # mu_N = f_N(u) / f_{N-1}(u - iN) and omega_N = f_{2N}(u - iN).
     for source in _sources():
         for n in (4, 16):
             for u in _off_cut_points(5, 40):
-                fsq = source(u) ** 2
                 mu, om = mu_omega(source, n, u)
-                mut, omt = mu_omega(source, n, u, swap_sheet=True)
-                assert abs(mu / mut / fsq - 1.0) < 1e-12
-                assert abs(om / omt / fsq - 1.0) < 1e-12
+                lower = truncated_f(source, n - 1, u - 1j * n)
+                assert abs(mu * lower / truncated_f(source, n, u) - 1.0) < 1e-12
+                assert abs(om / truncated_f(source, 2 * n, u - 1j * n) - 1.0) < 1e-12
 
 
 def test_null_pair_solves_the_system_identically():

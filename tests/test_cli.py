@@ -241,6 +241,26 @@ def test_ads3_residuals_two_particle():
     assert abs(payload["momentum_defect"][0]) < 1e-12
 
 
+@pytest.mark.parametrize("args", [
+    ("solve-liebwu", "--L", "2", "--u", "nan", "--N", "1", "--M", "0", "--I", "0"),
+    ("solve-liebwu", "--L", "2", "--u", "inf", "--N", "1", "--M", "0", "--I", "0"),
+    ("solve-liebwu", "--L", "0", "--u", "1", "--N", "1", "--M", "0", "--I", "0"),
+    ("ed", "--L", "2", "--u", "nan", "--nup", "1", "--ndown", "0"),
+    ("compare", "--L", "2", "--u", "nan", "--N", "1", "--M", "0"),
+    ("compare", "--L", "2", "--u", "-1", "--N", "1", "--M", "0"),
+    ("ads3-residuals", "--h", "-1"),
+    ("ads3-residuals", "--h", "nan"),
+    ("ads3-residuals", "--L", "0"),
+    ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "-1,2"),
+    ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "0,0"),
+])
+def test_out_of_range_inputs_are_usage_errors(args):
+    result = _run(*args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == "" and "Error:" in result.stderr
+
+
 def test_suite_subset():
     outputs = []
     for _ in range(2):
@@ -267,7 +287,7 @@ def test_no_subcommand_takes_a_tolerance():
         assert "tol" not in {param.name for param in command.params}, name
     for name in ("check-f", "pmu-check", "ads3-crossing"):
         assert _run(name).exit_code == 2
-    assert _run("suite", "--only", "truncation", "--tol", "0").exit_code == 2
+    assert _run("suite", "--only", "hodge", "--tol", "0").exit_code == 2
 
 
 def test_suite_unknown_battery():

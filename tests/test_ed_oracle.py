@@ -139,3 +139,6 @@ def test_certificate_rejects_a_wrong_eigensystem(monkeypatch, mutate):
 def test_sector_validation():
     with pytest.raises(ValueError):
         fock_sector(2, 3, 0)
+    for coupling in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_hamiltonian(2, coupling, (1, 0))

@@ -123,8 +123,11 @@ def test_liebwu_mode_validation():
         solve_liebwu(2, 1.0, 1, 0, [0, 1], [])
     with pytest.raises(ValueError):
         solve_liebwu(2, 1.0, 1, 2, [0], [0, 1])
-    with pytest.raises(ValueError):
-        solve_liebwu(2, -1.0, 1, 0, [0], [])
+    with pytest.raises(ValueError, match="site"):
+        solve_liebwu(-2, 1.0, 0, 0, [], [])
+    for coupling in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling"):
+            solve_liebwu(2, coupling, 1, 0, [0], [])
 
 
 def test_liebwu_matches_oracle_on_a_small_grid():
