@@ -99,7 +99,7 @@ def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
 def _battery_qq(rng_seed: int) -> BatteryResult:
     seeds = _draw_seed_ints(rng_seed, 20, 3)
     reports = [(s, qsystem.check_qq(qsystem.generate_from_seed(
-        *qsystem.random_seed_polys(s), audit=False))) for s in seeds]
+        *qsystem.random_seed_polys(s)))) for s in seeds]
     bad = [s for s, rep in reports if not rep.ok or rep.checked != 49]
     return BatteryResult(len(seeds), tuple(bad), detail={
         "checked": sum(rep.checked for _, rep in reports)})
@@ -109,8 +109,7 @@ def _battery_hodge(rng_seed: int) -> BatteryResult:
     failures = []
     seeds = _draw_seed_ints(rng_seed + 1, 3, 3)
     for s in seeds:
-        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
-                                       audit=False)
+        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
         dd = qsystem.hodge(qsystem.hodge(q))
         for slot in q:
             na, ni = qsystem.slot_grades(slot)
@@ -126,8 +125,7 @@ def _battery_hirota(rng_seed: int) -> BatteryResult:
     seeds = _draw_seed_ints(rng_seed, 20, 3)
     failures = []
     for s in seeds:
-        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
-                                       audit=False)
+        q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
         if not ty_system.check_hirota(q).ok:
             failures.append(("hirota", s))
         num, den = ty_system.y_pair(q, 1, 1)
@@ -308,7 +306,7 @@ def _canonical_nested():
     """The reference solved one-root-per-node configuration."""
     hcoup = 1.0
     yplus, yminus = al.shell_pairs(hcoup, [0.7, -0.7])
-    spec = hb.HubbardSpec(hcoup, 2, yplus, yminus,
+    spec = hb.HubbardSpec(hcoup, yplus, yminus,
                           twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
     seed = hb.HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
                            (cmath.exp(2.9j) / 1j,))
@@ -324,7 +322,7 @@ def _battery_pmu(rng_seed: int) -> BatteryResult:
     """
     n_trunc = 12
     spec, roots = _canonical_nested()
-    source = al.SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
+    source = al.SourceF(spec.hcoup, spec.yplus, spec.yminus)
     p_eval, pstar_eval, fit = al.caseb_p_evaluators(
         source, roots.x1e, roots.x112)
     worst = 0.0

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
-from .analytic_layer import (OUTER, SHELL_TOL, MassiveTower, SourceF,
+from .analytic_layer import (SHELL_TOL, MassiveTower, SourceF,
                              _as_complex_list, aux_b, aux_r, shell_gap,
                              shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
@@ -397,7 +397,7 @@ class AsymptoticQ:
         self.duality = self._duality_report()
 
     def _x(self, u: complex) -> complex:
-        return x_of_u(u, self.data.hcoup, OUTER)
+        return x_of_u(u, self.data.hcoup)
 
     def _g(self, tower: MassiveTower, u: complex) -> complex:
         x = self._x(u)
@@ -514,7 +514,7 @@ def crossing_structure_check(
     massive roots are present, which rules out any model that returns
     to itself after two crossings.
     """
-    x = x_of_u(_CROSSING_U, data.hcoup, OUTER)
+    x = x_of_u(_CROSSING_U, data.hcoup)
     factor = _crossing_factor(data, x)
     measured = sigma_plus(_CROSSING_U, 2) / sigma_plus(_CROSSING_U, 0)
     rel = abs(measured / factor - 1.0)

@@ -2,14 +2,14 @@
 
 The spectral parameter u and the Zhukovsky variable x are related by
 x + 1/x = 2u/h.  The outer sheet carries |x| >= 1 with a short cut on
-(-h, h); the inner sheet is its reciprocal.  A source function F is a
-single-valued function of x with F(x) F(1/x) = 1; four families are
-supported (rational root data, polynomial, its homogeneous limit, and
-exponential).  On top of these the module builds the truncated products
-f_N, mu_N, omega_N, whose regulator-independent ratios are exact at any
-truncation order, and the pointwise monodromy residuals of the rank-one
-P-mu system.  Everything here is floating point; exact statements live
-in the polynomial modules.
+(-h, h); the inner sheet is its reciprocal, so the functions of x here
+take raw outer-sheet x and reach the inner sheet as 1/x.  The source
+function F is the single-valued function of x built from root data,
+with F(x) F(1/x) = 1.  On top of it the module builds the truncated
+products f_N and mu_N, whose regulator-independent ratios are exact at
+any truncation order, and the pointwise monodromy residuals of the
+rank-one P-mu system.  Everything here is floating point; exact
+statements live in the polynomial modules.
 """
 
 from __future__ import annotations
@@ -22,46 +22,33 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-OUTER = "outer"
-INNER = "inner"
-
 # Absolute bound on shell_gap for every massive or inhomogeneity pair.
 SHELL_TOL = 1e-9
 _CASEB_SPAN = 2
 _CASEB_FIT_RADIUS = 1.3
 _CASEB_FIT_POINTS = 120
 
-Complex = complex
 Vec2 = Tuple[complex, complex]
 
 
 class OnCut(ValueError):
-    """Evaluation requested on the open cut without a side flag."""
+    """Evaluation requested on the open cut (-h, h)."""
 
 
-def x_of_u(u: complex, hcoup: float, sheet: str = OUTER, side: int = 0) -> complex:
-    """Zhukovsky map u -> x with explicit sheet and optional cut side.
+def x_of_u(u: complex, hcoup: float) -> complex:
+    """Outer-sheet Zhukovsky map u -> x.
 
-    The outer branch is (u + sqrt(u-h)*sqrt(u+h))/h with principal
-    square roots, which places the short cut on (-h, h) and satisfies
-    |x| >= 1 off the cut.  For real u strictly inside the cut a side
-    flag +1/-1 selects the limit from above/below.
+    The branch is (u + sqrt(u-h)*sqrt(u+h))/h with principal square
+    roots, which places the short cut on (-h, h) and satisfies |x| >= 1
+    off the cut.  Real u strictly inside the cut raises OnCut.
     """
     if hcoup <= 0:
         raise ValueError("hcoup must be positive")
     u = complex(u)
     h = float(hcoup)
     if u.imag == 0.0 and abs(u.real) < h:
-        if side == 0:
-            raise OnCut(f"u={u.real} lies on the open cut (-{h}, {h})")
-        x = (u.real + 1j * side * math.sqrt(h * h - u.real * u.real)) / h
-    else:
-        x = (u + cmath.sqrt(u - h) * cmath.sqrt(u + h)) / h
-    if sheet == INNER:
-        return 1.0 / x
-    if sheet != OUTER:
-        raise ValueError(f"unknown sheet {sheet!r}")
-    return x
+        raise OnCut(f"u={u.real} lies on the open cut (-{h}, {h})")
+    return (u + cmath.sqrt(u - h) * cmath.sqrt(u + h)) / h
 
 
 def u_of_x(x: complex, hcoup: float) -> complex:
@@ -74,95 +61,48 @@ def shell_gap(hcoup: float, xplus: complex, xminus: complex) -> float:
     return abs(xplus + 1.0 / xplus - xminus - 1.0 / xminus - 2j / hcoup)
 
 
-@dataclass(frozen=True)
-class ZhukPoint:
-    """A spectral-parameter point with its sheet and, on the cut, a side."""
-
-    u: complex
-    sheet: str = OUTER
-    side: int = 0
-
-    def x(self, hcoup: float) -> complex:
-        return x_of_u(self.u, hcoup, self.sheet, self.side)
-
-    def swapped(self) -> "ZhukPoint":
-        return ZhukPoint(self.u, INNER if self.sheet == OUTER else OUTER, self.side)
-
-
 def _as_complex_list(values) -> Tuple[complex, ...]:
     return tuple(complex(v) for v in values)
 
 
 @dataclass(frozen=True)
 class SourceF:
-    """A source function F(x) with F(x)*F(1/x) = 1.
+    """The source function of root data {y_k^+, y_k^-}:
 
-    kind "ext"    : root data {y_k^+, y_k^-} with |y| > 1 and the shift
-                    constraint y+ + 1/y+ - y- - 1/y- = 2i/h per pair;
-    kind "pol"    : sign * prod (x - theta_k)/(x*theta_k - 1);
-    kind "polinf" : x^(-mtheta), the all-theta-to-infinity limit;
-    kind "exp"    : exp(theta*(x - 1/x)).
+        F(x) = prod_k sqrt((x - y+)(1/x - y-) / ((x - y-)(1/x - y+))),
 
-    hcoup is carried along so that u-space evaluation is self-contained.
+    so F(x) F(1/x) = 1, and no pairs give F = 1.  Every root has
+    |y| > 1 and every pair meets the shift constraint
+    y+ + 1/y+ - y- - 1/y- = 2i/h to within SHELL_TOL.  hcoup is carried
+    along so that u-space evaluation is self-contained.
     """
 
-    kind: str
     hcoup: float
     yplus: Tuple[complex, ...] = ()
     yminus: Tuple[complex, ...] = ()
-    thetas: Tuple[complex, ...] = ()
-    sign: int = 1
-    mtheta: int = 0
 
-    @classmethod
-    def ext(cls, hcoup: float, yplus, yminus) -> "SourceF":
-        yp = _as_complex_list(yplus)
-        ym = _as_complex_list(yminus)
-        if len(yp) != len(ym):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hcoup", float(self.hcoup))
+        object.__setattr__(self, "yplus", _as_complex_list(self.yplus))
+        object.__setattr__(self, "yminus", _as_complex_list(self.yminus))
+        if len(self.yplus) != len(self.yminus):
             raise ValueError("yplus and yminus must pair up")
-        for p, m in zip(yp, ym):
+        for p, m in zip(self.yplus, self.yminus):
             if abs(p) <= 1.0 or abs(m) <= 1.0:
-                raise ValueError("ext roots must satisfy |y| > 1")
-            gap = shell_gap(hcoup, p, m)
+                raise ValueError("source roots must satisfy |y| > 1")
+            gap = shell_gap(self.hcoup, p, m)
             if gap > SHELL_TOL:
                 raise ValueError(f"pair ({p}, {m}) violates the shift constraint by {gap:.3e}")
-        return cls("ext", float(hcoup), yplus=yp, yminus=ym, mtheta=len(yp))
-
-    @classmethod
-    def pol(cls, hcoup: float, thetas, sign: int = 1) -> "SourceF":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return cls("pol", float(hcoup), thetas=_as_complex_list(thetas), sign=sign,
-                   mtheta=len(tuple(thetas)))
-
-    @classmethod
-    def pol_infinity(cls, hcoup: float, mtheta: int) -> "SourceF":
-        return cls("polinf", float(hcoup), mtheta=int(mtheta))
-
-    @classmethod
-    def exp_kind(cls, hcoup: float, theta) -> "SourceF":
-        return cls("exp", float(hcoup), thetas=(complex(theta),))
 
     def eval_x(self, x: complex) -> complex:
         """Value of F at a raw Zhukovsky point x."""
-        if self.kind == "ext":
-            out = 1.0 + 0j
-            for yp, ym in zip(self.yplus, self.yminus):
-                out *= cmath.sqrt(((x - yp) * (1.0 / x - ym)) / ((x - ym) * (1.0 / x - yp)))
-            return out
-        if self.kind == "pol":
-            out = complex(self.sign)
-            for t in self.thetas:
-                out *= (x - t) / (x * t - 1.0)
-            return out
-        if self.kind == "polinf":
-            return x ** (-self.mtheta)
-        if self.kind == "exp":
-            return cmath.exp(self.thetas[0] * (x - 1.0 / x))
-        raise ValueError(f"unknown kind {self.kind!r}")
+        out = 1.0 + 0j
+        for yp, ym in zip(self.yplus, self.yminus):
+            out *= cmath.sqrt(((x - yp) * (1.0 / x - ym)) / ((x - ym) * (1.0 / x - yp)))
+        return out
 
-    def __call__(self, u: complex, sheet: str = OUTER, side: int = 0) -> complex:
-        return self.eval_x(x_of_u(u, self.hcoup, sheet, side))
+    def __call__(self, u: complex) -> complex:
+        return self.eval_x(x_of_u(u, self.hcoup))
 
 
 def shell_pair(hcoup: float, v: float) -> Tuple[complex, complex]:
@@ -267,30 +207,21 @@ def truncated_f(source: Callable[[complex], complex], n_trunc: int,
     return out
 
 
-def mu_omega(source: SourceF, n_trunc: int, u: complex) -> Tuple[complex, complex]:
-    """Truncated (mu_N, omega_N) at u.
-
-    mu_N = F * prod_{n=1..N} F^{[2n]}/F^{[-2n]} and omega_N is the
-    symmetric product over n in [-N, N].
-    """
-    f0 = source(u)
-    mu = f0
-    omega = f0
+def truncated_mu(source: SourceF, n_trunc: int, u: complex) -> complex:
+    """mu_N(u) = F * prod_{n=1..N} F^{[2n]}/F^{[-2n]}."""
+    mu = source(u)
     for n in range(1, n_trunc + 1):
-        fp = source(u + 1j * n)
-        fm = source(u - 1j * n)
-        mu *= fp / fm
-        omega *= fp * fm
-    return mu, omega
+        mu *= source(u + 1j * n) / source(u - 1j * n)
+    return mu
 
 
-def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],
-                       pstar_eval: Callable[[ZhukPoint], Vec2],
+def pmu_residual_caseB(p_eval: Callable[[complex], Vec2],
+                       pstar_eval: Callable[[complex], Vec2],
                        source: SourceF, n_trunc: int, u: complex) -> np.ndarray:
     """Pointwise residuals of the rank-one P-mu monodromy system.
 
-    With tilde meaning the sheet swap of the x dependence, the four
-    equations are
+    The evaluators take raw Zhukovsky x.  With tilde meaning the sheet
+    swap x -> 1/x, the four equations are
 
         P~_a = (mu/F) eps_ab P^b,     P~^a = -(F/mu) eps^ab P_b,
         mu - mu~ = eps^ab P_a P~_b,   P^a P_a = 1/F - F,
@@ -302,12 +233,12 @@ def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],
     (falling back to the truncated product when P* vanishes), and
     [3] the scalar constraint.
     """
-    pt = ZhukPoint(complex(u), OUTER)
-    P = p_eval(pt)
-    Pt = p_eval(pt.swapped())
-    Ps = pstar_eval(pt)
-    Pts = pstar_eval(pt.swapped())
-    fval = source(u)
+    x = x_of_u(u, source.hcoup)
+    P = p_eval(x)
+    Pt = p_eval(1.0 / x)
+    Ps = pstar_eval(x)
+    Pts = pstar_eval(1.0 / x)
+    fval = source.eval_x(x)
 
     r1 = Pt[0] * Ps[0] + Pt[1] * Ps[1]
     r2 = Pts[0] * P[0] + Pts[1] * P[1]
@@ -318,7 +249,7 @@ def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],
     elif abs(Ps[0]) > 0.0:
         mu_impl = -fval * Pt[1] / Ps[0]
     else:
-        mu_impl, _ = mu_omega(source, n_trunc, u)
+        mu_impl = truncated_mu(source, n_trunc, u)
     r3 = (P[0] * Pt[1] - P[1] * Pt[0]) - mu_impl * (1.0 - 1.0 / fval ** 2)
     r4 = (Ps[0] * P[0] + Ps[1] * P[1]) - (1.0 / fval - fval)
     return np.array([r1, r2, r3, r4], dtype=complex)
@@ -326,7 +257,7 @@ def pmu_residual_caseB(p_eval: Callable[[ZhukPoint], Vec2],
 
 def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
                        x_down: Sequence[complex]):
-    """Build the rank-one P pair from solved root data with an ext source.
+    """Build the rank-one P pair from solved root data and its source.
 
     The first component is the auxiliary product aux_r with zeros at the
     x_up roots and reciprocal zeros at the x_down roots; the second is a
@@ -336,12 +267,10 @@ def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
     The dual pair comes from the swap formula, dividing by W/(1/F - F),
     so the directional residuals vanish identically and the remaining
     residuals measure how well the root data closes the Wronskian
-    constraint.
+    constraint.  Both evaluators take raw Zhukovsky x.
 
     Returns (p_eval, pstar_eval, fit_residual).
     """
-    if source.kind != "ext":
-        raise ValueError("case-B evaluators need an ext source")
     up = _as_complex_list(x_up)
     down = _as_complex_list(x_down)
     tower = MassiveTower(source.hcoup, source.yplus, source.yminus)
@@ -361,12 +290,10 @@ def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
     def p2(x: complex) -> complex:
         return sum(c * x ** k for c, k in zip(coeffs, powers))
 
-    def p_eval(pt: ZhukPoint) -> Vec2:
-        x = pt.x(source.hcoup)
+    def p_eval(x: complex) -> Vec2:
         return (p1(x), p2(x))
 
-    def pstar_eval(pt: ZhukPoint) -> Vec2:
-        x = pt.x(source.hcoup)
+    def pstar_eval(x: complex) -> Vec2:
         f = source.eval_x(x)
         s = rhs(x) / (1.0 / f - f)
         return (-p2(1.0 / x) / s, p1(1.0 / x) / s)

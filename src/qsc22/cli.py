@@ -91,18 +91,14 @@ def _check_random(random_count, rng_seed) -> None:
 
 
 def _systems(seed_path, random_count, degree, rng_seed) -> list:
-    """(label, QSystem) pairs from --seed FILE or --random N --rng-seed S.
-
-    Generated systems skip the generator's QQ self-check: `check-qq`
-    runs that check itself, and `check-hirota` reports on Hirota alone.
-    """
+    """(label, QSystem) pairs from --seed FILE or --random N --rng-seed S."""
     if seed_path is not None:
         data = _load_json(seed_path)
         try:
             if "Q" in data:
                 return [("file", qsystem.QSystem.from_json(data))]
             b0, bs = _seed_polys_from_file(data)
-            return [("file", qsystem.generate_from_seed(b0, bs, audit=False))]
+            return [("file", qsystem.generate_from_seed(b0, bs))]
         except click.UsageError:
             raise
         except Exception as exc:
@@ -112,8 +108,7 @@ def _systems(seed_path, random_count, degree, rng_seed) -> list:
     _check_random(random_count, rng_seed)
     if degree < 1:
         raise click.UsageError("--degree must be positive")
-    return [(s, qsystem.generate_from_seed(*qsystem.random_seed_polys(s),
-                                           audit=False))
+    return [(s, qsystem.generate_from_seed(*qsystem.random_seed_polys(s)))
             for s in acceptance._draw_seed_ints(rng_seed, random_count, degree)]
 
 
@@ -147,7 +142,7 @@ def cmd_check_qq(seed_path, random_count, degree, rng_seed) -> None:
 @click.option("--out", type=click.Path(), default=None,
               help="Write to this path instead of stdout.")
 @click.option("--full", is_flag=True,
-              help="Include the sixteen generated components.")
+              help="Include the sixteen generated components, QQ-checked.")
 def cmd_gen_qsystem(rng_seed, out, full) -> None:
     """Emit a random admissible B-seed as JSON."""
     b0, bs = qsystem.random_seed_polys(rng_seed)
@@ -157,7 +152,12 @@ def cmd_gen_qsystem(rng_seed, out, full) -> None:
         "B": [p.as_json() for p in bs],
     }
     if full:
-        data.update(qsystem.generate_from_seed(b0, bs).as_json())
+        q = qsystem.generate_from_seed(b0, bs)
+        report = qsystem.check_qq(q)
+        if not report.ok:
+            _emit({"rng_seed": rng_seed, **report.as_json()})
+            sys.exit(1)
+        data.update(q.as_json())
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     if out is None:
         click.echo(text)
@@ -221,18 +221,21 @@ def cmd_character(sx, sy, random_count, rng_seed) -> None:
 
 @main.command("solve-nested")
 @click.option("--input", "input_path", type=click.Path(), required=True,
-              help="JSON with h, Mtheta, yplus, yminus, twists, counts, seed.")
+              help="JSON with h, yplus, yminus, twists, counts, seed.")
 def cmd_solve_nested(input_path) -> None:
     """Solve the three-node nested equations from a caller seed."""
     data = _load_json(input_path)
     try:
         spec = hb.HubbardSpec(
-            float(data["h"]), int(data["Mtheta"]),
+            float(data["h"]),
             _complex_pairs(data.get("yplus", [])),
             _complex_pairs(data.get("yminus", [])),
             twist_x=_complex_pair(data.get("twist_x", [1.0, 0.0])),
             twist_y=_complex_pair(data.get("twist_y", [1.0, 0.0])),
         )
+        if "Mtheta" in data and int(data["Mtheta"]) != len(spec.yplus):
+            raise ValueError(f"Mtheta {data['Mtheta']} differs from the "
+                             f"{len(spec.yplus)} yplus/yminus pairs")
         counts = tuple(int(n) for n in data["counts"])
         seed_data = data["seed"]
         seed = hb.HubbardRoots(
@@ -427,8 +430,8 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path) -> None:
         except (KeyError, TypeError, ValueError, ads3.ShellViolation) as exc:
             raise click.UsageError(f"bad root data: {exc}")
     else:
-        if not 0 < hcoup < math.inf or volume < 1:
-            raise click.UsageError("need a finite --h > 0 and --L >= 1")
+        if not 0 < hcoup < math.inf or volume < 1 or winding < 1:
+            raise click.UsageError("need a finite --h > 0, --L >= 1 and --winding >= 1")
         try:
             state = _ads3_state(hcoup, volume, mode, winding)
         except NoConvergence as exc:

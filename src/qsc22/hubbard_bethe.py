@@ -61,19 +61,18 @@ def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class HubbardSpec:
-    """Coupling, site count, optional inhomogeneity pairs, and twists.
+    """Coupling, optional inhomogeneity pairs, and twists.
 
-    The twists are the diagonal parameters (tx, 1/tx) and (ty, 1/ty);
-    only the ratio tx/ty and ty**2 enter the equations.  The
-    constructor checks the pairing identity
-    y+ + 1/y+ - y- - 1/y- = 2i/h for every pair to within
+    The number of pairs is len(yplus).  The twists are the diagonal
+    parameters (tx, 1/tx) and (ty, 1/ty); only the ratio tx/ty and
+    ty**2 enter the equations.  The constructor checks the pairing
+    identity y+ + 1/y+ - y- - 1/y- = 2i/h for every pair to within
     analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous limit
-    drives y- inside the unit disk.  SourceF.ext adds the |y| > 1 rule
-    of the physical configuration.
+    drives y- inside the unit disk.  analytic_layer.SourceF adds the
+    |y| > 1 rule of the physical configuration.
     """
 
     hcoup: float
-    mtheta: int
     yplus: Tuple[complex, ...] = ()
     yminus: Tuple[complex, ...] = ()
     twist_x: complex = 1.0 + 0.0j
@@ -82,14 +81,10 @@ class HubbardSpec:
     def __post_init__(self) -> None:
         if self.hcoup <= 0:
             raise ValueError("hcoup must be positive")
-        if self.mtheta < 0:
-            raise ValueError("mtheta must be nonnegative")
         object.__setattr__(self, "yplus", tuple(complex(y) for y in self.yplus))
         object.__setattr__(self, "yminus", tuple(complex(y) for y in self.yminus))
         if len(self.yplus) != len(self.yminus):
             raise ValueError("yplus and yminus lengths differ")
-        if self.yplus and len(self.yplus) != self.mtheta:
-            raise ValueError("inhomogeneity count must equal mtheta")
         for yp, ym in zip(self.yplus, self.yminus):
             if shell_gap(self.hcoup, yp, ym) > SHELL_TOL:
                 raise ValueError(f"pair ({yp}, {ym}) violates the shift constraint")
@@ -322,8 +317,9 @@ def solve_liebwu(
 ) -> LiebWuRoots:
     """Homotopy in the coupling plus damped Newton on the counting form.
 
-    Mode numbers are plain integers, distinct within each family; they
-    fix the branch of every arctan sum.  Spin seeds are tried in
+    Mode numbers are plain integers: charge modes distinct modulo L
+    (equal residues give equal momenta), spin modes distinct.  They fix
+    the branch of every arctan sum.  Spin seeds are tried in
     increasing start residual.  Each continuation step starts from the
     secant prediction and stops at _START_TOL; the endpoint is then
     polished to _LIEBWU_TOL.  The returned roots satisfy the
@@ -331,14 +327,16 @@ def solve_liebwu(
     """
     mode_k = [int(i) for i in mode_k]
     mode_lam = [int(j) for j in mode_lam]
-    if len(mode_k) != n_charge or len(mode_lam) != m_spin:
-        raise ValueError("mode-number lists must match the root counts")
-    if len(set(mode_k)) != len(mode_k) or len(set(mode_lam)) != len(mode_lam):
-        raise ValueError("mode numbers must be distinct within each family")
-    if not 0 <= m_spin <= n_charge:
-        raise ValueError("spin count must satisfy 0 <= M <= N")
     if lsites < 1:
         raise ValueError("need at least one site")
+    if len(mode_k) != n_charge or len(mode_lam) != m_spin:
+        raise ValueError("mode-number lists must match the root counts")
+    if len({i % lsites for i in mode_k}) != n_charge:
+        raise ValueError("charge mode numbers must be distinct modulo L")
+    if len(set(mode_lam)) != m_spin:
+        raise ValueError("spin mode numbers must be distinct")
+    if not 0 <= m_spin <= n_charge:
+        raise ValueError("spin count must satisfy 0 <= M <= N")
     if not 0 < u_coupling < math.inf:
         raise ValueError("coupling must be positive and finite")
     if n_charge == 0:

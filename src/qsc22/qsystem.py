@@ -9,8 +9,8 @@ neighbouring blocks together, and the corner completions.  Everything
 here is exact; a relation holds iff its residual is the zero element.
 
 `generate_from_seed` builds a full system from five seed functions by
-shifted-determinant completion and re-audits the result, so any system
-it returns passes `check_qq` identically.
+shifted-determinant completion.  It does not check the result; callers
+that certify a system run `check_qq` on it.
 """
 
 from __future__ import annotations
@@ -166,17 +166,10 @@ def seed_components(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> Dict[Tuple[in
     return comp
 
 
-def generate_from_seed(b0: TwistedPoly, bs: Sequence[TwistedPoly], audit: bool = True) -> QSystem:
-    """Full Q system from a seed; audited against the relation set."""
+def generate_from_seed(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> QSystem:
+    """Full Q system from a seed, unchecked."""
     comp = seed_components(b0, bs)
-    q = QSystem({slot: _SIGN[slot] * comp[_BASE[slot]] for slot in SLOTS})
-    if audit:
-        report = check_qq(q)
-        if not report.ok:
-            raise ArithmeticError(
-                f"generated system failed self-check: {report.failures}"
-            )
-    return q
+    return QSystem({slot: _SIGN[slot] * comp[_BASE[slot]] for slot in SLOTS})
 
 
 def hodge(q: QSystem) -> QSystem:
@@ -421,9 +414,3 @@ def random_seed_polys(seed: int) -> Tuple[TwistedPoly, Tuple[TwistedPoly, ...]]:
     b3 = TwistedPoly.from_coeffs([r3, 1])
     b4 = TwistedPoly.from_coeffs([r4, 1])
     return b0, (b1, b2, b3, b4)
-
-
-def random_qsystem(seed: int) -> QSystem:
-    """Audited random system from `random_seed_polys`."""
-    b0, bs = random_seed_polys(seed)
-    return generate_from_seed(b0, bs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+from . import qsystem
 from .exact_poly import GaussRat, TwistedPoly
 from .qsystem import QSystem, gauge_transform, generate_from_seed, h_rotate
 
@@ -183,7 +184,8 @@ def character_solution(sx: GaussRat, sy: GaussRat) -> QSystem:
 
     sx and sy are the half-twists: the even twist pair is (sx^2, 1/sx^2)
     and the odd pair (sy^2, 1/sy^2), so everything closes over the exact
-    ring.  The system is generated from pure-twist seeds and then
+    ring.  The system is generated from pure-twist seeds, its QQ
+    relations are checked (ArithmeticError if one fails), and it is
     normalized so that slots 0|0, 1|0, 2|0, 0|1, 0|2 carry constant 1.
     Raises DegenerateTwist when a twist collision makes any slot vanish
     (for example sx^4 = 1, sy^4 = 1, or (sx*sy)^2 = (sx/sy)^2).
@@ -202,6 +204,10 @@ def character_solution(sx: GaussRat, sy: GaussRat) -> QSystem:
         q = generate_from_seed(b0, bs)
     except ZeroDivisionError as exc:
         raise DegenerateTwist(str(exc)) from exc
+    # Looked up on the module, so a patched qsystem.check_qq is the one run.
+    report = qsystem.check_qq(q)
+    if not report.ok:
+        raise ArithmeticError(f"generated system failed QQ: {report.failures}")
     if q.zero_slots():
         raise DegenerateTwist(f"vanishing slots {q.zero_slots()} for sx={sx}, sy={sy}")
     scale = _const_of(q["0|0"]).inverse()

@@ -123,9 +123,6 @@ def test_criterion_02_hodge_double_dual_sign():
 
 
 def test_criterion_02_fails_on_a_flipped_hodge_sign(monkeypatch):
-    # The audit of a generated system runs the QQ relations through the
-    # Hodge table, so the battery must build its systems unaudited to
-    # report the flip instead of raising.
     monkeypatch.setitem(qsystem._HODGE, "1|0", (-1, "2|12"))
     result = _fails("hodge")
     assert result["attempted"] == 3

@@ -23,7 +23,7 @@ from qsc22.ads3 import (
     u_rapidity,
     weight_exponents,
 )
-from qsc22.analytic_layer import OUTER, SourceF, shell_pair, x_of_u
+from qsc22.analytic_layer import SourceF, shell_pair, shell_pairs, x_of_u
 
 
 def test_roots_validation():
@@ -134,7 +134,7 @@ def test_aux_b_is_reflected_aux_r():
 def test_trivial_asymptotic_q():
     aq = AsymptoticQ(AdS3Roots(1.0, 2))
     u = 0.37 + 0.82j
-    x = x_of_u(u, 1.0, OUTER)
+    x = x_of_u(u, 1.0)
     assert aq.q("1|0")(u) == x ** -1.0
     assert aq.q("1|12")(u) == x ** -1.0
     assert abs(aq.q("1|0")(u) * aq.q("0|1")(u) - 1.0) < 1e-12
@@ -150,7 +150,7 @@ def test_massless_source_enters_left_tower_only():
     state = solve_two_particle(1.0, 8)
     bare = AsymptoticQ(state, n_trunc=6)
     dressed = AsymptoticQ(state, n_trunc=6,
-                          massless=SourceF.exp_kind(1.0, 0.3 - 0.1j))
+                          massless=SourceF(1.0, *shell_pairs(1.0, [1.1])))
     u = 0.37 + 0.82j
     assert dressed.fbar(u) == bare.fbar(u)
     assert abs(dressed.f(u) - bare.f(u)) > 1e-6

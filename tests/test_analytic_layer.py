@@ -12,21 +12,18 @@ import pytest
 from qsc22.acceptance import _canonical_nested
 from qsc22.ads3 import AdS3Roots, ShellViolation
 from qsc22.analytic_layer import (
-    INNER,
-    OUTER,
     SHELL_TOL,
     MassiveTower,
     OnCut,
     SourceF,
-    ZhukPoint,
     baxter_step,
     caseb_p_evaluators,
-    mu_omega,
     pmu_residual_caseB,
     shell_gap,
     shell_pair,
     shell_pairs,
     truncated_f,
+    truncated_mu,
     u_of_x,
     x_of_u,
 )
@@ -39,40 +36,30 @@ def _off_cut_points(seed: int, count: int) -> list:
             for _ in range(count)]
 
 
-def _sources(hcoup: float = 1.0) -> list:
-    yplus, yminus = shell_pairs(hcoup, [0.7, -0.7])
-    return [
-        SourceF.ext(hcoup, yplus, yminus),
-        SourceF.pol(hcoup, [2.0 + 0.5j, -1.7 + 0.1j], sign=-1),
-        SourceF.pol_infinity(hcoup, 3),
-        SourceF.exp_kind(hcoup, 0.4 - 0.2j),
-    ]
+def _sources() -> list:
+    """Root-data sources with one and two pairs at two couplings."""
+    out = []
+    for hcoup, vs in ((1.0, [0.7, -0.7]), (0.6, [1.4])):
+        out.append(SourceF(hcoup, *shell_pairs(hcoup, vs)))
+    return out
 
 
 def test_zhukovsky_inverse_on_both_sheets():
+    # The inner-sheet point is 1/x of the outer one and maps to the same u.
     for u in _off_cut_points(1, 25):
-        for sheet in (OUTER, INNER):
-            x = x_of_u(u, 1.3, sheet)
-            assert abs(u_of_x(x, 1.3) - u) < 1e-12
-        assert abs(x_of_u(u, 1.3, OUTER)) > 1.0
-        assert abs(x_of_u(u, 1.3, INNER)) < 1.0
+        x = x_of_u(u, 1.3)
+        assert abs(x) > 1.0 and abs(1.0 / x) < 1.0
+        for point in (x, 1.0 / x):
+            assert abs(u_of_x(point, 1.3) - u) < 1e-12
 
 
-def test_sheets_are_reciprocal():
-    u = 0.4 + 0.9j
-    assert abs(x_of_u(u, 1.0, OUTER) * x_of_u(u, 1.0, INNER) - 1.0) < 1e-14
-    pt = ZhukPoint(u)
-    assert pt.swapped().sheet == INNER
-    assert pt.swapped().swapped() == pt
-
-
-def test_cut_needs_a_side():
-    with pytest.raises(OnCut):
-        x_of_u(0.3, 1.0)
-    above = x_of_u(0.3, 1.0, OUTER, side=1)
-    below = x_of_u(0.3, 1.0, OUTER, side=-1)
-    assert abs(above - below.conjugate()) < 1e-14
-    assert abs(abs(above) - 1.0) < 1e-14
+def test_open_cut_is_rejected():
+    for u in (0.3, -0.99, 0.0):
+        with pytest.raises(OnCut):
+            x_of_u(u, 1.0)
+    # The branch points and the real line outside the cut are reachable.
+    assert x_of_u(1.0, 1.0) == 1.0
+    assert abs(x_of_u(-2.5, 1.0)) > 1.0
 
 
 def test_shell_pair_constraint():
@@ -82,42 +69,50 @@ def test_shell_pair_constraint():
         assert abs(yp) > 1.0 and abs(ym) > 1.0
 
 
-def test_source_unimodularity_all_kinds():
+def test_source_unimodularity():
     points = _off_cut_points(7, 250)
     for source in _sources():
         for u in points:
-            x = x_of_u(u, source.hcoup, OUTER)
+            x = x_of_u(u, source.hcoup)
             assert abs(source.eval_x(x) * source.eval_x(1.0 / x) - 1.0) < 1e-12
 
 
 def test_source_sheet_swap_inverts():
     source = _sources()[0]
     u = 0.8 + 0.6j
-    assert abs(source(u, OUTER) * source(u, INNER) - 1.0) < 1e-12
+    assert abs(source(u) * source.eval_x(1.0 / x_of_u(u, 1.0)) - 1.0) < 1e-12
+
+
+def test_source_without_pairs_is_one():
+    source = SourceF(1.0)
+    for u in _off_cut_points(17, 5):
+        assert source(u) == 1.0
+        assert source.eval_x(1.0 / x_of_u(u, 1.0)) == 1.0
 
 
 def test_ext_source_validation():
     with pytest.raises(ValueError):
-        SourceF.ext(1.0, [0.5 + 0.5j], [2.0 - 1.0j])
+        SourceF(1.0, [0.5 + 0.5j], [2.0 - 1.0j])
     with pytest.raises(ValueError):
-        SourceF.ext(1.0, [2.0 + 2.0j], [2.0 - 1.0j])
+        SourceF(1.0, [2.0 + 2.0j], [2.0 - 1.0j])
+    yplus, yminus = shell_pair(1.0, 0.7)
     with pytest.raises(ValueError):
-        SourceF.pol(1.0, [2.0], sign=3)
+        SourceF(1.0, [yplus, yplus], [yminus])
 
 
 def test_shell_validators_share_one_bound():
     yplus, yminus = shell_pair(1.0, 0.7)
     assert shell_gap(1.0, yplus, yminus) < 1e-15
-    SourceF.ext(1.0, [yplus], [yminus])
-    HubbardSpec(1.0, 1, (yplus,), (yminus,))
+    SourceF(1.0, [yplus], [yminus])
+    HubbardSpec(1.0, (yplus,), (yminus,))
     AdS3Roots(1.0, 2, (yplus,), (yminus,))
     off = yminus + 5e-9
     assert shell_gap(1.0, yplus, off) == pytest.approx(5.65e-9, abs=1e-11)
     assert shell_gap(1.0, yplus, off) > SHELL_TOL
     with pytest.raises(ValueError):
-        SourceF.ext(1.0, [yplus], [off])
+        SourceF(1.0, [yplus], [off])
     with pytest.raises(ValueError):
-        HubbardSpec(1.0, 1, (yplus,), (off,))
+        HubbardSpec(1.0, (yplus,), (off,))
     with pytest.raises(ShellViolation):
         AdS3Roots(1.0, 2, (yplus,), (off,))
 
@@ -148,25 +143,24 @@ def test_truncation_telescopes():
                 assert abs(lhs / rhs - 1.0) < 1e-12
 
 
-def test_mu_omega_matches_truncated_products():
-    # mu_N = f_N(u) / f_{N-1}(u - iN) and omega_N = f_{2N}(u - iN).
+def test_truncated_mu_matches_truncated_products():
+    # mu_N = f_N(u) / f_{N-1}(u - iN).
     for source in _sources():
         for n in (4, 16):
             for u in _off_cut_points(5, 40):
-                mu, om = mu_omega(source, n, u)
+                mu = truncated_mu(source, n, u)
                 lower = truncated_f(source, n - 1, u - 1j * n)
                 assert abs(mu * lower / truncated_f(source, n, u) - 1.0) < 1e-12
-                assert abs(om / truncated_f(source, 2 * n, u - 1j * n) - 1.0) < 1e-12
 
 
 def test_null_pair_solves_the_system_identically():
-    source = SourceF.pol(1.0, [])
+    source = SourceF(1.0)
 
-    def p_eval(pt):
-        return (0.0 + 0j, pt.x(1.0) + 2.0)
+    def p_eval(x):
+        return (0.0 + 0j, x + 2.0)
 
-    def pstar_eval(pt):
-        return (pt.x(1.0) + 2.0, 0.0 + 0j)
+    def pstar_eval(x):
+        return (x + 2.0, 0.0 + 0j)
 
     for u in _off_cut_points(11, 10):
         res = pmu_residual_caseB(p_eval, pstar_eval, source, 6, u)
@@ -174,9 +168,9 @@ def test_null_pair_solves_the_system_identically():
 
 
 def test_vanishing_p_is_consistent_with_unit_f():
-    source = SourceF.pol(1.0, [])
+    source = SourceF(1.0)
 
-    def zero_eval(pt):
+    def zero_eval(x):
         return (0.0 + 0j, 0.0 + 0j)
 
     for u in _off_cut_points(13, 6):
@@ -187,17 +181,12 @@ def test_vanishing_p_is_consistent_with_unit_f():
 def test_caseb_evaluators_close_the_monodromy_system():
     spec, roots = _canonical_nested()
     assert roots.x1e[0].real == -9.0792186463333
-    source = SourceF.ext(spec.hcoup, spec.yplus, spec.yminus)
+    source = SourceF(spec.hcoup, spec.yplus, spec.yminus)
     p_eval, pstar_eval, fit = caseb_p_evaluators(source, roots.x1e, roots.x112)
     assert fit < 1e-12
     for u in (0.31 + 0.77j, -0.52 + 0.61j, 2.05 + 0.15j):
         res = pmu_residual_caseB(p_eval, pstar_eval, source, 12, u)
         assert np.max(np.abs(res)) < 1e-8
-
-
-def test_caseb_evaluators_require_ext():
-    with pytest.raises(ValueError):
-        caseb_p_evaluators(SourceF.pol(1.0, [2.0]), [], [])
 
 
 def _constrained_step_data(seed: int):

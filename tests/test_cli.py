@@ -5,16 +5,59 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from qsc22 import qsystem
 from qsc22.analytic_layer import shell_pairs
 from qsc22.cli import main
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _run(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
+
+
+def _readme_examples() -> list:
+    """The README's sh blocks that show an expected output.
+
+    Each block becomes a list of (argv, expected) pairs, up to the last
+    command followed by `# {...}` lines; expected is the JSON text of
+    those lines, or "" for a command shown without output.
+    """
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                            re.S):
+        steps = []
+        for line in block.splitlines():
+            if line.startswith("qsc22 "):
+                steps.append((shlex.split(line, comments=True)[1:], []))
+            elif line.startswith("#") and steps:
+                steps[-1][1].append(line.lstrip("#").strip())
+        shown = [i for i, (_, lines) in enumerate(steps) if lines]
+        if shown:
+            examples.append([(argv, "".join(lines))
+                             for argv, lines in steps[:shown[-1] + 1]])
+    return examples
+
+
+def test_readme_examples_hold(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert [argv[0] for steps in examples for argv, _ in steps] == [
+        "gen-qsystem", "check-qq", "character", "solve-liebwu"]
+    for steps in examples:
+        for argv, expected in steps:
+            result = _run(*argv)
+            assert result.exit_code == 0, (argv, result.output)
+            if expected:
+                assert json.loads(result.stdout) == json.loads(expected), argv
 
 
 def test_solve_liebwu_single_mode_matches_ed():
@@ -39,10 +82,13 @@ def test_solve_liebwu_vacuum():
 
 
 def test_solve_liebwu_rejects_duplicate_modes():
-    result = _run("solve-liebwu", "--L", "2", "--u", "1", "--N", "2",
-                  "--M", "0", "--I", "0", "--I", "0")
-    assert result.exit_code == 2
-    assert "distinct" in result.stderr
+    # At L = 2 the modes 0 and 2 give one momentum: no Bethe state.
+    for second in ("0", "2"):
+        result = _run("solve-liebwu", "--L", "2", "--u", "1", "--N", "2",
+                      "--M", "0", "--I", "0", "--I", second)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "distinct" in result.stderr
 
 
 def test_solve_liebwu_needs_parameters():
@@ -86,6 +132,16 @@ def test_gen_qsystem_round_trip(tmp_path):
     assert payload["ok"] is True
     assert payload["runs"][0]["checked"] == 49
     assert payload["runs"][0]["failures"] == []
+
+
+def test_gen_qsystem_full_reports_a_failed_qq_check(monkeypatch):
+    # A wrong sign convention makes the generated components break QQ.
+    monkeypatch.setitem(qsystem._SIGN, "1|1", 1)
+    result = _run("gen-qsystem", "--rng-seed", "5", "--full")
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["ok"] is False and payload["rng_seed"] == 5
+    assert payload["failures"]
 
 
 def test_check_qq_detects_corruption(tmp_path):
@@ -198,13 +254,12 @@ def test_compare_sector():
     assert energies == [-2.0, 2.0]
 
 
-def test_solve_nested_from_file(tmp_path):
+def _nested_input(tmp_path, **overrides) -> str:
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
     seed_x = 1j * cmath.exp(-0.3j)
     seed_w = cmath.exp(2.9j) / 1j
     payload = {
         "h": 1.0,
-        "Mtheta": 2,
         "yplus": [[y.real, y.imag] for y in yplus],
         "yminus": [[y.real, y.imag] for y in yminus],
         "twist_x": [math.cos(0.3), math.sin(0.3)],
@@ -213,12 +268,22 @@ def test_solve_nested_from_file(tmp_path):
         "seed": {"x1e": [[seed_x.real, seed_x.imag]],
                  "u11": [[-0.6, 0.1]],
                  "x112": [[seed_w.real, seed_w.imag]]},
+        **overrides,
     }
     path = tmp_path / "nested.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    result = _run("solve-nested", "--input", str(path))
-    assert result.exit_code == 0
-    out = json.loads(result.stdout)
+    return str(path)
+
+
+def test_solve_nested_from_file(tmp_path):
+    # Mtheta is optional; when given it must equal the pair count.
+    outputs = []
+    for extra in ({}, {"Mtheta": 2}):
+        result = _run("solve-nested", "--input", _nested_input(tmp_path, **extra))
+        assert result.exit_code == 0
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    out = json.loads(outputs[0])
     assert out["ok"] is True
     assert out["residual"] < 1e-12
     assert abs(out["roots"]["x1e"][0][0] - -9.0792186463333) < 1e-9
@@ -230,6 +295,13 @@ def test_solve_nested_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"h": 1.0}), encoding="utf-8")
     assert _run("solve-nested", "--input", str(path)).exit_code == 2
+    # An Mtheta that differs from the pair count; without pairs the
+    # equations would be solved with no source term.
+    for overrides in ({"Mtheta": 3}, {"Mtheta": 0},
+                      {"Mtheta": 2, "yplus": [], "yminus": []}):
+        result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+        assert result.exit_code == 2, overrides
+        assert result.stdout == "" and "Mtheta" in result.stderr
 
 
 def test_ads3_residuals_two_particle():
@@ -251,6 +323,8 @@ def test_ads3_residuals_two_particle():
     ("ads3-residuals", "--h", "-1"),
     ("ads3-residuals", "--h", "nan"),
     ("ads3-residuals", "--L", "0"),
+    ("ads3-residuals", "--winding", "0"),
+    ("ads3-residuals", "--mode", "single", "--winding", "-1"),
     ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "-1,2"),
     ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "0,0"),
 ])

@@ -28,7 +28,7 @@ from qsc22.hubbard_bethe import (
 
 def _reference_spec() -> HubbardSpec:
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
-    return HubbardSpec(1.0, 2, yplus, yminus,
+    return HubbardSpec(1.0, yplus, yminus,
                        twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
 
 
@@ -40,11 +40,11 @@ def test_u_of_x_matches_the_shell():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        HubbardSpec(1.0, 1, (2.0 + 1.0j,), (1.5 - 2.0j,))
+        HubbardSpec(1.0, (2.0 + 1.0j,), (1.5 - 2.0j,))
     with pytest.raises(ValueError):
-        HubbardSpec(1.0, 1, (0.3 + 0.2j,), (0.4 - 0.9j,))
+        HubbardSpec(1.0, (0.3 + 0.2j,), (0.4 - 0.9j,))
     with pytest.raises(ValueError):
-        HubbardSpec(-1.0, 0)
+        HubbardSpec(-1.0)
 
 
 def test_single_root_newton_agrees_with_bisection():
@@ -73,7 +73,7 @@ def test_reference_three_node_configuration():
 
 def test_middle_node_branch_convention():
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
-    spec = HubbardSpec(1.0, 2, yplus, yminus)
+    spec = HubbardSpec(1.0, yplus, yminus)
     res = nested_residuals(spec, HubbardRoots((), (0.3 + 0j,), ()))
     assert res.shape == (1,)
     assert res[0].real == pytest.approx(0.0, abs=1e-14)
@@ -84,7 +84,7 @@ def test_middle_node_twist_sensitivity_is_linear():
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
     gaps = []
     for eps in (1e-4, 1e-6):
-        spec = HubbardSpec(1.0, 2, yplus, yminus, twist_y=cmath.exp(1j * eps))
+        spec = HubbardSpec(1.0, yplus, yminus, twist_y=cmath.exp(1j * eps))
         res = nested_residuals(spec, HubbardRoots((), (0.3 + 0j,), ()))[0]
         gaps.append(abs(abs(res.imag) - math.pi))
     assert gaps[0] == pytest.approx(2e-4, rel=1e-6)
@@ -125,6 +125,10 @@ def test_liebwu_mode_validation():
         solve_liebwu(2, 1.0, 1, 2, [0], [0, 1])
     with pytest.raises(ValueError, match="site"):
         solve_liebwu(-2, 1.0, 0, 0, [], [])
+    # Charge modes equal modulo L give equal momenta, so no Bethe state.
+    for modes in ([0, 2], [1, -1], [3, 5]):
+        with pytest.raises(ValueError, match="distinct modulo L"):
+            solve_liebwu(2, 1.0, 2, 0, modes, [])
     for coupling in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="coupling"):
             solve_liebwu(2, coupling, 1, 0, [0], [])

@@ -81,7 +81,7 @@ def nested_cases():
     for _ in range(POINTS):
         hcoup = rng.uniform(0.5, 2.0)
         yplus, yminus = shell_pairs(hcoup, [rng.uniform(-1.0, 1.0) for _ in range(2)])
-        spec = hb.HubbardSpec(hcoup, 2, yplus, yminus,
+        spec = hb.HubbardSpec(hcoup, yplus, yminus,
                               twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
         counts = (rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2))
         z = np.array([complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))

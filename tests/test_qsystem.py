@@ -13,13 +13,17 @@ from qsc22.qsystem import (
     QSystem,
     check_qq,
     gauge_transform,
+    generate_from_seed,
     h_rotate,
     hodge,
     qq_residuals,
-    random_qsystem,
     random_seed_polys,
     slot_grades,
 )
+
+
+def _system(seed: int) -> QSystem:
+    return generate_from_seed(*random_seed_polys(seed))
 
 
 def _linear(a, b, twist=1) -> TwistedPoly:
@@ -49,13 +53,13 @@ def test_random_seed_polys_are_admissible():
 
 
 def test_generation_is_deterministic():
-    assert random_qsystem(42) == random_qsystem(42)
-    assert random_qsystem(42) != random_qsystem(43)
+    assert _system(42) == _system(42)
+    assert _system(42) != _system(43)
 
 
 def test_check_qq_passes_on_generated_systems():
     for seed in (1, 7, 2026):
-        rep = check_qq(random_qsystem(seed))
+        rep = check_qq(_system(seed))
         assert rep.ok
         assert rep.checked == 49
         assert rep.failures == ()
@@ -63,14 +67,14 @@ def test_check_qq_passes_on_generated_systems():
 
 
 def test_residual_inventory_is_exactly_the_checked_count():
-    q = random_qsystem(5)
+    q = _system(5)
     names = [name for name, _ in qq_residuals(q)]
     assert len(names) == 49
     assert len(set(names)) == 49
 
 
 def test_perturbation_is_detected_and_named():
-    q = random_qsystem(9)
+    q = _system(9)
     mapping = {s: q[s] for s in q}
     bump = TwistedPoly.from_coeffs([GaussRat.ZERO, GaussRat(3)])
     mapping["1|1"] = mapping["1|1"] + bump
@@ -82,7 +86,7 @@ def test_perturbation_is_detected_and_named():
 
 def test_hodge_double_dual_signs():
     for seed in (3, 11, 77):
-        q = random_qsystem(seed)
+        q = _system(seed)
         dd = hodge(hodge(q))
         for slot in q:
             na, ni = slot_grades(slot)
@@ -91,12 +95,12 @@ def test_hodge_double_dual_signs():
 
 
 def test_hodge_preserves_relations():
-    rep = check_qq(hodge(random_qsystem(21)))
+    rep = check_qq(hodge(_system(21)))
     assert rep.ok
 
 
 def test_gauge_transform_preserves_relations():
-    q = random_qsystem(13)
+    q = _system(13)
     g = _linear(1, 1, twist=GaussRat(2, 1))
     out = gauge_transform(q, g, g)
     assert out["0|0"] != q["0|0"]
@@ -104,13 +108,13 @@ def test_gauge_transform_preserves_relations():
 
 
 def test_gauge_transform_rejects_nondividing_gauges():
-    q = random_qsystem(13)
+    q = _system(13)
     with pytest.raises(NotDivisible):
         gauge_transform(q, _linear(1, 1), TwistedPoly.constant(GaussRat(2)))
 
 
 def test_h_rotation_preserves_relations():
-    q = random_qsystem(17)
+    q = _system(17)
     h_even = ((GaussRat(1), GaussRat(2)), (GaussRat.ZERO, GaussRat(1)))
     h_odd = ((GaussRat(1), GaussRat.ZERO), (GaussRat(0, 1), GaussRat(1)))
     out = h_rotate(q, h_even, h_odd)
@@ -119,7 +123,7 @@ def test_h_rotation_preserves_relations():
 
 
 def test_json_round_trip_and_stability():
-    q = random_qsystem(31)
+    q = _system(31)
     data = q.as_json()
     assert set(data["Q"]) == set(SLOTS)
     again = QSystem.from_json(data)
@@ -129,7 +133,7 @@ def test_json_round_trip_and_stability():
 
 
 def test_zero_slots_reported():
-    q = random_qsystem(2)
+    q = _system(2)
     mapping = {s: q[s] for s in q}
     mapping["2|1"] = TwistedPoly.zero()
     rep = check_qq(QSystem(mapping))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qsc22.exact_poly import GaussRat, TwistedPoly
-from qsc22.qsystem import check_qq, hodge, random_qsystem
+from qsc22.qsystem import check_qq, generate_from_seed, hodge, random_seed_polys
 from qsc22.ty_system import (
     DegenerateTwist,
     THook,
@@ -21,12 +21,16 @@ from qsc22.ty_system import (
 )
 
 
+def _system(seed: int):
+    return generate_from_seed(*random_seed_polys(seed))
+
+
 def _gr(re, im=0) -> GaussRat:
     return GaussRat(Fraction(re), Fraction(im))
 
 
 def test_t_function_matches_the_hook_table():
-    q = random_qsystem(4)
+    q = _system(4)
     th = wronskian_T(q, (3, 3))
     for (a, s), val in th.values.items():
         assert val == t_function(q, a, s)
@@ -34,14 +38,14 @@ def test_t_function_matches_the_hook_table():
 
 def test_hirota_passes_on_generated_systems():
     for seed in (2, 8, 64):
-        rep = check_hirota(random_qsystem(seed))
+        rep = check_hirota(_system(seed))
         assert rep.ok
         assert rep.checked > 0
         assert rep.failures == ()
 
 
 def test_hirota_window_boundary_cells_are_skipped():
-    rep = check_hirota(random_qsystem(2), (4, 4))
+    rep = check_hirota(_system(2), (4, 4))
     assert "0,0" in rep.skipped
     assert "4,4" in rep.skipped
 
@@ -49,7 +53,7 @@ def test_hirota_window_boundary_cells_are_skipped():
 def test_hirota_detects_corruption():
     from qsc22.qsystem import QSystem
 
-    q = random_qsystem(6)
+    q = _system(6)
     mapping = {s: q[s] for s in q}
     mapping["12|1"] = mapping["12|1"] + TwistedPoly.from_coeffs(
         [GaussRat.ZERO, GaussRat.ONE])
@@ -60,7 +64,7 @@ def test_hirota_detects_corruption():
 
 def test_y_identity_on_generated_systems():
     for seed in (3, 12):
-        q = random_qsystem(seed)
+        q = _system(seed)
         n11, d11 = y_pair(q, 1, 1)
         n22, d22 = y_pair(q, 2, 2)
         corner = q["12|12"]
@@ -91,7 +95,7 @@ def _hirota_failures(th: THook, window) -> list:
 
 def test_reverse_shift_convention_also_satisfies_hirota():
     for seed in (4, 15):
-        q = random_qsystem(seed)
+        q = _system(seed)
         assert _hirota_failures(wronskian_T(q, (5, 5), reverse_shifts=True),
                                 (4, 4)) == []
         plain = wronskian_T(q, (3, 3)).values
@@ -111,7 +115,7 @@ def _y_cross(t, a, s):
 
 
 def test_gauge_T_rescales_cells():
-    th = wronskian_T(random_qsystem(10), (5, 5))
+    th = wronskian_T(_system(10), (5, 5))
     gs = [TwistedPoly.from_coeffs([GaussRat.coerce(c0), GaussRat.ONE])
           for c0 in (1, GaussRat(0, 1), -2, GaussRat(1, 1))]
     out = gauge_T(th, gs)
