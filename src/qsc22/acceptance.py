@@ -5,9 +5,9 @@ alone decides whether the battery passed and by what margin.  The
 bounds are the public constants below; no option overrides them.  The
 exact batteries compare polynomials and have no bound.  `BATTERIES`
 lists the batteries in suite order.  The commands `check-qq`,
-`check-hirota` and `character --random` run the exact checks with
-their own counts; `compare`, `solve-liebwu --compare-ed` and
-`ads3-residuals` gate on the bounds below.
+`check-hirota` and `character` run the exact checks on one input; the
+randomized corpora run only here.  `compare`, `solve-liebwu
+--compare-ed` and `ads3-residuals` gate on the bounds below.
 """
 
 from __future__ import annotations
@@ -84,30 +84,25 @@ def _plain(obj):
 # Exact layer
 
 
-def _draw_seed_ints(rng_seed: int, count: int, degree: int) -> list:
-    """Seed integers whose generated odd seeds stay within the degree cap."""
+def _draw_seed_ints(rng_seed: int, count: int) -> list:
+    """`count` generator seeds for qsystem.random_seed_polys."""
     rng = random.Random(rng_seed)
-    out = []
-    while len(out) < count:
-        candidate = rng.randrange(2 ** 31)
-        _, bs = qsystem.random_seed_polys(candidate)
-        if max(p.degree() for p in bs) <= degree:
-            out.append(candidate)
-    return out
+    return [rng.randrange(2 ** 31) for _ in range(count)]
 
 
 def _battery_qq(rng_seed: int) -> BatteryResult:
-    seeds = _draw_seed_ints(rng_seed, 20, 3)
+    seeds = _draw_seed_ints(rng_seed, 20)
     reports = [(s, qsystem.check_qq(qsystem.generate_from_seed(
         *qsystem.random_seed_polys(s)))) for s in seeds]
-    bad = [s for s, rep in reports if not rep.ok or rep.checked != 49]
+    bad = [(s, rep.failures) for s, rep in reports
+           if not rep.ok or rep.checked != 49]
     return BatteryResult(len(seeds), tuple(bad), detail={
         "checked": sum(rep.checked for _, rep in reports)})
 
 
 def _battery_hodge(rng_seed: int) -> BatteryResult:
     failures = []
-    seeds = _draw_seed_ints(rng_seed + 1, 3, 3)
+    seeds = _draw_seed_ints(rng_seed + 1, 3)
     for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
         dd = qsystem.hodge(qsystem.hodge(q))
@@ -122,12 +117,13 @@ def _battery_hodge(rng_seed: int) -> BatteryResult:
 def _battery_hirota(rng_seed: int) -> BatteryResult:
     # The same 20 systems as the qq battery, which checks their QQ
     # relations; this one checks Hirota and the Y identity on them.
-    seeds = _draw_seed_ints(rng_seed, 20, 3)
+    seeds = _draw_seed_ints(rng_seed, 20)
     failures = []
     for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
-        if not ty_system.check_hirota(q).ok:
-            failures.append(("hirota", s))
+        report = ty_system.check_hirota(q)
+        if not report.ok:
+            failures.append(("hirota", s, report.failures))
         num, den = ty_system.y_pair(q, 1, 1)
         num2, den2 = ty_system.y_pair(q, 2, 2)
         lhs = num * num2 * q["12|12"].shift(-1)
@@ -145,7 +141,8 @@ def _random_half_twist(rng: random.Random) -> GaussRat:
             return z / z.conjugate()
 
 
-def _character_report(sx: GaussRat, sy: GaussRat) -> dict:
+def character_report(sx: GaussRat, sy: GaussRat) -> dict:
+    """Exact QQ, Hirota, Hodge and shift checks of one character solution."""
     q = ty_system.character_solution(sx, sy)
     qq_ok = qsystem.check_qq(q).ok
     hirota_ok = ty_system.check_hirota(q).ok
@@ -164,21 +161,16 @@ def _character_report(sx: GaussRat, sy: GaussRat) -> dict:
     }
 
 
-def character_runs(rng_seed: int, count: int) -> list:
-    """Reports for the first `count` non-degenerate random twist pairs."""
+def _battery_character(rng_seed: int) -> BatteryResult:
+    # The first 10 non-degenerate random twist pairs.
     rng = random.Random(rng_seed)
     runs = []
-    while len(runs) < count:
+    while len(runs) < 10:
         pair = (_random_half_twist(rng), _random_half_twist(rng))
         try:
-            runs.append(_character_report(*pair))
+            runs.append(character_report(*pair))
         except ty_system.DegenerateTwist:
             continue
-    return runs
-
-
-def _battery_character(rng_seed: int) -> BatteryResult:
-    runs = character_runs(rng_seed, 10)
     return BatteryResult(len(runs), tuple(r for r in runs if not r["ok"]))
 
 
@@ -194,19 +186,6 @@ def _liebwu_grid_cases():
                     yield lsites, coupling, n_charge, m_spin
 
 
-def _admissible_modes(lsites: int, n_charge: int, m_spin: int):
-    """Mode sets whose counting equations bracket a root.
-
-    Sending a spin root to -inf or +inf pins its counting function at
-    2 pi (M - 1 - N - J) and -2 pi J, so a root exists only for J
-    strictly inside (M - 1 - N, 0); the charge modes are free modulo L.
-    """
-    return itertools.product(
-        itertools.combinations(range(lsites), n_charge),
-        itertools.combinations(range(m_spin - n_charge, 0), m_spin),
-    )
-
-
 def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
                  tol: float):
     """Solve every admissible mode set of a sector and match the oracle.
@@ -219,7 +198,7 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
     eigs = ed_oracle.spectrum(ed_oracle.build_hamiltonian(
         lsites, coupling, (n_charge - m_spin, m_spin)))
     outcomes = []
-    for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
+    for mk, ml in hb.admissible_modes(lsites, n_charge, m_spin):
         try:
             roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
                                     list(mk), list(ml))
@@ -310,7 +289,7 @@ def _canonical_nested():
                           twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
     seed = hb.HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
                            (cmath.exp(2.9j) / 1j,))
-    roots = hb.solve_nested(spec, (1, 1, 1), seed)
+    roots = hb.solve_nested(spec, seed)
     return spec, roots
 
 

@@ -1,4 +1,4 @@
-"""Command-line surface for reproducible runs with JSON/CSV output.
+"""Command-line surface for reproducible runs with JSON output.
 
 Every subcommand prints canonical JSON (sorted keys, fixed separators)
 so identical inputs and rng seeds give byte-identical output.  Complex
@@ -9,7 +9,6 @@ strings.  Exit codes: 0 pass, 1 numeric failure, 2 input error,
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -83,58 +82,31 @@ def _seed_polys_from_file(data: dict):
     return b0, bs
 
 
-def _check_random(random_count, rng_seed) -> None:
-    if rng_seed is None:
-        raise click.UsageError("--random requires --rng-seed")
-    if random_count < 1:
-        raise click.UsageError("--random must be positive")
+def _system(seed_path) -> qsystem.QSystem:
+    """The Q-system of a --seed file: a B-seed or a full Q-system."""
+    data = _load_json(seed_path)
+    try:
+        if "Q" in data:
+            return qsystem.QSystem.from_json(data)
+        return qsystem.generate_from_seed(*_seed_polys_from_file(data))
+    except click.UsageError:
+        raise
+    except Exception as exc:
+        raise click.UsageError(f"cannot build system: {exc}")
 
 
-def _systems(seed_path, random_count, degree, rng_seed) -> list:
-    """(label, QSystem) pairs from --seed FILE or --random N --rng-seed S."""
-    if seed_path is not None:
-        data = _load_json(seed_path)
-        try:
-            if "Q" in data:
-                return [("file", qsystem.QSystem.from_json(data))]
-            b0, bs = _seed_polys_from_file(data)
-            return [("file", qsystem.generate_from_seed(b0, bs))]
-        except click.UsageError:
-            raise
-        except Exception as exc:
-            raise click.UsageError(f"cannot build system: {exc}")
-    if random_count is None:
-        raise click.UsageError("provide --seed FILE or --random N --rng-seed S")
-    _check_random(random_count, rng_seed)
-    if degree < 1:
-        raise click.UsageError("--degree must be positive")
-    return [(s, qsystem.generate_from_seed(*qsystem.random_seed_polys(s)))
-            for s in acceptance._draw_seed_ints(rng_seed, random_count, degree)]
-
-
-def _emit_runs(runs) -> None:
-    """Emit (label, report) pairs and exit 1 unless every report is ok."""
-    ok = all(rep.ok for _, rep in runs)
-    _emit({
-        "ok": ok,
-        "runs": [{"seed": label, **rep.as_json()} for label, rep in runs],
-    })
-    sys.exit(0 if ok else 1)
+def _emit_report(report) -> None:
+    """Emit a check report and exit 1 unless it is ok."""
+    _emit(report.as_json())
+    sys.exit(0 if report.ok else 1)
 
 
 @main.command("check-qq")
-@click.option("--seed", "seed_path", type=click.Path(), default=None,
+@click.option("--seed", "seed_path", type=click.Path(), required=True,
               help="JSON file with a B-seed or a full Q-system.")
-@click.option("--random", "random_count", type=int, default=None,
-              help="Number of randomized seeds to generate and check.")
-@click.option("--degree", type=int, default=3, show_default=True,
-              help="Degree cap for randomized odd seeds.")
-@click.option("--rng-seed", type=int, default=None,
-              help="Seed for the randomized suite (required with --random).")
-def cmd_check_qq(seed_path, random_count, degree, rng_seed) -> None:
-    """Verify the full exact relation inventory of Q-systems."""
-    systems = _systems(seed_path, random_count, degree, rng_seed)
-    _emit_runs([(label, qsystem.check_qq(q)) for label, q in systems])
+def cmd_check_qq(seed_path) -> None:
+    """Verify the full exact relation inventory of a Q-system."""
+    _emit_report(qsystem.check_qq(_system(seed_path)))
 
 
 @main.command("gen-qsystem")
@@ -167,15 +139,11 @@ def cmd_gen_qsystem(rng_seed, out, full) -> None:
 
 
 @main.command("check-hirota")
-@click.option("--seed", "seed_path", type=click.Path(), default=None,
+@click.option("--seed", "seed_path", type=click.Path(), required=True,
               help="JSON file with a B-seed or a full Q-system.")
-@click.option("--random", "random_count", type=int, default=None,
-              help="Number of randomized systems to check.")
-@click.option("--degree", type=int, default=3, show_default=True)
-@click.option("--rng-seed", type=int, default=None)
 @click.option("--window", default="4,4", show_default=True,
               help="Hirota window 'amax,smax'.")
-def cmd_check_hirota(seed_path, random_count, degree, rng_seed, window) -> None:
+def cmd_check_hirota(seed_path, window) -> None:
     """Check the bilinear lattice equation on Wronskian T-functions."""
     try:
         amax, smax = (int(part) for part in window.split(","))
@@ -183,36 +151,20 @@ def cmd_check_hirota(seed_path, random_count, degree, rng_seed, window) -> None:
         raise click.UsageError(f"bad window {window!r}, expected 'amax,smax'")
     if min(amax, smax) < 0 or max(amax, smax) == 0:
         raise click.UsageError(f"window {window!r} checks no cell")
-
-    systems = _systems(seed_path, random_count, degree, rng_seed)
-    _emit_runs([(label, ty_system.check_hirota(q, (amax, smax)))
-                for label, q in systems])
+    _emit_report(ty_system.check_hirota(_system(seed_path), (amax, smax)))
 
 
 @main.command("character")
-@click.option("--sx", default=None, help="Half-twist as 're,im' rationals.")
-@click.option("--sy", default=None, help="Half-twist as 're,im' rationals.")
-@click.option("--random", "random_count", type=int, default=None,
-              help="Number of random unimodular twist pairs.")
-@click.option("--rng-seed", type=int, default=None)
-def cmd_character(sx, sy, random_count, rng_seed) -> None:
-    """Build constant twist solutions and verify their exact identities."""
-    if sx is not None or sy is not None:
-        if sx is None or sy is None:
-            raise click.UsageError("--sx and --sy go together")
-        try:
-            runs = [acceptance._character_report(_parse_gauss(sx),
-                                                 _parse_gauss(sy))]
-        except ty_system.DegenerateTwist as exc:
-            raise click.UsageError(f"degenerate twist: {exc}")
-    elif random_count is not None:
-        _check_random(random_count, rng_seed)
-        runs = acceptance.character_runs(rng_seed, random_count)
-    else:
-        raise click.UsageError("provide --sx/--sy or --random N --rng-seed S")
-    ok = all(r["ok"] for r in runs)
-    _emit({"ok": ok, "runs": runs})
-    sys.exit(0 if ok else 1)
+@click.option("--sx", required=True, help="Half-twist as 're,im' rationals.")
+@click.option("--sy", required=True, help="Half-twist as 're,im' rationals.")
+def cmd_character(sx, sy) -> None:
+    """Build a constant twist solution and verify its exact identities."""
+    try:
+        report = acceptance.character_report(_parse_gauss(sx), _parse_gauss(sy))
+    except ty_system.DegenerateTwist as exc:
+        raise click.UsageError(f"degenerate twist: {exc}")
+    _emit(report)
+    sys.exit(0 if report["ok"] else 1)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +173,7 @@ def cmd_character(sx, sy, random_count, rng_seed) -> None:
 
 @main.command("solve-nested")
 @click.option("--input", "input_path", type=click.Path(), required=True,
-              help="JSON with h, yplus, yminus, twists, counts, seed.")
+              help="JSON with h, yplus, yminus, twists and seed.")
 def cmd_solve_nested(input_path) -> None:
     """Solve the three-node nested equations from a caller seed."""
     data = _load_json(input_path)
@@ -236,23 +188,28 @@ def cmd_solve_nested(input_path) -> None:
         if "Mtheta" in data and int(data["Mtheta"]) != len(spec.yplus):
             raise ValueError(f"Mtheta {data['Mtheta']} differs from the "
                              f"{len(spec.yplus)} yplus/yminus pairs")
-        counts = tuple(int(n) for n in data["counts"])
         seed_data = data["seed"]
         seed = hb.HubbardRoots(
             tuple(_complex_pairs(seed_data.get("x1e", []))),
             tuple(_complex_pairs(seed_data.get("u11", []))),
             tuple(_complex_pairs(seed_data.get("x112", []))),
         )
+        sizes = [len(seed.x1e), len(seed.u11), len(seed.x112)]
+        if "counts" in data and [int(n) for n in data["counts"]] != sizes:
+            raise ValueError(f"counts {data['counts']} differ from the seed "
+                             f"list lengths {sizes}")
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad nested input: {exc}")
 
     try:
-        roots = hb.solve_nested(spec, counts, seed)
+        roots = hb.solve_nested(spec, seed)
+    except hb.SingularDenominator as exc:
+        raise click.UsageError(f"seed on a pole of the equations: {exc}")
     except NoConvergence as exc:
         _emit({"ok": False, "error": str(exc)})
         sys.exit(1)
-    residual = float(np.max(np.abs(hb.nested_residuals(spec, roots)))) \
-        if sum(counts) else 0.0
+    res = hb.nested_residuals(spec, roots)
+    residual = float(np.max(np.abs(res))) if res.size else 0.0
     _emit({
         "ok": True,
         "roots": {
@@ -280,35 +237,19 @@ def _liebwu_payload(lsites, coupling, roots) -> dict:
 
 
 @main.command("solve-liebwu")
-@click.option("--L", "lsites", type=int, default=None, help="Chain length.")
-@click.option("--u", "coupling", type=float, default=None, help="Coupling.")
-@click.option("--N", "n_charge", type=int, default=None, help="Fermion count.")
-@click.option("--M", "m_spin", type=int, default=None, help="Down-spin count.")
+@click.option("--L", "lsites", type=int, required=True, help="Chain length.")
+@click.option("--u", "coupling", type=float, required=True, help="Coupling.")
+@click.option("--N", "n_charge", type=int, required=True, help="Fermion count.")
+@click.option("--M", "m_spin", type=int, required=True, help="Down-spin count.")
 @click.option("--I", "mode_k", type=int, multiple=True,
               help="Momentum mode numbers (repeat N times).")
 @click.option("--J", "mode_lam", type=int, multiple=True,
-              help="Spin mode numbers (repeat M times).")
-@click.option("--input", "input_path", type=click.Path(), default=None,
-              help="JSON input {L, u, N, M, I, J} instead of flags.")
+              help="Spin mode numbers in [M - N, -1] (repeat M times).")
 @click.option("--compare-ed", is_flag=True,
               help="Match the energy against the diagonalization oracle.")
 def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
-                     input_path, compare_ed) -> None:
+                     compare_ed) -> None:
     """Solve the Lieb-Wu equations for one set of mode numbers."""
-    if input_path is not None:
-        data = _load_json(input_path)
-        try:
-            lsites = int(data["L"])
-            coupling = float(data["u"])
-            n_charge = int(data["N"])
-            m_spin = int(data["M"])
-            mode_k = tuple(int(i) for i in data.get("I", []))
-            mode_lam = tuple(int(j) for j in data.get("J", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"bad input file: {exc}")
-    if None in (lsites, coupling, n_charge, m_spin):
-        raise click.UsageError("need --L, --u, --N, --M (or --input FILE)")
-
     try:
         roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
                                 list(mode_k), list(mode_lam))
@@ -345,27 +286,18 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
 @click.option("--u", "coupling", type=float, required=True, help="Coupling.")
 @click.option("--nup", type=int, required=True, help="Up-spin count.")
 @click.option("--ndown", type=int, required=True, help="Down-spin count.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-def cmd_ed(lsites, coupling, nup, ndown, fmt) -> None:
+def cmd_ed(lsites, coupling, nup, ndown) -> None:
     """Diagonalize one charge sector of the lattice Hamiltonian."""
     try:
         ham = ed_oracle.build_hamiltonian(lsites, coupling, (nup, ndown))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    eigs = ed_oracle.spectrum(ham)
-    if fmt == "json":
-        _emit({
-            "L": lsites,
-            "u": coupling,
-            "sector": [nup, ndown],
-            "eigenvalues": [float(e) for e in eigs],
-        })
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["L", "u", "nup", "ndown", "eigenvalue"])
-        for e in eigs:
-            writer.writerow([lsites, coupling, nup, ndown, repr(float(e))])
+    _emit({
+        "L": lsites,
+        "u": coupling,
+        "sector": [nup, ndown],
+        "eigenvalues": [float(e) for e in ed_oracle.spectrum(ham)],
+    })
 
 
 @main.command("compare")

@@ -11,11 +11,8 @@ normalization is the shift law on the half-unit lattice:
     f(u + i*n/2) = sum_t  s_t^n * s_t^(-2iu) * p_t(u + i*n/2),
 
 so shifting by any number of half-units stays inside the ring and is
-exact.  Twists combine formally under multiplication; numeric
-evaluation uses the principal logarithm per term, so evaluating a
-product can differ from the product of evaluations when twist
-arguments wrap past pi.  All identity checks elsewhere compare ring
-elements exactly and never rely on numeric evaluation.
+exact.  Twists combine formally under multiplication, and every
+identity check compares ring elements exactly.
 
 Representation.  A `TwistedPoly` stores each term as (s, d, re, im):
 the twist s as a `GaussRat`, a denominator d > 0 and two equally long
@@ -40,7 +37,6 @@ instance; nothing is cached across instances.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -163,9 +159,6 @@ class GaussRat:
 
     def sort_key(self) -> Tuple[Fraction, Fraction]:
         return (self.re, self.im)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def as_json(self) -> list:
         """[re_num, re_den, im_num, im_den] as decimal strings."""
@@ -505,19 +498,6 @@ class TwistedPoly:
             out = TwistedPoly._wrap(tuple(_shift_term(t, n) for t in self._t))
         memo[n] = out
         return out
-
-    def __call__(self, u) -> complex:
-        uc = complex(u)
-        total = 0j
-        for s, d, re, im in self._t:
-            acc = 0j
-            for a, b in zip(reversed(re), reversed(im)):
-                acc = acc * uc + complex(a / d, b / d)
-            sc = s.to_complex()
-            if sc != 1:
-                acc *= cmath.exp(-2j * uc * cmath.log(sc))
-            total += acc
-        return total
 
     def as_json(self) -> dict:
         return {

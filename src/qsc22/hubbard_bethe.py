@@ -34,7 +34,7 @@ from .analytic_layer import SHELL_TOL, shell_gap, u_of_x
 __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
     "nested_residuals", "solve_nested",
-    "liebwu_residuals", "solve_liebwu", "energy_momentum",
+    "liebwu_residuals", "admissible_modes", "solve_liebwu", "energy_momentum",
     "u_of_x", "NoConvergence", "PathCollision", "SingularDenominator",
 ]
 
@@ -194,16 +194,14 @@ def _nested_jacobian(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
     return jac
 
 
-def solve_nested(
-    spec: HubbardSpec,
-    counts: Tuple[int, int, int],
-    seed: HubbardRoots,
-) -> HubbardRoots:
-    """Damped Newton on the nested log residuals from a caller seed."""
-    m_first, m_mid, m_last = counts
-    z0 = np.array(list(seed.x1e) + list(seed.u11) + list(seed.x112), dtype=complex)
-    if z0.size != m_first + m_mid + m_last:
-        raise ValueError("seed size does not match requested counts")
+def solve_nested(spec: HubbardSpec, seed: HubbardRoots) -> HubbardRoots:
+    """Damped Newton on the nested log residuals from a caller seed.
+
+    The seed's list lengths fix the root count of each node.  A seed on
+    a pole of the equations raises SingularDenominator, a ValueError.
+    """
+    m_first, m_mid = len(seed.x1e), len(seed.u11)
+    z0 = np.array(seed.x1e + seed.u11 + seed.x112, dtype=complex)
     if z0.size == 0:
         return HubbardRoots()
 
@@ -307,6 +305,27 @@ def _lambda_seed_pool(sins: Sequence[float]) -> list:
     return pool + [0.0, lo, hi]
 
 
+def _spin_modes(n_charge: int, m_spin: int) -> range:
+    """The spin mode numbers J whose counting equation brackets a root.
+
+    Sending a spin root to -inf or +inf pins its counting function at
+    2 pi (M - 1 - N - J) and -2 pi J, so a root exists only for J
+    strictly inside (M - 1 - N, 0): M - N <= J <= -1.  On the window's
+    edge the root sits at infinity, an su(2) descendant rather than a
+    regular Bethe state.
+    """
+    return range(m_spin - n_charge, 0)
+
+
+def admissible_modes(lsites: int, n_charge: int, m_spin: int):
+    """Mode sets (I, J) of a sector: charge modes modulo L, spin modes
+    from the window of _spin_modes."""
+    return itertools.product(
+        itertools.combinations(range(lsites), n_charge),
+        itertools.combinations(_spin_modes(n_charge, m_spin), m_spin),
+    )
+
+
 def solve_liebwu(
     lsites: int,
     u_coupling: float,
@@ -318,8 +337,9 @@ def solve_liebwu(
     """Homotopy in the coupling plus damped Newton on the counting form.
 
     Mode numbers are plain integers: charge modes distinct modulo L
-    (equal residues give equal momenta), spin modes distinct.  They fix
-    the branch of every arctan sum.  Spin seeds are tried in
+    (equal residues give equal momenta), spin modes distinct and inside
+    the window M - N <= J <= -1 of _spin_modes; anything else raises
+    ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
     increasing start residual.  Each continuation step starts from the
     secant prediction and stops at _START_TOL; the endpoint is then
     polished to _LIEBWU_TOL.  The returned roots satisfy the
@@ -337,6 +357,10 @@ def solve_liebwu(
         raise ValueError("spin mode numbers must be distinct")
     if not 0 <= m_spin <= n_charge:
         raise ValueError("spin count must satisfy 0 <= M <= N")
+    window = _spin_modes(n_charge, m_spin)
+    if not all(j in window for j in mode_lam):
+        raise ValueError(f"spin mode numbers must lie in "
+                         f"[{window.start}, {window.stop - 1}] (M - N to -1)")
     if not 0 < u_coupling < math.inf:
         raise ValueError("coupling must be positive and finite")
     if n_charge == 0:

@@ -115,6 +115,10 @@ def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
     monkeypatch.setattr(qsystem, "generate_from_seed", corrupted)
     result = _fails("qq")
     assert len(result["failures"]) == result["attempted"] == 20
+    # Each entry names its seed and the relations the slot broke.
+    for seed, relations in result["failures"]:
+        assert isinstance(seed, int)
+        assert "det" in relations and len(relations) == 21
 
 
 def test_criterion_02_hodge_double_dual_sign():
@@ -144,8 +148,12 @@ def test_criterion_03_fails_on_a_shifted_t_function(monkeypatch):
 
     monkeypatch.setattr(ty_system, "t_function", shifted)
     result = _fails("hirota")
-    hirota = [s for kind, s in result["failures"] if kind == "hirota"]
+    hirota = [entry[1:] for entry in result["failures"] if entry[0] == "hirota"]
     assert len(hirota) == result["attempted"] == 20
+    # Each entry names its seed and the cells whose equation involves T_{2,2}.
+    for seed, cells in hirota:
+        assert isinstance(seed, int)
+        assert cells == ["1,2", "2,1", "2,2", "2,3", "3,2"]
 
 
 def test_criterion_04_liebwu_roots_match_ed_spectra():

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from qsc22 import qsystem
-from qsc22.analytic_layer import shell_pairs
+from qsc22.analytic_layer import shell_pairs, u_of_x
 from qsc22.cli import main
 
 
@@ -97,31 +97,6 @@ def test_solve_liebwu_needs_parameters():
     assert "--L" in result.stderr
 
 
-def test_solve_liebwu_input_file(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(
-        {"L": 2, "u": 1.0, "N": 1, "M": 0, "I": [1]}), encoding="utf-8")
-    result = _run("solve-liebwu", "--input", str(path))
-    assert result.exit_code == 0
-    assert json.loads(result.stdout)["E"] == 2.0
-
-
-def test_check_qq_random_is_repeatable():
-    first = _run("check-qq", "--random", "3", "--rng-seed", "11")
-    second = _run("check-qq", "--random", "3", "--rng-seed", "11")
-    assert first.exit_code == 0
-    assert first.stdout_bytes == second.stdout_bytes
-    payload = json.loads(first.stdout)
-    assert payload["ok"] is True
-    assert len(payload["runs"]) == 3
-    assert all(run["checked"] == 49 for run in payload["runs"])
-
-
-def test_check_qq_random_needs_rng_seed():
-    result = _run("check-qq", "--random", "3")
-    assert result.exit_code == 2
-
-
 def test_gen_qsystem_round_trip(tmp_path):
     path = tmp_path / "seed.json"
     gen = _run("gen-qsystem", "--rng-seed", "5", "--out", str(path))
@@ -130,8 +105,8 @@ def test_gen_qsystem_round_trip(tmp_path):
     assert check.exit_code == 0
     payload = json.loads(check.stdout)
     assert payload["ok"] is True
-    assert payload["runs"][0]["checked"] == 49
-    assert payload["runs"][0]["failures"] == []
+    assert payload["checked"] == 49
+    assert payload["failures"] == []
 
 
 def test_gen_qsystem_full_reports_a_failed_qq_check(monkeypatch):
@@ -154,7 +129,7 @@ def test_check_qq_detects_corruption(tmp_path):
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["ok"] is False
-    assert any("1|1" in name for name in payload["runs"][0]["failures"])
+    assert any("1|1" in name for name in payload["failures"])
 
 
 def test_check_qq_malformed_input(tmp_path):
@@ -165,15 +140,21 @@ def test_check_qq_malformed_input(tmp_path):
     assert _run("check-qq", "--seed", str(missing)).exit_code == 2
 
 
-def test_check_hirota_random():
-    result = _run("check-hirota", "--random", "2", "--rng-seed", "3")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is True
-    assert len(payload["runs"]) == 2
-    for run in payload["runs"]:
-        assert run["checked"] == 20
-        assert "0,0" in run["skipped"]
+def _seed_file(tmp_path, rng_seed=3) -> str:
+    path = tmp_path / f"seed{rng_seed}.json"
+    assert _run("gen-qsystem", "--rng-seed", str(rng_seed),
+                "--out", str(path)).exit_code == 0
+    return str(path)
+
+
+def test_check_hirota_random(tmp_path):
+    for rng_seed in (3, 4):
+        result = _run("check-hirota", "--seed", _seed_file(tmp_path, rng_seed))
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["ok"] is True and payload["failures"] == []
+        assert payload["checked"] == 20
+        assert "0,0" in payload["skipped"]
 
 
 def test_check_hirota_bad_q_entry_is_an_input_error(tmp_path):
@@ -186,17 +167,6 @@ def test_check_hirota_bad_q_entry_is_an_input_error(tmp_path):
     assert "cannot build system" in result.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ("check-hirota", "--random", "1", "--degree", "0", "--rng-seed", "1"),
-    ("check-hirota", "--random", "0", "--rng-seed", "1"),
-    ("character", "--random", "0", "--rng-seed", "1"),
-])
-def test_empty_or_impossible_random_draws_are_input_errors(args):
-    result = _run(*args)
-    assert result.exit_code == 2
-    assert result.stdout == ""
-
-
 def test_ed_json():
     result = _run("ed", "--L", "2", "--u", "1", "--nup", "1", "--ndown", "0")
     assert result.exit_code == 0
@@ -204,15 +174,6 @@ def test_ed_json():
     assert payload["sector"] == [1, 0]
     assert payload["eigenvalues"][0] == -2.0
     assert payload["eigenvalues"][-1] == 2.0
-
-
-def test_ed_csv_uses_crlf():
-    result = _run("ed", "--L", "2", "--u", "1", "--nup", "1", "--ndown", "0",
-                  "--format", "csv")
-    assert result.exit_code == 0
-    assert result.stdout_bytes.startswith(b"L,u,nup,ndown,eigenvalue\r\n")
-    rows = result.stdout_bytes.decode().split("\r\n")
-    assert rows[1].split(",")[-1] == "-2.0"
 
 
 def test_ed_rejects_bad_sector():
@@ -233,8 +194,8 @@ def test_character_explicit_twists():
     result = _run("character", "--sx", "3/5,4/5", "--sy", "5/13,12/13")
     assert result.exit_code == 0
     assert result.stdout.strip() == (
-        '{"ok":true,"runs":[{"hirota":true,"hodge_trivial":true,"ok":true,'
-        '"qq":true,"shift_invariant":true,"sx":"3/5+4/5i","sy":"5/13+12/13i"}]}')
+        '{"hirota":true,"hodge_trivial":true,"ok":true,"qq":true,'
+        '"shift_invariant":true,"sx":"3/5+4/5i","sy":"5/13+12/13i"}')
 
 
 def test_character_rejects_degenerate_twists():
@@ -264,7 +225,6 @@ def _nested_input(tmp_path, **overrides) -> str:
         "yminus": [[y.real, y.imag] for y in yminus],
         "twist_x": [math.cos(0.3), math.sin(0.3)],
         "twist_y": [math.cos(0.2), -math.sin(0.2)],
-        "counts": [1, 1, 1],
         "seed": {"x1e": [[seed_x.real, seed_x.imag]],
                  "u11": [[-0.6, 0.1]],
                  "x112": [[seed_w.real, seed_w.imag]]},
@@ -276,13 +236,14 @@ def _nested_input(tmp_path, **overrides) -> str:
 
 
 def test_solve_nested_from_file(tmp_path):
-    # Mtheta is optional; when given it must equal the pair count.
+    # Mtheta and counts are optional; when given they must equal the
+    # pair count and the seed list lengths.
     outputs = []
-    for extra in ({}, {"Mtheta": 2}):
+    for extra in ({}, {"Mtheta": 2}, {"counts": [1, 1, 1]}):
         result = _run("solve-nested", "--input", _nested_input(tmp_path, **extra))
         assert result.exit_code == 0
         outputs.append(result.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     out = json.loads(outputs[0])
     assert out["ok"] is True
     assert out["residual"] < 1e-12
@@ -302,6 +263,22 @@ def test_solve_nested_rejects_bad_input(tmp_path):
         result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
         assert result.exit_code == 2, overrides
         assert result.stdout == "" and "Mtheta" in result.stderr
+    # counts that differ from the seed list lengths.
+    for counts in ([1, 1, 0], [0, 2, 1], [1, 1], [2, 1, 1]):
+        result = _run("solve-nested", "--input",
+                      _nested_input(tmp_path, counts=counts))
+        assert result.exit_code == 2, counts
+        assert result.stdout == "" and "counts" in result.stderr
+    # A seed on a pole: u11 = u(x1e) + i/2 zeroes a factor of the
+    # first-sheet equation.
+    seed_x = 1j * cmath.exp(-0.3j)
+    pole = u_of_x(seed_x, 1.0) + 0.5j
+    seed = {"x1e": [[seed_x.real, seed_x.imag]], "u11": [[pole.real, pole.imag]],
+            "x112": []}
+    result = _run("solve-nested", "--input", _nested_input(tmp_path, seed=seed))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == "" and "pole" in result.stderr
 
 
 def test_ads3_residuals_two_particle():
@@ -325,11 +302,15 @@ def test_ads3_residuals_two_particle():
     ("ads3-residuals", "--L", "0"),
     ("ads3-residuals", "--winding", "0"),
     ("ads3-residuals", "--mode", "single", "--winding", "-1"),
-    ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "-1,2"),
-    ("check-hirota", "--random", "1", "--rng-seed", "1", "--window", "0,0"),
+    ("check-hirota", "--seed", "SEED", "--window", "-1,2"),
+    ("check-hirota", "--seed", "SEED", "--window", "0,0"),
+    # Spin modes on the window edge M - N <= J <= -1 put a root at infinity.
+    ("solve-liebwu", "--L", "2", "--u", "1", "--N", "2", "--M", "1",
+     "--I", "0", "--I", "1", "--J", "0"),
 ])
-def test_out_of_range_inputs_are_usage_errors(args):
-    result = _run(*args)
+def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
+    seed = _seed_file(tmp_path)
+    result = _run(*(seed if arg == "SEED" else arg for arg in args))
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.stdout == "" and "Error:" in result.stderr
@@ -353,12 +334,33 @@ def test_suite_subset():
     assert outputs[0] == outputs[1]
 
 
+# Every subcommand's parameters.  Randomized exact corpora run only in
+# `suite`; each command has one input path and one output format.
+COMMAND_PARAMS = {
+    "check-qq": {"seed_path"},
+    "gen-qsystem": {"rng_seed", "out", "full"},
+    "check-hirota": {"seed_path", "window"},
+    "character": {"sx", "sy"},
+    "solve-nested": {"input_path"},
+    "solve-liebwu": {"lsites", "coupling", "n_charge", "m_spin", "mode_k",
+                     "mode_lam", "compare_ed"},
+    "ed": {"lsites", "coupling", "nup", "ndown"},
+    "compare": {"lsites", "coupling", "n_charge", "m_spin"},
+    "ads3-residuals": {"hcoup", "volume", "mode", "winding", "input_path"},
+    "suite": {"only", "rng_seed"},
+}
+
+
 def test_no_subcommand_takes_a_tolerance():
     # The bounds live in qsc22.acceptance; no option loosens them, and
     # `suite --only` replaces the commands that re-ran one battery.
     assert len(main.commands) == 10
-    for name, command in main.commands.items():
-        assert "tol" not in {param.name for param in command.params}, name
+    params = {name: [param.name for param in command.params]
+              for name, command in main.commands.items()}
+    assert {name: set(names) for name, names in params.items()} == COMMAND_PARAMS
+    assert sum(len(names) for names in params.values()) == 31
+    for name, names in params.items():
+        assert "tol" not in names, name
     for name in ("check-f", "pmu-check", "ads3-crossing"):
         assert _run(name).exit_code == 2
     assert _run("suite", "--only", "hodge", "--tol", "0").exit_code == 2

@@ -11,12 +11,13 @@ import pytest
 from qsc22 import ed_oracle
 from qsc22 import hubbard_bethe as hb
 from qsc22._newton import NoConvergence, bisect_real
-from qsc22.acceptance import _admissible_modes, _liebwu_grid_cases, match_sector
+from qsc22.acceptance import _liebwu_grid_cases, match_sector
 from qsc22.analytic_layer import shell_pairs
 from qsc22.hubbard_bethe import (
     HubbardRoots,
     HubbardSpec,
     LiebWuRoots,
+    admissible_modes,
     energy_momentum,
     liebwu_residuals,
     nested_residuals,
@@ -49,7 +50,7 @@ def test_spec_validation():
 
 def test_single_root_newton_agrees_with_bisection():
     spec = _reference_spec()
-    roots = solve_nested(spec, (1, 0, 0), HubbardRoots((-5.0 + 0.2j,), (), ()))
+    roots = solve_nested(spec, HubbardRoots((-5.0 + 0.2j,), (), ()))
 
     def phase(x: float) -> float:
         return nested_residuals(spec, HubbardRoots((x + 0j,), (), ()))[0].imag
@@ -63,7 +64,7 @@ def test_reference_three_node_configuration():
     spec = _reference_spec()
     seed = HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
                         (cmath.exp(2.9j) / 1j,))
-    roots = solve_nested(spec, (1, 1, 1), seed)
+    roots = solve_nested(spec, seed)
     assert (len(roots.x1e), len(roots.u11), len(roots.x112)) == (1, 1, 1)
     assert roots.x1e[0] == pytest.approx(-9.0792186463333, abs=1e-9)
     assert roots.u11[0] == pytest.approx(-1.3197361875357865, abs=1e-9)
@@ -132,6 +133,14 @@ def test_liebwu_mode_validation():
     for coupling in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="coupling"):
             solve_liebwu(2, coupling, 1, 0, [0], [])
+    # J = 0 and J = M - 1 - N sit on the window's edge, where the spin
+    # root is at infinity: an su(2) descendant, not a Bethe state.
+    for lsites, n_charge, m_spin, mode_lam in ((2, 2, 1, [0]), (4, 3, 1, [-3]),
+                                               (2, 2, 1, [1]), (4, 4, 2, [-3, -1]),
+                                               (4, 4, 2, [-2, 0])):
+        with pytest.raises(ValueError, match="spin mode numbers must lie"):
+            solve_liebwu(lsites, 1.0, n_charge, m_spin,
+                         list(range(n_charge)), mode_lam)
 
 
 def test_liebwu_matches_oracle_on_a_small_grid():
@@ -184,7 +193,7 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
         for coupling in (0.35, 1.0, 2.8):
             for n_charge in range(1, lsites + 1):
                 for m_spin in range(0, n_charge // 2 + 1):
-                    for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
+                    for mk, ml in admissible_modes(lsites, n_charge, m_spin):
                         solve_liebwu(lsites, coupling, n_charge, m_spin,
                                      list(mk), list(ml))
                         mode_sets += 1
@@ -200,7 +209,7 @@ def test_liebwu_answers_meet_the_final_tolerance_at_the_target_coupling():
     for lsites, coupling, n_charge, m_spin in _liebwu_grid_cases():
         if n_charge == 0:
             continue
-        for mk, ml in _admissible_modes(lsites, n_charge, m_spin):
+        for mk, ml in admissible_modes(lsites, n_charge, m_spin):
             roots = solve_liebwu(lsites, coupling, n_charge, m_spin, list(mk), list(ml))
             z = np.array([k.real for k in roots.k + roots.lam])
             res = hb._counting_residuals(lsites, coupling, list(mk), list(ml), z)
