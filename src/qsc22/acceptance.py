@@ -1,4 +1,4 @@
-"""Acceptance batteries: the eight checks behind `qsc22 suite` and the tests.
+"""Acceptance batteries: the seven checks behind `qsc22 suite` and the tests.
 
 Each battery takes an rng_seed and returns a `BatteryResult`, which
 alone decides whether the battery passed and by what margin.  The
@@ -12,7 +12,6 @@ randomized corpora run only here.  `compare`, `solve-liebwu
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -22,7 +21,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import ads3, ed_oracle
-from . import analytic_layer as al
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
@@ -30,7 +28,6 @@ from .exact_poly import GaussRat
 
 LIEBWU_BOUND = 1e-8
 FREE_BOUND = 1e-4
-PMU_BOUND = 1e-8
 ADS3_BOUND = 1e-10
 ED_BOUND = 1e-9
 
@@ -274,47 +271,6 @@ def _battery_liebwu(rng_seed: int) -> BatteryResult:
 
 
 # --------------------------------------------------------------------------
-# Analytic layer
-
-
-_PMU_PROBES = (0.31 + 0.77j, -0.52 + 0.61j, 1.27 + 0.39j, 0.08 - 0.84j,
-               -1.62 + 0.27j, 0.95 + 1.1j, -0.33 - 0.71j, 2.05 + 0.15j)
-
-
-def _canonical_nested():
-    """The reference solved one-root-per-node configuration."""
-    hcoup = 1.0
-    yplus, yminus = al.shell_pairs(hcoup, [0.7, -0.7])
-    spec = hb.HubbardSpec(hcoup, yplus, yminus,
-                          twist_x=cmath.exp(0.3j), twist_y=cmath.exp(-0.2j))
-    seed = hb.HubbardRoots((1j * cmath.exp(-0.3j),), (-0.6 + 0.1j,),
-                           (cmath.exp(2.9j) / 1j,))
-    roots = hb.solve_nested(spec, seed)
-    return spec, roots
-
-
-def _battery_pmu(rng_seed: int) -> BatteryResult:
-    """Case-B P-mu residuals of the solved reference configuration.
-
-    Measures the fit residual of the P pair and the largest monodromy
-    residual at truncation 12 over the fixed probe points.
-    """
-    n_trunc = 12
-    spec, roots = _canonical_nested()
-    source = al.SourceF(spec.hcoup, spec.yplus, spec.yminus)
-    p_eval, pstar_eval, fit = al.caseb_p_evaluators(
-        source, roots.x1e, roots.x112)
-    worst = 0.0
-    for u in _PMU_PROBES:
-        res = al.pmu_residual_caseB(p_eval, pstar_eval, source, n_trunc, u)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return BatteryResult(
-        len(_PMU_PROBES), measured={"max_residual": worst, "fit_residual": fit},
-        bound={"max_residual": PMU_BOUND, "fit_residual": PMU_BOUND},
-        detail={"n_trunc": n_trunc})
-
-
-# --------------------------------------------------------------------------
 # AdS3 and the oracle itself
 
 
@@ -384,7 +340,6 @@ BATTERIES = (
     ("hirota", _battery_hirota),
     ("character", _battery_character),
     ("liebwu", _battery_liebwu),
-    ("pmu", _battery_pmu),
     ("ads3", _battery_ads3),
     ("ed", _battery_ed),
 )

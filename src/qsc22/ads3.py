@@ -31,8 +31,8 @@ import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
 from .analytic_layer import (SHELL_TOL, MassiveTower, SourceF,
-                             _as_complex_list, aux_b, aux_r, shell_gap,
-                             shell_pair, truncated_f, u_rapidity,
+                             _as_complex_list, aux_b, aux_r, check_coupling,
+                             shell_gap, shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
 
 __all__ = [
@@ -58,6 +58,7 @@ class ShellViolation(ValueError):
 class AdS3Roots:
     """Root content of one asymptotic state.
 
+    The coupling must be finite and positive and the volume at least 1.
     Shell conditions (|x| > 1 and the i-shift pairing) are enforced on
     both massive towers.  The zero-momentum product is deliberately not
     enforced: the single-pair shell oracle needs it violated, so it is
@@ -76,8 +77,9 @@ class AdS3Roots:
     y3b: Tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.hcoup <= 0:
-            raise ValueError("hcoup must be positive")
+        check_coupling(self.hcoup)
+        if self.volume < 1:
+            raise ValueError(f"volume must be at least 1, got {self.volume}")
         for name in ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b"):
             object.__setattr__(self, name, _as_complex_list(getattr(self, name)))
         if len(self.xp) != len(self.xm) or len(self.xbp) != len(self.xbm):

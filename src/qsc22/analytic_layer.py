@@ -5,11 +5,10 @@ x + 1/x = 2u/h.  The outer sheet carries |x| >= 1 with a short cut on
 (-h, h); the inner sheet is its reciprocal, so the functions of x here
 take raw outer-sheet x and reach the inner sheet as 1/x.  The source
 function F is the single-valued function of x built from root data,
-with F(x) F(1/x) = 1.  On top of it the module builds the truncated
-products f_N and mu_N, whose regulator-independent ratios are exact at
-any truncation order, and the pointwise monodromy residuals of the
-rank-one P-mu system.  Everything here is floating point; exact
-statements live in the polynomial modules.
+with F(x) F(1/x) = 1.  The module also holds the massive-tower kernels
+shared with `ads3` and the truncated product f_N, whose telescoped
+ratio is exact at any truncation order.  Everything here is floating
+point; exact statements live in the polynomial modules.
 """
 
 from __future__ import annotations
@@ -17,22 +16,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, Tuple
-
-import numpy as np
 
 # Absolute bound on shell_gap for every massive or inhomogeneity pair.
 SHELL_TOL = 1e-9
-_CASEB_SPAN = 2
-_CASEB_FIT_RADIUS = 1.3
-_CASEB_FIT_POINTS = 120
-
-Vec2 = Tuple[complex, complex]
 
 
 class OnCut(ValueError):
     """Evaluation requested on the open cut (-h, h)."""
+
+
+def check_coupling(hcoup: float) -> None:
+    """Raise ValueError unless 0 < hcoup < inf (NaN included)."""
+    if not 0 < hcoup < math.inf:
+        raise ValueError(f"hcoup must be finite and positive, got {hcoup}")
 
 
 def x_of_u(u: complex, hcoup: float) -> complex:
@@ -42,8 +39,7 @@ def x_of_u(u: complex, hcoup: float) -> complex:
     roots, which places the short cut on (-h, h) and satisfies |x| >= 1
     off the cut.  Real u strictly inside the cut raises OnCut.
     """
-    if hcoup <= 0:
-        raise ValueError("hcoup must be positive")
+    check_coupling(hcoup)
     u = complex(u)
     h = float(hcoup)
     if u.imag == 0.0 and abs(u.real) < h:
@@ -83,6 +79,7 @@ class SourceF:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hcoup", float(self.hcoup))
+        check_coupling(self.hcoup)
         object.__setattr__(self, "yplus", _as_complex_list(self.yplus))
         object.__setattr__(self, "yminus", _as_complex_list(self.yminus))
         if len(self.yplus) != len(self.yminus):
@@ -205,114 +202,3 @@ def truncated_f(source: Callable[[complex], complex], n_trunc: int,
     for n in range(n_trunc + 1):
         out *= source(u + 1j * n)
     return out
-
-
-def truncated_mu(source: SourceF, n_trunc: int, u: complex) -> complex:
-    """mu_N(u) = F * prod_{n=1..N} F^{[2n]}/F^{[-2n]}."""
-    mu = source(u)
-    for n in range(1, n_trunc + 1):
-        mu *= source(u + 1j * n) / source(u - 1j * n)
-    return mu
-
-
-def pmu_residual_caseB(p_eval: Callable[[complex], Vec2],
-                       pstar_eval: Callable[[complex], Vec2],
-                       source: SourceF, n_trunc: int, u: complex) -> np.ndarray:
-    """Pointwise residuals of the rank-one P-mu monodromy system.
-
-    The evaluators take raw Zhukovsky x.  With tilde meaning the sheet
-    swap x -> 1/x, the four equations are
-
-        P~_a = (mu/F) eps_ab P^b,     P~^a = -(F/mu) eps^ab P_b,
-        mu - mu~ = eps^ab P_a P~_b,   P^a P_a = 1/F - F,
-
-    and the returned residuals are their mu-free probes:
-    [0] P~_a P^a, [1] P~^a P_a (both exactly zero when the directional
-    content of the first two equations holds), [2] the discontinuity
-    equation with mu~ = mu/F^2 and mu extracted from the first equation
-    (falling back to the truncated product when P* vanishes), and
-    [3] the scalar constraint.
-    """
-    x = x_of_u(u, source.hcoup)
-    P = p_eval(x)
-    Pt = p_eval(1.0 / x)
-    Ps = pstar_eval(x)
-    Pts = pstar_eval(1.0 / x)
-    fval = source.eval_x(x)
-
-    r1 = Pt[0] * Ps[0] + Pt[1] * Ps[1]
-    r2 = Pts[0] * P[0] + Pts[1] * P[1]
-
-    # mu from the first equation: P~_1 = (mu/F) P^2, P~_2 = -(mu/F) P^1.
-    if abs(Ps[1]) >= abs(Ps[0]) and abs(Ps[1]) > 0.0:
-        mu_impl = fval * Pt[0] / Ps[1]
-    elif abs(Ps[0]) > 0.0:
-        mu_impl = -fval * Pt[1] / Ps[0]
-    else:
-        mu_impl = truncated_mu(source, n_trunc, u)
-    r3 = (P[0] * Pt[1] - P[1] * Pt[0]) - mu_impl * (1.0 - 1.0 / fval ** 2)
-    r4 = (Ps[0] * P[0] + Ps[1] * P[1]) - (1.0 / fval - fval)
-    return np.array([r1, r2, r3, r4], dtype=complex)
-
-
-def caseb_p_evaluators(source: SourceF, x_up: Sequence[complex],
-                       x_down: Sequence[complex]):
-    """Build the rank-one P pair from solved root data and its source.
-
-    The first component is the auxiliary product aux_r with zeros at the
-    x_up roots and reciprocal zeros at the x_down roots; the second is a
-    Laurent polynomial on powers x^2..x^-2 fitted so that the swap
-    Wronskian P_1~ P_2 - P_2~ P_1 equals the two-branch combination
-    W = R+ B- - R- B+ of the source's tower on a circle of radius 1.3.
-    The dual pair comes from the swap formula, dividing by W/(1/F - F),
-    so the directional residuals vanish identically and the remaining
-    residuals measure how well the root data closes the Wronskian
-    constraint.  Both evaluators take raw Zhukovsky x.
-
-    Returns (p_eval, pstar_eval, fit_residual).
-    """
-    up = _as_complex_list(x_up)
-    down = _as_complex_list(x_down)
-    tower = MassiveTower(source.hcoup, source.yplus, source.yminus)
-
-    p1 = partial(aux_r, plain=up, barred=down)
-    rhs = partial(w_combination, tower, tower)
-
-    powers = range(_CASEB_SPAN, -_CASEB_SPAN - 1, -1)
-    xs = _CASEB_FIT_RADIUS * np.exp(
-        2j * math.pi * np.arange(_CASEB_FIT_POINTS) / _CASEB_FIT_POINTS)
-    mat = np.array([[p1(1.0 / x) * x ** k - p1(x) * x ** (-k) for k in powers]
-                    for x in xs])
-    vec = np.array([rhs(x) for x in xs])
-    coeffs, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    fit_residual = float(np.max(np.abs(mat @ coeffs - vec)))
-
-    def p2(x: complex) -> complex:
-        return sum(c * x ** k for c, k in zip(coeffs, powers))
-
-    def p_eval(x: complex) -> Vec2:
-        return (p1(x), p2(x))
-
-    def pstar_eval(x: complex) -> Vec2:
-        f = source.eval_x(x)
-        s = rhs(x) / (1.0 / f - f)
-        return (-p2(1.0 / x) / s, p1(1.0 / x) / s)
-
-    return p_eval, pstar_eval, fit_residual
-
-
-def baxter_step(mu: np.ndarray, p: Sequence[complex], pstar: Sequence[complex],
-                fval: complex) -> np.ndarray:
-    """One quasi-Baxter step mu -> (1 + P P*/F) mu (1 + P* P/F).
-
-    The right factor is the transpose of the left one, so the step is a
-    congruence: the antisymmetric part scales by det(1 + P P*/F) and the
-    determinant of the symmetric part by its square.
-    """
-    if fval == 0:
-        raise ValueError("fval must be nonzero")
-    mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (2, 2):
-        raise ValueError("mu must be a 2x2 matrix")
-    left = np.eye(2, dtype=complex) + np.outer(p, pstar) / fval
-    return left @ mu @ left.T

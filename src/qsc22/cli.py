@@ -161,7 +161,7 @@ def cmd_character(sx, sy) -> None:
     """Build a constant twist solution and verify its exact identities."""
     try:
         report = acceptance.character_report(_parse_gauss(sx), _parse_gauss(sy))
-    except ty_system.DegenerateTwist as exc:
+    except ValueError as exc:
         raise click.UsageError(f"degenerate twist: {exc}")
     _emit(report)
     sys.exit(0 if report["ok"] else 1)

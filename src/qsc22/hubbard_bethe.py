@@ -29,7 +29,7 @@ import numpy as np
 
 from ._newton import (NoConvergence, PathCollision, SingularDenominator,
                       _log, _ratio, continue_path, solve_damped)
-from .analytic_layer import SHELL_TOL, shell_gap, u_of_x
+from .analytic_layer import SHELL_TOL, check_coupling, shell_gap, u_of_x
 
 __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
@@ -68,8 +68,7 @@ class HubbardSpec:
     ty**2 enter the equations.  The constructor checks the pairing
     identity y+ + 1/y+ - y- - 1/y- = 2i/h for every pair to within
     analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous limit
-    drives y- inside the unit disk.  analytic_layer.SourceF adds the
-    |y| > 1 rule of the physical configuration.
+    drives y- inside the unit disk.
     """
 
     hcoup: float
@@ -79,8 +78,7 @@ class HubbardSpec:
     twist_y: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.hcoup <= 0:
-            raise ValueError("hcoup must be positive")
+        check_coupling(self.hcoup)
         object.__setattr__(self, "yplus", tuple(complex(y) for y in self.yplus))
         object.__setattr__(self, "yminus", tuple(complex(y) for y in self.yminus))
         if len(self.yplus) != len(self.yminus):

@@ -6,11 +6,11 @@ change to a battery's bound cannot loosen a test.  Each prints one
 [PASS] line with the battery's result, so a verbose run reads as a
 checklist.
 
-Each battery but pmu also has negative controls that
+Each battery also has negative controls that
 `qsc22 suite --only <battery>` must report as a failure, with JSON on
 stdout and no traceback.  A "data" control feeds wrong input to the
 unchanged checker; a "mutation" control patches the code under test.
-Every battery but pmu has at least one data control.
+Every battery has at least one data control.
 `NEGATIVE_CONTROLS` lists them by kind.
 """
 
@@ -206,14 +206,6 @@ def test_criterion_04_fails_on_roots_of_another_coupling(monkeypatch):
     assert result["measured"]["max_gap"] >= 1e-2
 
 
-def test_criterion_07_caseb_pmu_residuals():
-    result, _ = _run("pmu")
-    assert result["detail"] == {"n_trunc": 12} and result["attempted"] == 8
-    assert result["bound"] == {"fit_residual": 1e-8, "max_residual": 1e-8}
-    assert result["measured"]["fit_residual"] < 1e-8
-    assert result["measured"]["max_residual"] < 1e-8
-
-
 def test_criterion_08_character_solutions():
     result, _ = _run("character")
     assert result["attempted"] == 10 and _exact(result) == {}
@@ -296,9 +288,7 @@ def test_criterion_10_fails_on_a_hamiltonian_of_another_coupling(monkeypatch):
     assert measured["free_fermion_gap"] >= 0.1
 
 
-# Battery -> its negative controls as (test, kind).  pmu has none: its
-# least-squares fit enforces the Wronskian constraint for any roots, so
-# no wrong input makes it fail until it is rebuilt (ROADMAP item 1).
+# Battery -> its negative controls as (test, kind).
 NEGATIVE_CONTROLS = {
     "qq": [(test_criterion_01_fails_on_a_corrupted_slot, "data")],
     "hodge": [(test_criterion_02_fails_on_a_flipped_hodge_sign, "data")],
@@ -312,10 +302,9 @@ NEGATIVE_CONTROLS = {
 }
 
 
-def test_every_battery_but_pmu_has_a_negative_control():
+def test_every_battery_has_a_data_control():
     names = {name for name, _ in BATTERIES}
-    assert NEGATIVE_CONTROLS.keys() <= names
-    assert names - NEGATIVE_CONTROLS.keys() == {"pmu"}
+    assert NEGATIVE_CONTROLS.keys() == names
     assert all(kind in ("data", "mutation")
                for controls in NEGATIVE_CONTROLS.values() for _, kind in controls)
     # A battery whose controls all patch its own code certifies that

@@ -1,29 +1,22 @@
-"""Zhukovsky geometry, source functions, truncated products, P-mu checks."""
+"""Zhukovsky geometry, source functions, massive towers, truncated products."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
-from qsc22.acceptance import _canonical_nested
 from qsc22.ads3 import AdS3Roots, ShellViolation
 from qsc22.analytic_layer import (
     SHELL_TOL,
     MassiveTower,
     OnCut,
     SourceF,
-    baxter_step,
-    caseb_p_evaluators,
-    pmu_residual_caseB,
     shell_gap,
     shell_pair,
     shell_pairs,
     truncated_f,
-    truncated_mu,
     u_of_x,
     x_of_u,
 )
@@ -117,6 +110,25 @@ def test_shell_validators_share_one_bound():
         AdS3Roots(1.0, 2, (yplus,), (off,))
 
 
+@pytest.mark.parametrize("hcoup", [math.nan, math.inf, 0.0, -1.0])
+def test_coupling_must_be_finite_and_positive(hcoup):
+    # One rule for every type that carries a coupling, NaN included.
+    with pytest.raises(ValueError, match="finite and positive"):
+        x_of_u(0.3 + 0.7j, hcoup)
+    with pytest.raises(ValueError, match="finite and positive"):
+        SourceF(hcoup)
+    with pytest.raises(ValueError, match="finite and positive"):
+        HubbardSpec(hcoup)
+    with pytest.raises(ValueError, match="finite and positive"):
+        AdS3Roots(hcoup, 2)
+
+
+@pytest.mark.parametrize("volume", [0, -3])
+def test_ads3_volume_must_be_at_least_one(volume):
+    with pytest.raises(ValueError, match="volume"):
+        AdS3Roots(1.0, volume)
+
+
 def _qq_gap(tower: MassiveTower) -> float:
     """Worst |(-1)^m B_+-(x) R_+-(x) - Q(u(x) +- i/2)| over both branches."""
     gaps = []
@@ -141,89 +153,3 @@ def test_truncation_telescopes():
                 lhs = truncated_f(source, n, u) / truncated_f(source, n, u + 1j)
                 rhs = source(u) / source(u + 1j * (n + 1))
                 assert abs(lhs / rhs - 1.0) < 1e-12
-
-
-def test_truncated_mu_matches_truncated_products():
-    # mu_N = f_N(u) / f_{N-1}(u - iN).
-    for source in _sources():
-        for n in (4, 16):
-            for u in _off_cut_points(5, 40):
-                mu = truncated_mu(source, n, u)
-                lower = truncated_f(source, n - 1, u - 1j * n)
-                assert abs(mu * lower / truncated_f(source, n, u) - 1.0) < 1e-12
-
-
-def test_null_pair_solves_the_system_identically():
-    source = SourceF(1.0)
-
-    def p_eval(x):
-        return (0.0 + 0j, x + 2.0)
-
-    def pstar_eval(x):
-        return (x + 2.0, 0.0 + 0j)
-
-    for u in _off_cut_points(11, 10):
-        res = pmu_residual_caseB(p_eval, pstar_eval, source, 6, u)
-        assert np.max(np.abs(res)) < 1e-12
-
-
-def test_vanishing_p_is_consistent_with_unit_f():
-    source = SourceF(1.0)
-
-    def zero_eval(x):
-        return (0.0 + 0j, 0.0 + 0j)
-
-    for u in _off_cut_points(13, 6):
-        res = pmu_residual_caseB(zero_eval, zero_eval, source, 6, u)
-        assert np.max(np.abs(res)) < 1e-12
-
-
-def test_caseb_evaluators_close_the_monodromy_system():
-    spec, roots = _canonical_nested()
-    assert roots.x1e[0].real == -9.0792186463333
-    source = SourceF(spec.hcoup, spec.yplus, spec.yminus)
-    p_eval, pstar_eval, fit = caseb_p_evaluators(source, roots.x1e, roots.x112)
-    assert fit < 1e-12
-    for u in (0.31 + 0.77j, -0.52 + 0.61j, 2.05 + 0.15j):
-        res = pmu_residual_caseB(p_eval, pstar_eval, source, 12, u)
-        assert np.max(np.abs(res)) < 1e-8
-
-
-def _constrained_step_data(seed: int):
-    rng = random.Random(seed)
-
-    def entry():
-        return rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
-
-    fval = 0.7 + 0.4j
-    p = np.array([entry(), entry()])
-    direction = np.array([entry(), entry()])
-    pstar = direction * ((1.0 / fval - fval) / (direction @ p))
-    mu = np.array([[entry(), entry()], [entry(), entry()]])
-    return mu, p, pstar, fval
-
-
-def test_baxter_step_scalings():
-    for seed in range(5):
-        mu, p, pstar, fval = _constrained_step_data(seed)
-        out = baxter_step(mu, p, pstar, fval)
-        anti_in = (mu[0, 1] - mu[1, 0]) / 2.0
-        anti_out = (out[0, 1] - out[1, 0]) / 2.0
-        assert abs(anti_out / anti_in * fval ** 2 - 1.0) < 1e-12
-        det_in = np.linalg.det((mu + mu.T) / 2.0)
-        det_out = np.linalg.det((out + out.T) / 2.0)
-        assert abs(det_out / det_in * fval ** 4 - 1.0) < 1e-12
-
-
-def test_baxter_step_factor_inverse_identity():
-    _, p, pstar, fval = _constrained_step_data(9)
-    left = np.eye(2) + np.outer(p, pstar) / fval
-    right = np.eye(2) - fval * np.outer(p, pstar)
-    assert np.max(np.abs(left @ right - np.eye(2))) < 1e-12
-
-
-def test_baxter_step_rejects_bad_input():
-    with pytest.raises(ValueError):
-        baxter_step(np.eye(2), [1.0, 0.0], [0.0, 1.0], 0.0)
-    with pytest.raises(ValueError):
-        baxter_step(np.eye(3), [1.0, 0.0], [0.0, 1.0], 1.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qsc22 import qsystem
+from qsc22 import acceptance, qsystem
 from qsc22.analytic_layer import shell_pairs, u_of_x
 from qsc22.cli import main
 
@@ -269,6 +269,14 @@ def test_solve_nested_rejects_bad_input(tmp_path):
                       _nested_input(tmp_path, counts=counts))
         assert result.exit_code == 2, counts
         assert result.stdout == "" and "counts" in result.stderr
+    # A coupling that is not finite and positive, with the full seed and
+    # with an x1e-only seed.
+    x1e_only = {"x1e": [[0.0, 1.0]], "u11": [], "x112": []}
+    for overrides in ({"h": math.nan}, {"h": math.nan, "seed": x1e_only},
+                      {"h": math.inf, "yplus": [], "yminus": []}):
+        result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+        assert result.exit_code == 2, overrides
+        assert result.stdout == "" and "hcoup" in result.stderr
     # A seed on a pole: u11 = u(x1e) + i/2 zeroes a factor of the
     # first-sheet equation.
     seed_x = 1j * cmath.exp(-0.3j)
@@ -302,15 +310,27 @@ def test_ads3_residuals_two_particle():
     ("ads3-residuals", "--L", "0"),
     ("ads3-residuals", "--winding", "0"),
     ("ads3-residuals", "--mode", "single", "--winding", "-1"),
+    # A dict stands for a JSON input file with that content.
+    ("ads3-residuals", "--input", {"hcoup": math.nan, "L": 8}),
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": -3}),
     ("check-hirota", "--seed", "SEED", "--window", "-1,2"),
     ("check-hirota", "--seed", "SEED", "--window", "0,0"),
+    ("character", "--sx", "0,0", "--sy", "1,1"),
     # Spin modes on the window edge M - N <= J <= -1 put a root at infinity.
     ("solve-liebwu", "--L", "2", "--u", "1", "--N", "2", "--M", "1",
      "--I", "0", "--I", "1", "--J", "0"),
 ])
 def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
-    seed = _seed_file(tmp_path)
-    result = _run(*(seed if arg == "SEED" else arg for arg in args))
+    def materialize(arg):
+        if arg == "SEED":
+            return _seed_file(tmp_path)
+        if isinstance(arg, dict):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            return str(path)
+        return arg
+
+    result = _run(*map(materialize, args))
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.stdout == "" and "Error:" in result.stderr
@@ -363,8 +383,15 @@ def test_no_subcommand_takes_a_tolerance():
         assert "tol" not in names, name
     for name in ("check-f", "pmu-check", "ads3-crossing"):
         assert _run(name).exit_code == 2
+    assert _run("suite", "--only", "pmu").exit_code == 2
     assert _run("suite", "--only", "hodge", "--tol", "0").exit_code == 2
 
 
 def test_suite_unknown_battery():
     assert _run("suite", "--only", "nosuch").exit_code == 2
+
+
+def test_readme_names_only_existing_batteries():
+    names = {name for name, _ in acceptance.BATTERIES}
+    mentioned = re.findall(r"--only\s+([\w-]+)", README.read_text(encoding="utf-8"))
+    assert mentioned and set(mentioned) <= names, set(mentioned) - names
