@@ -31,7 +31,7 @@ import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
 from .analytic_layer import (SHELL_TOL, MassiveTower, SourceF,
-                             _as_complex_list, aux_b, aux_r, check_coupling,
+                             aux_b, aux_r, check_coupling, finite_roots,
                              shell_gap, shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
 
@@ -58,11 +58,11 @@ class ShellViolation(ValueError):
 class AdS3Roots:
     """Root content of one asymptotic state.
 
-    The coupling must be finite and positive and the volume at least 1.
-    Shell conditions (|x| > 1 and the i-shift pairing) are enforced on
-    both massive towers.  The zero-momentum product is deliberately not
-    enforced: the single-pair shell oracle needs it violated, so it is
-    exposed through momentum_defect instead.
+    The coupling must be finite and positive, the volume at least 1 and
+    every root finite.  Shell conditions (|x| > 1 and the i-shift
+    pairing) are enforced on both massive towers.  The zero-momentum
+    product is deliberately not enforced: the single-pair shell oracle
+    needs it violated, so it is exposed through momentum_defect instead.
     """
 
     hcoup: float
@@ -81,7 +81,7 @@ class AdS3Roots:
         if self.volume < 1:
             raise ValueError(f"volume must be at least 1, got {self.volume}")
         for name in ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b"):
-            object.__setattr__(self, name, _as_complex_list(getattr(self, name)))
+            object.__setattr__(self, name, finite_roots(getattr(self, name)))
         if len(self.xp) != len(self.xm) or len(self.xbp) != len(self.xbm):
             raise ShellViolation("massive towers need matching +/- counts")
         for plus, minus in zip(self.xp + self.xbp, self.xm + self.xbm):

@@ -53,12 +53,22 @@ def u_of_x(x: complex, hcoup: float) -> complex:
 
 
 def shell_gap(hcoup: float, xplus: complex, xminus: complex) -> float:
-    """|x+ + 1/x+ - x- - 1/x- - 2i/h|, zero on the shell u(x+) - u(x-) = i."""
+    """|x+ + 1/x+ - x- - 1/x- - 2i/h|, zero on the shell u(x+) - u(x-) = i.
+
+    A zero root sits at u = infinity, infinitely far from the shell.
+    """
+    if not xplus or not xminus:
+        return math.inf
     return abs(xplus + 1.0 / xplus - xminus - 1.0 / xminus - 2j / hcoup)
 
 
-def _as_complex_list(values) -> Tuple[complex, ...]:
-    return tuple(complex(v) for v in values)
+def finite_roots(values) -> Tuple[complex, ...]:
+    """The roots as complex numbers; ValueError if one is NaN or infinite."""
+    roots = tuple(complex(v) for v in values)
+    for z in roots:
+        if not cmath.isfinite(z):
+            raise ValueError(f"roots must be finite, got {z}")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,8 @@ class SourceF:
 
         F(x) = prod_k sqrt((x - y+)(1/x - y-) / ((x - y-)(1/x - y+))),
 
-    so F(x) F(1/x) = 1, and no pairs give F = 1.  Every root has
-    |y| > 1 and every pair meets the shift constraint
+    so F(x) F(1/x) = 1, and no pairs give F = 1.  Every root is finite
+    with |y| > 1 and every pair meets the shift constraint
     y+ + 1/y+ - y- - 1/y- = 2i/h to within SHELL_TOL.  hcoup is carried
     along so that u-space evaluation is self-contained.
     """
@@ -80,8 +90,8 @@ class SourceF:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hcoup", float(self.hcoup))
         check_coupling(self.hcoup)
-        object.__setattr__(self, "yplus", _as_complex_list(self.yplus))
-        object.__setattr__(self, "yminus", _as_complex_list(self.yminus))
+        object.__setattr__(self, "yplus", finite_roots(self.yplus))
+        object.__setattr__(self, "yminus", finite_roots(self.yminus))
         if len(self.yplus) != len(self.yminus):
             raise ValueError("yplus and yminus must pair up")
         for p, m in zip(self.yplus, self.yminus):

@@ -369,7 +369,10 @@ def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path) -> None:
         except NoConvergence as exc:
             _emit({"ok": False, "error": str(exc)})
             sys.exit(1)
-    res = ads3.aba_residuals(state)
+    try:
+        res = ads3.aba_residuals(state)
+    except hb.SingularDenominator as exc:
+        raise click.UsageError(f"root data on a pole of the equations: {exc}")
     worst = float(np.max(np.abs(res))) if res.size else 0.0
     ok = acceptance.BatteryResult(1, measured={"max_residual": worst},
                                   bound={"max_residual": acceptance.ADS3_BOUND}).ok

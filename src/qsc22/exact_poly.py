@@ -15,19 +15,22 @@ exact.  Twists combine formally under multiplication, and every
 identity check compares ring elements exactly.
 
 Representation.  A `TwistedPoly` stores each term as (s, d, re, im):
-the twist s as a `GaussRat`, a denominator d > 0 and two equally long
-tuples of Python ints, standing for
+the twist s as a Gaussian-integer triple (a, b, e) standing for
+(a + b*i)/e with e > 0 and gcd(a, b, e) == 1, a denominator d > 0 and
+two equally long tuples of Python ints, standing for
 
     p_t(u) = (1/d) * sum_k (re[k] + i*im[k]) * u^k.
 
-The form is canonical (gcd(d, *re, *im) == 1, nonzero top coefficient,
-terms sorted by twist), so equal elements have equal term tuples and
-`==` and `hash` compare structure.  Products, sums, shifts and exact
-division run on these integers; `GaussRat` coefficients are built only
-when `.terms` is read, once per instance.  `shift(n)` runs an integer
-Taylor shift on the numerators (scaled by 2^deg for odd n, where the
-step i*n/2 is not a Gaussian integer), multiplies by s^n and reduces
-once by the gcd.
+The form is canonical (each twist triple reduced, gcd(d, *re, *im) == 1,
+nonzero top coefficient, terms sorted by twist in `GaussRat.sort_key`
+order), so equal elements have equal term tuples and `==` and `hash`
+compare structure.  Products, sums, shifts and exact division run on
+these integers, twists included.  `GaussRat` is the boundary type: the
+constructor parses it once, and twists and coefficients are built as
+`GaussRat` only when `.terms` or `.twists()` is read.  `shift(n)` runs
+an integer Taylor shift on the numerators (scaled by 2^deg for odd n,
+where the step i*n/2 is not a Gaussian integer), multiplies by s^n and
+reduces once by the gcd.
 
 Elements are immutable, so `f.shift(n)` keeps its result in a memo on
 f, and `-f` answers `shift(n)` with `-(f.shift(n))`: an element and its
@@ -193,28 +196,56 @@ GaussRat.ONE = GaussRat(1)
 GaussRat.I = GaussRat(0, 1)
 
 Coeffs = Tuple[GaussRat, ...]
+# Half-twist (a, b, e) for (a + b*i)/e, with e > 0 and gcd(a, b, e) == 1.
+Twist = Tuple[int, int, int]
 # Canonical term: (twist, d, re, im) for (1/d) * sum_k (re[k] + i*im[k]) u^k.
-IntTerm = Tuple[GaussRat, int, Tuple[int, ...], Tuple[int, ...]]
-# What sums of terms accumulate per twist before canonicalization.
-Bucket = Dict[GaussRat, Tuple[int, List[int], List[int]]]
+IntTerm = Tuple[Twist, int, Tuple[int, ...], Tuple[int, ...]]
+# What sums of terms accumulate per twist triple before canonicalization.
+Bucket = Dict[Twist, Tuple[int, List[int], List[int]]]
 
 
 def _split(c: GaussRat) -> Tuple[int, int, int]:
-    """(d, a, b) with c = (a + b*i)/d and d > 0 the least such."""
+    """(a, b, d) with c = (a + b*i)/d and d > 0 the least such, so that
+    gcd(a, b, d) == 1: for a nonzero twist, its canonical triple."""
     re, im = c.re, c.im
     rd, idn = re.denominator, im.denominator
     d = rd * idn // gcd(rd, idn)
-    return d, re.numerator * (d // rd), im.numerator * (d // idn)
+    return re.numerator * (d // rd), im.numerator * (d // idn), d
 
 
 def _scalar(value) -> Tuple[int, int, int]:
     """`_split` of any value `GaussRat.coerce` accepts."""
     if isinstance(value, int):
-        return 1, value, 0
+        return value, 0, 1
     return _split(GaussRat.coerce(value))
 
 
-def _canonical(s: GaussRat, d: int, re: Sequence[int], im: Sequence[int]) -> Optional[IntTerm]:
+def _gauss(s: Twist) -> GaussRat:
+    a, b, e = s
+    return GaussRat(Fraction(a, e), Fraction(b, e))
+
+
+def _reduced(a: int, b: int, e: int) -> Twist:
+    g = gcd(a, b, e)
+    if g == 1:
+        return a, b, e
+    return a // g, b // g, e // g
+
+
+def _twist_mul(s: Twist, t: Twist) -> Twist:
+    a, b, e = s
+    c, d, f = t
+    return _reduced(a * c - b * d, a * d + b * c, e * f)
+
+
+def _twist_div(s: Twist, t: Twist) -> Twist:
+    """s/t = (a + b*i) * (c - d*i) * f / (e * (c^2 + d^2))."""
+    a, b, e = s
+    c, d, f = t
+    return _reduced((a * c + b * d) * f, (b * c - a * d) * f, e * (c * c + d * d))
+
+
+def _canonical(s: Twist, d: int, re: Sequence[int], im: Sequence[int]) -> Optional[IntTerm]:
     """The canonical term of (1/d) * (re + i*im), or None when it is zero."""
     n = len(re)
     while n and not re[n - 1] and not im[n - 1]:
@@ -227,7 +258,7 @@ def _canonical(s: GaussRat, d: int, re: Sequence[int], im: Sequence[int]) -> Opt
     return (s, d // g, tuple(x // g for x in re[:n]), tuple(x // g for x in im[:n]))
 
 
-def _accumulate(bucket: Bucket, s: GaussRat, d: int, re: List[int], im: List[int]) -> None:
+def _accumulate(bucket: Bucket, s: Twist, d: int, re: List[int], im: List[int]) -> None:
     """Add (1/d) * (re + i*im) to the polynomial of twist s in bucket."""
     prev = bucket.get(s)
     if prev is None:
@@ -253,8 +284,15 @@ def _accumulate(bucket: Bucket, s: GaussRat, d: int, re: List[int], im: List[int
 
 def _collect(bucket: Bucket) -> "TwistedPoly":
     """The element with the bucket's terms, in canonical form."""
+    twists = list(bucket)
+    if len(twists) > 1:
+        # GaussRat.sort_key order: (re, im) over a common denominator.
+        lcm = 1
+        for _, _, e in twists:
+            lcm = lcm * e // gcd(lcm, e)
+        twists.sort(key=lambda s: (s[0] * (lcm // s[2]), s[1] * (lcm // s[2])))
     out = []
-    for s in sorted(bucket, key=GaussRat.sort_key):
+    for s in twists:
         t = _canonical(s, *bucket[s])
         if t is not None:
             out.append(t)
@@ -280,16 +318,16 @@ def _times(re, im, a: int, b: int) -> Tuple[List[int], List[int]]:
             [x * b + y * a for x, y in zip(re, im)])
 
 
-def _twist_power(s: GaussRat, n: int) -> Tuple[int, int, int]:
-    """(e, a, b) with s**n = (a + b*i)/e and e > 0."""
-    e, a, b = _split(s)
+def _twist_power(s: Twist, n: int) -> Twist:
+    """(a, b, e) with s**n = (a + b*i)/e and e > 0, not reduced."""
+    a, b, e = s
     if n < 0:
-        e, a, b = a * a + b * b, e * a, -e * b
+        a, b, e = e * a, -e * b, a * a + b * b
         n = -n
-    pe, pa, pb = 1, 1, 0
+    pa, pb, pe = 1, 0, 1
     for _ in range(n):
-        pe, pa, pb = pe * e, pa * a - pb * b, pa * b + pb * a
-    return pe, pa, pb
+        pa, pb, pe = pa * a - pb * b, pa * b + pb * a, pe * e
+    return pa, pb, pe
 
 
 def _shift_term(term: IntTerm, n: int) -> IntTerm:
@@ -313,15 +351,20 @@ def _shift_term(term: IntTerm, n: int) -> IntTerm:
         re = [x << k for k, x in enumerate(re)]
         im = [x << k for k, x in enumerate(im)]
         d <<= deg
-    e, a, b = _twist_power(s, n)
+    a, b, e = _twist_power(s, n)
     if b or a != e:
         re, im = _times(re, im, a, b)
         d *= e
     return _canonical(s, d, re, im)
 
 
-def _lead_key(term: IntTerm):
-    return (len(term[2]), term[0].sort_key())
+def _lead(t: Tuple[IntTerm, ...]) -> IntTerm:
+    """The term of top degree, the last in twist order among equals.
+
+    The terms are sorted by twist, and `max` keeps the first maximum it
+    meets, so scanning them backwards orders by (degree, sort_key).
+    """
+    return max(reversed(t), key=lambda term: len(term[2]))
 
 
 class TwistedPoly:
@@ -345,12 +388,13 @@ class TwistedPoly:
             s = GaussRat.coerce(s)
             if not s:
                 raise ValueError("twist must be nonzero")
+            s = _split(s)
             parts = [_scalar(c) for c in coeffs]
             d = 1
-            for e, _, _ in parts:
+            for _, _, e in parts:
                 d = d * e // gcd(d, e)
-            re = [a * (d // e) for e, a, _ in parts]
-            im = [b * (d // e) for e, _, b in parts]
+            re = [a * (d // e) for a, _, e in parts]
+            im = [b * (d // e) for _, b, e in parts]
             _accumulate(bucket, s, d, re, im)
         self._set(_collect(bucket)._t)
 
@@ -388,7 +432,8 @@ class TwistedPoly:
     def terms(self) -> Tuple[Tuple[GaussRat, Coeffs], ...]:
         if self._terms is None:
             self._terms = tuple(
-                (s, tuple(GaussRat(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
+                (_gauss(s), tuple(GaussRat(Fraction(a, d), Fraction(b, d))
+                                  for a, b in zip(re, im)))
                 for s, d, re, im in self._t
             )
         return self._terms
@@ -404,7 +449,7 @@ class TwistedPoly:
         return max(len(re) for _, _, re, _ in self._t) - 1
 
     def twists(self) -> Tuple[GaussRat, ...]:
-        return tuple(s for s, _, _, _ in self._t)
+        return tuple(_gauss(s) for s, _, _, _ in self._t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedPoly):
@@ -454,7 +499,7 @@ class TwistedPoly:
 
     def _scaled(self, c) -> "TwistedPoly":
         """self * c for a scalar c; the factors 1 and -1 keep the memo."""
-        e, a, b = _scalar(c)
+        a, b, e = _scalar(c)
         if not b and a == e:
             return self
         if not b and a == -e:
@@ -468,7 +513,7 @@ class TwistedPoly:
         for s1, d1, r1, i1 in self._t:
             for s2, d2, r2, i2 in other._t:
                 re, im = _convolve(r1, i1, r2, i2)
-                _accumulate(bucket, s1 * s2, d1 * d2, re, im)
+                _accumulate(bucket, _twist_mul(s1, s2), d1 * d2, re, im)
         return _collect(bucket)
 
     __rmul__ = __mul__
@@ -593,9 +638,9 @@ def exact_div(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     if len(g._t) == 1:
         sg, dg, rg, jg = g._t[0]
         return _collect({
-            sf / sg: _divide(df, rf, jf, dg, rg, jg) for sf, df, rf, jf in f._t
+            _twist_div(sf, sg): _divide(df, rf, jf, dg, rg, jg) for sf, df, rf, jf in f._t
         })
-    sg, dg, rg, jg = max(g._t, key=_lead_key)
+    sg, dg, rg, jg = _lead(g._t)
     lr, li = rg[-1], jg[-1]
     quot = TwistedPoly.zero()
     rem = f
@@ -603,12 +648,12 @@ def exact_div(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     for _ in range(cap):
         if rem.is_zero:
             break
-        sr, dr, rr, jr = max(rem._t, key=_lead_key)
+        sr, dr, rr, jr = _lead(rem._t)
         if len(rr) < len(rg):
             break
         pad = [0] * (len(rr) - len(rg))
         (a,), (b,) = _times(rr[-1:], jr[-1:], dg * lr, -dg * li)
-        t = _collect({sr / sg: (dr * (lr * lr + li * li), pad + [a], pad + [b])})
+        t = _collect({_twist_div(sr, sg): (dr * (lr * lr + li * li), pad + [a], pad + [b])})
         quot = quot + t
         rem = rem - t * g
     if not rem.is_zero or quot * g != f:

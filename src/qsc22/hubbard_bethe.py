@@ -29,7 +29,7 @@ import numpy as np
 
 from ._newton import (NoConvergence, PathCollision, SingularDenominator,
                       _log, _ratio, continue_path, solve_damped)
-from .analytic_layer import SHELL_TOL, check_coupling, shell_gap, u_of_x
+from .analytic_layer import SHELL_TOL, check_coupling, finite_roots, shell_gap, u_of_x
 
 __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
@@ -65,10 +65,10 @@ class HubbardSpec:
 
     The number of pairs is len(yplus).  The twists are the diagonal
     parameters (tx, 1/tx) and (ty, 1/ty); only the ratio tx/ty and
-    ty**2 enter the equations.  The constructor checks the pairing
-    identity y+ + 1/y+ - y- - 1/y- = 2i/h for every pair to within
-    analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous limit
-    drives y- inside the unit disk.
+    ty**2 enter the equations.  The constructor checks that every root
+    is finite and that every pair meets y+ + 1/y+ - y- - 1/y- = 2i/h to
+    within analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous
+    limit drives y- inside the unit disk.
     """
 
     hcoup: float
@@ -79,8 +79,8 @@ class HubbardSpec:
 
     def __post_init__(self) -> None:
         check_coupling(self.hcoup)
-        object.__setattr__(self, "yplus", tuple(complex(y) for y in self.yplus))
-        object.__setattr__(self, "yminus", tuple(complex(y) for y in self.yminus))
+        object.__setattr__(self, "yplus", finite_roots(self.yplus))
+        object.__setattr__(self, "yminus", finite_roots(self.yminus))
         if len(self.yplus) != len(self.yminus):
             raise ValueError("yplus and yminus lengths differ")
         for yp, ym in zip(self.yplus, self.yminus):

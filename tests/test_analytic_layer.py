@@ -110,6 +110,34 @@ def test_shell_validators_share_one_bound():
         AdS3Roots(1.0, 2, (yplus,), (off,))
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                 complex(math.inf, 0.0), complex(-2.0, -math.inf)])
+def test_non_finite_roots_are_rejected(bad):
+    # NaN compares false both ways, so neither |y| > 1 nor the shell
+    # bound can catch it; the roots must be tested for finiteness.
+    yplus, yminus = shell_pair(1.0, 0.7)
+    for plus, minus in ((bad, bad), (bad, yminus), (yplus, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            SourceF(1.0, [plus], [minus])
+        with pytest.raises(ValueError, match="finite"):
+            HubbardSpec(1.0, (plus,), (minus,))
+        with pytest.raises(ValueError, match="finite"):
+            AdS3Roots(1.0, 2, (plus,), (minus,))
+    for name in ("xbp", "y1", "y3", "y1b", "y3b"):
+        with pytest.raises(ValueError, match="finite"):
+            AdS3Roots(1.0, 2, **{name: (bad,)})
+
+
+def test_a_zero_root_is_off_the_shell():
+    yplus, yminus = shell_pair(1.0, 0.7)
+    assert shell_gap(1.0, 0j, yminus) == math.inf
+    assert shell_gap(1.0, yplus, 0j) == math.inf
+    with pytest.raises(ValueError, match="shift constraint"):
+        HubbardSpec(1.0, (0j,), (yminus,))
+    with pytest.raises(ValueError, match="shift constraint"):
+        HubbardSpec(1.0, (yplus,), (0j,))
+
+
 @pytest.mark.parametrize("hcoup", [math.nan, math.inf, 0.0, -1.0])
 def test_coupling_must_be_finite_and_positive(hcoup):
     # One rule for every type that carries a coupling, NaN included.

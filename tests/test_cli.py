@@ -13,11 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 from qsc22 import acceptance, qsystem
-from qsc22.analytic_layer import shell_pairs, u_of_x
+from qsc22.analytic_layer import shell_pair, shell_pairs, u_of_x
 from qsc22.cli import main
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# One massive root pair on the shell at h = 1, as JSON [re, im] lists.
+_SHELL_PLUS, _SHELL_MINUS = ([z.real, z.imag] for z in shell_pair(1.0, 0.7))
 
 
 def _run(*args, **kwargs):
@@ -277,6 +279,19 @@ def test_solve_nested_rejects_bad_input(tmp_path):
         result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
         assert result.exit_code == 2, overrides
         assert result.stdout == "" and "hcoup" in result.stderr
+    # A root pair that is not finite, or that holds a zero root.
+    yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
+    for overrides in ({"yplus": [[math.nan, 0.0], [yplus[1].real, yplus[1].imag]]},
+                      {"yplus": [[math.nan, 0.0]] * 2, "yminus": [[math.nan, 0.0]] * 2},
+                      {"yminus": [[yminus[0].real, math.inf],
+                                  [yminus[1].real, yminus[1].imag]]}):
+        result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+        assert result.exit_code == 2, overrides
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.stdout == "" and "bad nested input" in result.stderr
+    result = _run("solve-nested", "--input", _nested_input(
+        tmp_path, yminus=[[0.0, 0.0], [yminus[1].real, yminus[1].imag]]))
+    assert result.exit_code == 2 and "shift constraint" in result.stderr
     # A seed on a pole: u11 = u(x1e) + i/2 zeroes a factor of the
     # first-sheet equation.
     seed_x = 1j * cmath.exp(-0.3j)
@@ -313,6 +328,12 @@ def test_ads3_residuals_two_particle():
     # A dict stands for a JSON input file with that content.
     ("ads3-residuals", "--input", {"hcoup": math.nan, "L": 8}),
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": -3}),
+    ("ads3-residuals", "--input",
+     {"hcoup": 1.0, "L": 8, "xp": [[math.nan, 0]], "xm": [[math.nan, 0]]}),
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "y1": [[math.inf, 0]]}),
+    # An auxiliary root on a massive root zeroes a factor of the equations.
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "xp": [_SHELL_PLUS],
+                                   "xm": [_SHELL_MINUS], "y1": [_SHELL_PLUS]}),
     ("check-hirota", "--seed", "SEED", "--window", "-1,2"),
     ("check-hirota", "--seed", "SEED", "--window", "0,0"),
     ("character", "--sx", "0,0", "--sy", "1,1"),

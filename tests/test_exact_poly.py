@@ -10,13 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc22.exact_poly import GaussRat, NotDivisible, TwistedPoly, exact_div, wronskian
+from qsc22.exact_poly import (GaussRat, NotDivisible, TwistedPoly, _gauss, _lead,
+                               exact_div, wronskian)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 gauss = st.builds(GaussRat, rationals, rationals)
 nonzero_gauss = gauss.filter(bool)
+# Half-twists with larger heights and denominators that share factors.
+wide_twists = st.builds(
+    GaussRat,
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+).filter(bool)
 
 
 def _poly(coeffs, twist=1) -> TwistedPoly:
@@ -58,7 +65,8 @@ def two_twist(draw) -> TwistedPoly:
 def _assert_canonical(p: TwistedPoly) -> None:
     keys = [s.sort_key() for s in p.twists()]
     assert keys == sorted(set(keys))
-    for _, d, re, im in p._t:
+    for (a, b, e), d, re, im in p._t:
+        assert e > 0 and gcd(a, b, e) == 1
         assert d > 0 and len(re) == len(im)
         assert re[-1] or im[-1]
         assert gcd(d, *re, *im) == 1
@@ -183,12 +191,77 @@ def test_canonical_form_ignores_the_denominator(f, g, k):
     _assert_canonical(h)
 
 
+@given(wide_twists, wide_twists)
+def test_twist_products_and_quotients_are_exact(s, t):
+    f = TwistedPoly.from_coeffs([1], s)
+    g = TwistedPoly.from_coeffs([1], t)
+    assert (f * g).twists() == (s * t,)
+    assert (f * g).terms[0][1] == (GaussRat.ONE,)
+    q = exact_div(f, g)
+    assert q.twists() == (s / t,) and q.terms[0][1] == (GaussRat.ONE,)
+    _assert_canonical(f * g)
+    _assert_canonical(q)
+
+
+@given(wide_twists, nonzero_gauss, st.integers(min_value=-3, max_value=3))
+def test_shift_multiplies_by_the_twist_power(s, c, n):
+    shifted = TwistedPoly.from_coeffs([c], s).shift(n)
+    assert shifted == TwistedPoly.from_coeffs([s ** n * c], s)
+    assert shifted.twists() == (s,)
+    _assert_canonical(shifted)
+
+
+@given(wide_twists, st.integers(min_value=2, max_value=30))
+def test_one_twist_written_two_ways_is_one_element(s, k):
+    f = TwistedPoly.from_coeffs([1, 2], s)
+    for same in (GaussRat(s.re * k, s.im * k) / k, (s.re, s.im),
+                 GaussRat(str(s.re), str(s.im))):
+        g = TwistedPoly.from_coeffs([1, 2], same)
+        assert g == f and hash(g) == hash(f) and g._t == f._t
+
+
+def test_equal_twists_in_other_forms_hash_alike():
+    for one, other in ((GaussRat(2, 2) / 2, GaussRat(1, 1)),
+                       (Fraction(6, 4), Fraction(3, 2)),
+                       ("6/4", GaussRat(Fraction(3, 2))),
+                       (GaussRat(-3, 0), -3)):
+        f = TwistedPoly.from_coeffs([1, 1], one)
+        g = TwistedPoly.from_coeffs([1, 1], other)
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+
+
+def test_term_order_is_sort_key_order():
+    twists = [GaussRat(1), GaussRat(0, 1), GaussRat(2, 1), GaussRat(1, -1), GaussRat(-2)]
+    expected = [GaussRat(-2), GaussRat(0, 1), GaussRat(1, -1), GaussRat(1), GaussRat(2, 1)]
+    assert expected == sorted(twists, key=GaussRat.sort_key)
+    for order in itertools.permutations(twists):
+        f = TwistedPoly((s, (1, k)) for k, s in enumerate(order))
+        assert list(f.twists()) == expected
+        assert [term["s"] for term in f.as_json()["terms"]] == [s.as_json() for s in expected]
+        # Products and shifts sort their buckets the same way.
+        assert list((f * TwistedPoly.one()).twists()) == expected
+        assert list(f.shift(1).twists()) == expected
+
+
+@given(st.lists(wide_twists, min_size=2, max_size=6, unique_by=GaussRat.sort_key),
+       st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6))
+@settings(max_examples=60)
+def test_term_order_holds_across_denominators(twists, degrees):
+    f = TwistedPoly((s, [1] * (deg + 1)) for s, deg in zip(twists, degrees))
+    keys = [s.sort_key() for s in f.twists()]
+    assert keys == sorted(s.sort_key() for s in twists)
+    # The lead term of the multi-twist division: top degree, then largest twist.
+    lead = max(f._t, key=lambda term: (len(term[2]), _gauss(term[0]).sort_key()))
+    assert _lead(f._t) is lead
+
+
 def test_canonical_form_reduces_by_the_gcd():
     f = _poly([Fraction(1, 2), GaussRat(0, Fraction(1, 3)), 1])
     thirds = _poly([Fraction(1, 6), GaussRat(0, Fraction(1, 9)), Fraction(1, 3)])
     assert thirds * 3 == f and hash(thirds * 3) == hash(f)
     assert (f / 3) * 3 == f
-    assert f._t == ((GaussRat(1), 6, (3, 0, 6), (0, 2, 0)),)
+    assert f._t == (((1, 0, 1), 6, (3, 0, 6), (0, 2, 0)),)
 
 
 @given(small_polys, small_polys)
