@@ -9,15 +9,18 @@ backtracking on the residual 2-norm.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import partial
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 _ARMIJO = 1e-4
 _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 200
+_STEP_MAX_ITER = 5
+_STEP_FLOOR = 1e-6
 
 
 class NoConvergence(RuntimeError):
@@ -116,34 +119,53 @@ def solve_damped(
 def continue_path(
     fun_of_t: Callable[[float, np.ndarray], np.ndarray],
     jac_of_t: Callable[[float, np.ndarray], np.ndarray],
-    ts: Iterable[float],
+    t0: float,
+    t1: float,
     z0: Sequence[complex],
     *,
+    step: float,
     collision_groups: Sequence[Sequence[int]] = (),
     collision_tol: float = 1e-9,
     **newton_kwargs,
 ) -> np.ndarray:
-    """Track a root along parameter values ts, guarding group collisions.
+    """Track the root z0 of fun_of_t(t0, .) to t1, guarding group collisions.
 
-    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  z0 is the
-    root one step before ts[0], and the steps are taken as equal: every
-    step after the first starts Newton from the secant prediction
-    2 z_k - z_{k-1} of the last two roots.
+    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  The first
+    step, of length `step` toward t1, starts Newton from z0 and later
+    ones from the secant through the last two roots, scaled to the step.
+    A step whose corrector misses in _STEP_MAX_ITER iterations is halved,
+    down to _STEP_FLOOR of the path, and an accepted one doubles the next.
+    Roots of a group closer than collision_tol, or in real mode swapping
+    order between steps, raise PathCollision.
     """
-    z = np.asarray(z0, dtype=complex if not newton_kwargs.get("real") else float).copy()
-    prev = None
-    for t in ts:
-        guess = z if prev is None else 2.0 * z - prev
-        prev = z
-        z = solve_damped(partial(fun_of_t, t), partial(jac_of_t, t), guess,
-                         **newton_kwargs)
-        for group in collision_groups:
-            idx = list(group)
-            for a in range(len(idx)):
-                for b in range(a + 1, len(idx)):
-                    if abs(z[idx[a]] - z[idx[b]]) < collision_tol:
-                        raise PathCollision(
-                            f"roots {idx[a]} and {idx[b]} collided at t={t}")
+    real = bool(newton_kwargs.get("real"))
+    z = np.asarray(z0, dtype=float if real else complex).copy()
+    if not step * (t1 - t0) > 0.0:
+        raise ValueError("step must point from t0 to a different t1")
+    pairs = [p for group in collision_groups for p in itertools.combinations(group, 2)]
+    # Steps are taken in the path fraction s, so that each accepted one
+    # moves s by at least _STEP_FLOOR even where t itself cannot move.
+    s, h, prev = 0.0, step / (t1 - t0), None
+    while s < 1.0:
+        s_next = min(1.0, s + h)
+        t_next = t1 if s_next == 1.0 else t0 + s_next * (t1 - t0)
+        guess = z if prev is None else z + (z - prev[1]) * ((s_next - s) / (s - prev[0]))
+        try:
+            z_next = solve_damped(partial(fun_of_t, t_next), partial(jac_of_t, t_next),
+                                  guess, max_iter=_STEP_MAX_ITER, **newton_kwargs)
+        except NoConvergence as exc:
+            h = 0.5 * (s_next - s)
+            if h < _STEP_FLOOR:
+                raise NoConvergence(f"step floor reached at t={t_next}: {exc}",
+                                    exc.residual) from exc
+            continue
+        for a, b in pairs:
+            if abs(z_next[a] - z_next[b]) < collision_tol:
+                raise PathCollision(f"roots {a} and {b} collided at t={t_next}")
+            if real and (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
+                raise PathCollision(f"roots {a} and {b} swapped order before t={t_next}")
+        h = 2.0 * (s_next - s)
+        prev, s, z = (s, z), s_next, z_next
     return z
 
 

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _NESTED_TOL = 1e-13
-_LIEBWU_STEPS = 40
 _LIEBWU_TOL = 1e-13
 # Target of the start solve at u_start and of every continuation step
 # when a continuation follows.  A spin root between two nearly equal
@@ -338,10 +337,11 @@ def solve_liebwu(
     (equal residues give equal momenta), spin modes distinct and inside
     the window M - N <= J <= -1 of _spin_modes; anything else raises
     ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
-    increasing start residual.  Each continuation step starts from the
-    secant prediction and stops at _START_TOL; the endpoint is then
-    polished to _LIEBWU_TOL.  The returned roots satisfy the
-    product-form residuals below 1e-12.
+    increasing start residual.  The continuation from u = 1e-3 follows
+    continue_path's adaptive steps from a first step of 1/10 of the path,
+    each solved to _START_TOL, and drops a seed whose roots swap order;
+    the endpoint is then polished to _LIEBWU_TOL.  The returned roots
+    satisfy the product-form residuals below 1e-12.
     """
     mode_k = [int(i) for i in mode_k]
     mode_lam = [int(j) for j in mode_lam]
@@ -383,7 +383,6 @@ def solve_liebwu(
     for subset in itertools.combinations(range(len(pool)), m_spin):
         lam0 = tuple(round(pool[i], 12) for i in subset)
         seeds.setdefault(lam0, np.array(ks0 + list(lam0), dtype=float))
-    path = np.linspace(u_start, u_coupling, _LIEBWU_STEPS + 1)[1:]
     last_error: Exception | None = None
     best = math.inf
     invalid = 0
@@ -395,7 +394,8 @@ def solve_liebwu(
                              z0, tol=_START_TOL if continued else _LIEBWU_TOL,
                              real=True)
             if continued:
-                z = continue_path(fun_of_t, jac_of_t, path, z,
+                z = continue_path(fun_of_t, jac_of_t, u_start, u_coupling, z,
+                                  step=(u_coupling - u_start) / 10,
                                   collision_groups=groups, real=True,
                                   tol=_START_TOL)
                 z = solve_damped(partial(fun_of_t, u_coupling),

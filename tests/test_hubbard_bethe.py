@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qsc22 import ed_oracle
+from qsc22 import _newton, ed_oracle
 from qsc22 import hubbard_bethe as hb
 from qsc22._newton import NoConvergence, bisect_real
 from qsc22.acceptance import _liebwu_grid_cases, match_sector
@@ -175,8 +175,11 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
     # Start solves are the solve_damped calls at the start tolerance;
     # one that fails costs up to 60 Newton iterations.  Trying the spin
     # seeds in pool order failed 24 of 171 start solves on this grid.
+    # continue_path calls solve_damped through the _newton module, so
+    # its corrector solves are counted apart: 40 equal steps per path
+    # made 5 880 of them here, the adaptive step rule about 700.
     solve = hb.solve_damped
-    starts, failures = [], []
+    starts, failures, path_solves = [], [], []
 
     def counting(fun, jac, z0, **kwargs):
         is_start = kwargs.get("tol") == hb._START_TOL
@@ -187,7 +190,12 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
             failures.append(is_start)
             raise
 
+    def counting_path(fun, jac, z0, **kwargs):
+        path_solves.append(1)
+        return solve(fun, jac, z0, **kwargs)
+
     monkeypatch.setattr(hb, "solve_damped", counting)
+    monkeypatch.setattr(_newton, "solve_damped", counting_path)
     mode_sets = 0
     for lsites in (2, 3, 4):
         for coupling in (0.35, 1.0, 2.8):
@@ -200,6 +208,7 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
     assert mode_sets == 147
     assert sum(failures) == 0
     assert sum(starts) == mode_sets
+    assert len(path_solves) <= 1000
 
 
 def test_liebwu_answers_meet_the_final_tolerance_at_the_target_coupling():

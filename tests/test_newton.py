@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from qsc22 import _newton
 from qsc22._newton import (
     NoConvergence,
     PathCollision,
@@ -82,16 +83,35 @@ def test_continue_path_tracks_a_moving_root():
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    ts = np.linspace(0.0, 3.0, 31)[1:]
-    z = continue_path(fun_of_t, jac_of_t, ts, np.array([1.0]), real=True)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 3.0, np.array([1.0]), step=0.1,
+                      real=True)
     assert abs(z[0] - 2.0) < 1e-12
 
 
-def test_continue_path_starts_each_step_from_the_secant_prediction():
-    # The root z(t) = 1 + t moves linearly, so from the third step on
-    # the secant prediction 2 z_k - z_{k-1} is the root up to rounding
-    # and one residual evaluation confirms it.  Starting from the last
-    # root instead costs a Newton step and a second evaluation.
+def _recording_solves(monkeypatch):
+    """Record (t, converged) for every corrector solve continue_path makes."""
+    solve = _newton.solve_damped
+    attempts = []
+
+    def recording(fun, jac, z0, **kwargs):
+        try:
+            z = solve(fun, jac, z0, **kwargs)
+        except NoConvergence:
+            attempts.append((fun.args[0], False))
+            raise
+        attempts.append((fun.args[0], True))
+        return z
+
+    monkeypatch.setattr(_newton, "solve_damped", recording)
+    return attempts
+
+
+def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
+    # The root z(t) = 1 + t moves linearly, so from the second step on
+    # the secant through the last two roots, scaled to the doubled step,
+    # is the root up to rounding and one residual evaluation confirms
+    # it.  The first step starts from z0 and needs a Newton step.
+    attempts = _recording_solves(monkeypatch)
     evals = collections.Counter()
 
     def fun_of_t(t, z):
@@ -101,12 +121,74 @@ def test_continue_path_starts_each_step_from_the_secant_prediction():
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    ts = [0.25 * k for k in range(1, 11)]
-    z = continue_path(fun_of_t, jac_of_t, ts, np.array([1.0]), real=True,
-                      tol=1e-10)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 2.5, np.array([1.0]), step=0.25,
+                      real=True, tol=1e-10)
     assert abs(z[0] - 3.5) < 1e-12
-    assert evals[ts[0]] > 1
-    assert [evals[t] for t in ts[2:]] == [1] * 8
+    ts = [t for t, _ in attempts]
+    assert ts == pytest.approx([0.25, 0.75, 1.75, 2.5])
+    assert evals[0.25] > 1
+    assert [evals[t] for t in ts[1:]] == [1] * 3
+
+
+def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
+    # Newton on arctan(z - t) overshoots from far away, so from z = 0
+    # five iterations do not reach the root at t = 10, 5 or 2.5 (nor at
+    # 1.25 to 1e-13).  Each failed step is retried at half its length,
+    # each accepted one doubles the next, and the last is cut to end at t1.
+    attempts = _recording_solves(monkeypatch)
+
+    def fun_of_t(t, z):
+        return np.array([math.atan(z[0] - t)])
+
+    def jac_of_t(t, z):
+        return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
+
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 10.0, np.array([0.0]), step=10.0,
+                      real=True)
+    assert abs(z[0] - 10.0) < 1e-12
+    assert attempts == [(10.0, False), (5.0, False), (2.5, False), (1.25, False),
+                        (0.625, True), (1.875, True), (4.375, True),
+                        (9.375, True), (10.0, True)]
+
+
+def test_continue_path_gives_up_below_the_step_floor(monkeypatch):
+    # z^2 + t = 0 has no real root for t > 0, so every step fails and is
+    # halved until it falls below _STEP_FLOOR of the path length.
+    attempts = _recording_solves(monkeypatch)
+
+    def fun_of_t(t, z):
+        return np.array([z[0] ** 2 + t])
+
+    def jac_of_t(t, z):
+        return np.array([[2.0 * z[0]]])
+
+    with pytest.raises(NoConvergence) as info:
+        continue_path(fun_of_t, jac_of_t, 0.0, 2.0, np.array([0.0]), step=0.5,
+                      real=True)
+    floor = _newton._STEP_FLOOR * 2.0
+    assert not any(ok for _, ok in attempts)
+    assert [t for t, _ in attempts] == [0.5 * 0.5 ** k for k in range(len(attempts))]
+    assert floor <= attempts[-1][0] < 2.0 * floor
+    assert info.value.residual == pytest.approx(attempts[-1][0])
+
+
+def test_continue_path_ends_on_a_path_shorter_than_the_resolution_of_t():
+    # One ulp past t0 every intermediate t rounds to t0 or t1; the path
+    # must still end at t1 rather than stall on steps that do not move.
+    # The scale makes a one-ulp miss of the root z = t fail the tolerance.
+    def fun_of_t(t, z):
+        return np.array([1e15 * (z[0] - t)])
+
+    def jac_of_t(t, z):
+        return np.array([[1e15]])
+
+    t1 = math.nextafter(1e-3, 1.0)
+    z = continue_path(fun_of_t, jac_of_t, 1e-3, t1, np.array([1e-3]),
+                      step=(t1 - 1e-3) / 10, real=True)
+    assert z[0] == t1
+    with pytest.raises(ValueError):
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=-0.1,
+                      real=True)
 
 
 def test_continue_path_detects_collisions():
@@ -118,11 +200,33 @@ def test_continue_path_detects_collisions():
     def jac_of_t(t, z):
         return np.array([[1.0, 1.0], [z[1], z[0]]])
 
-    ts = np.linspace(0.0, 0.999, 101)[1:]
     with pytest.raises(PathCollision):
-        continue_path(fun_of_t, jac_of_t, ts, np.array([1.0, -1.0]),
-                      collision_groups=(range(2),), collision_tol=0.25,
+        continue_path(fun_of_t, jac_of_t, 0.0, 0.999, np.array([1.0, -1.0]),
+                      step=0.01, collision_groups=(range(2),), collision_tol=0.25,
                       real=True)
+
+
+def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
+    # z0 = t - 1/2 and z1 = 1/2 - t cross at t = 1/2.  The accepted steps
+    # land at t = 0.3 and t = 0.9, where the roots are 0.4 and 0.8 apart, so
+    # only the order guard can see the crossing; without the collision
+    # group the path runs through.
+    attempts = _recording_solves(monkeypatch)
+
+    def fun_of_t(t, z):
+        return np.array([z[0] - (t - 0.5), z[1] - (0.5 - t)])
+
+    def jac_of_t(t, z):
+        return np.eye(2)
+
+    start = np.array([-0.5, 0.5])
+    with pytest.raises(PathCollision, match="swapped order"):
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3,
+                      collision_groups=(range(2),), collision_tol=0.1, real=True)
+    assert [t for t, _ in attempts] == pytest.approx([0.3, 0.9])
+    assert all(ok for _, ok in attempts)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3, real=True)
+    assert np.allclose(z, [0.5, -0.5])
 
 
 def test_bisect_real():
