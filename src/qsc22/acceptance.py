@@ -98,17 +98,26 @@ def _battery_qq(rng_seed: int) -> BatteryResult:
 
 
 def _battery_hodge(rng_seed: int) -> BatteryResult:
+    # The dual of a Q-system is a Q-system: its QQ relations catch a
+    # consistently flipped dual pair, which the double-dual law passes.
     failures = []
     seeds = _draw_seed_ints(rng_seed + 1, 3)
+    dual_checked = 0
     for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
-        dd = qsystem.hodge(qsystem.hodge(q))
+        dual = qsystem.hodge(q)
+        dd = qsystem.hodge(dual)
         for slot in q:
             na, ni = qsystem.slot_grades(slot)
             signed = q[slot] if (na + ni) % 2 == 0 else -q[slot]
             if dd[slot] != signed:
                 failures.append((s, slot))
-    return BatteryResult(len(seeds), tuple(failures))
+        report = qsystem.check_qq(dual)
+        dual_checked += report.checked
+        if not report.ok or report.checked != 49:
+            failures.append((s, "dual QQ", report.failures))
+    return BatteryResult(len(seeds), tuple(failures),
+                         detail={"dual_checked": dual_checked})
 
 
 def _battery_hirota(rng_seed: int) -> BatteryResult:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
-from .analytic_layer import (SHELL_TOL, MassiveTower, SourceF,
+from .analytic_layer import (SHELL_TOL, MassiveTower,
                              aux_b, aux_r, check_coupling, finite_roots,
                              shell_gap, shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
@@ -387,11 +387,9 @@ class AsymptoticQ:
     left one with barred ingredients and B-type auxiliary products.
     """
 
-    def __init__(self, data: AdS3Roots, n_trunc: int = 16,
-                 massless: Optional[SourceF] = None):
+    def __init__(self, data: AdS3Roots, n_trunc: int = 16):
         self.data = data
         self.n_trunc = int(n_trunc)
-        self.massless = massless
         self._left = MassiveTower(data.hcoup, data.xp, data.xm)
         self._right = MassiveTower(data.hcoup, data.xbp, data.xbm)
         (self.y1_tilde, self.y1b_tilde), (self.y3_tilde, self.y3b_tilde) = \
@@ -403,10 +401,7 @@ class AsymptoticQ:
 
     def _g(self, tower: MassiveTower, u: complex) -> complex:
         x = self._x(u)
-        val = tower.b(+1, x) / tower.b(-1, x)
-        if self.massless is not None and tower is self._left:
-            val *= self.massless.eval_x(x)
-        return val
+        return tower.b(+1, x) / tower.b(-1, x)
 
     def f(self, u: complex) -> complex:
         return truncated_f(partial(self._g, self._left), self.n_trunc, u)

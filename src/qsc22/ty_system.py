@@ -15,7 +15,7 @@ therefore skips exactly that cell.  All checks are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from . import qsystem
 from .exact_poly import GaussRat, TwistedPoly
@@ -30,21 +30,13 @@ def in_hook(a: int, s: int) -> bool:
     return a >= 0 and s >= 0 and not (a >= 3 and s >= 3)
 
 
-def t_function(q: QSystem, a: int, s: int, reverse: bool = False) -> TwistedPoly:
-    """T_{a,s} from the Q system; zero outside the hook.
-
-    With reverse=True every shift superscript is negated and the two
-    antisymmetric contractions use lowered index tensors (an extra sign
-    on the a=1 row and the s=1 column).  That is the dual family when
-    applied to the raised system.
-    """
+def t_function(q: QSystem, a: int, s: int) -> TwistedPoly:
+    """T_{a,s} from the Q system; zero outside the hook."""
     if not in_hook(a, s):
         return TwistedPoly.zero()
-    r = -1 if reverse else 1
-    eps = -1 if reverse else 1
 
     def S(slot: str, k: int) -> TwistedPoly:
-        return q[slot].shift(r * k)
+        return q[slot].shift(k)
 
     def sgn(n: int) -> int:
         return 1 if n % 2 == 0 else -1
@@ -52,13 +44,13 @@ def t_function(q: QSystem, a: int, s: int, reverse: bool = False) -> TwistedPoly
     if s == 0:
         return sgn(a) * (S("12|12", a) * S("0|0", -a))
     if s == 1 and a >= 1:
-        return -eps * (S("12|1", a) * S("0|2", -a) - S("12|2", a) * S("0|1", -a))
+        return -(S("12|1", a) * S("0|2", -a) - S("12|2", a) * S("0|1", -a))
     if s == 2 and a >= 2:
         return sgn(a) * (S("12|0", a) * S("0|12", -a))
     if a == 0:
         return sgn(s) * (S("0|0", s) * S("12|12", -s))
     if a == 1:
-        return (eps * sgn(s + 1)) * (
+        return sgn(s + 1) * (
             S("1|0", s) * S("2|12", -s) - S("2|0", s) * S("1|12", -s)
         )
     return sgn(s) * (S("12|0", s) * S("0|12", -s))
@@ -69,19 +61,18 @@ class THook:
     """T values on a rectangular window (A, S) of the hook lattice:
     one entry per cell (a, s) with 0 <= a <= A and 0 <= s <= S."""
 
-    window: Tuple[int, int]
     values: Dict[Tuple[int, int], TwistedPoly]
 
 
-def wronskian_T(q: QSystem, window: Tuple[int, int] = (4, 4), reverse_shifts: bool = False) -> THook:
+def wronskian_T(q: QSystem, window: Tuple[int, int] = (4, 4)) -> THook:
     """Tabulate T on the window (zeros outside the hook)."""
     amax, smax = window
     vals = {
-        (a, s): t_function(q, a, s, reverse=reverse_shifts)
+        (a, s): t_function(q, a, s)
         for a in range(amax + 1)
         for s in range(smax + 1)
     }
-    return THook(window, vals)
+    return THook(vals)
 
 
 @dataclass(frozen=True)
@@ -145,32 +136,6 @@ def y_pair(q: QSystem, a: int, s: int) -> Tuple[TwistedPoly, TwistedPoly]:
     num = t_function(q, a, s - 1) * t_function(q, a, s + 1)
     den = t_function(q, a - 1, s) * t_function(q, a + 1, s)
     return num, den
-
-
-def gauge_T(th: THook, gs: Sequence) -> THook:
-    """Multiply T_{a,s} by g0^[a+s] g1^[a-s] g2^[s-a] g3^[-a-s].
-
-    Any such factor cancels identically in every Y ratio, and the
-    bilinear equation is covariant under it.
-    """
-    if len(gs) != 4:
-        raise ValueError("expected four gauge functions")
-    g = [
-        x if isinstance(x, TwistedPoly) else TwistedPoly.constant(GaussRat.coerce(x))
-        for x in gs
-    ]
-    if any(x.is_zero for x in g):
-        raise ValueError("gauge functions must be nonzero")
-    out = {}
-    for (a, s), p in th.values.items():
-        factor = (
-            g[0].shift(a + s)
-            * g[1].shift(a - s)
-            * g[2].shift(s - a)
-            * g[3].shift(-a - s)
-        )
-        out[(a, s)] = factor * p
-    return THook(th.window, out)
 
 
 def _const_of(p: TwistedPoly) -> GaussRat:

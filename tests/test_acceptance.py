@@ -123,15 +123,38 @@ def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
 
 def test_criterion_02_hodge_double_dual_sign():
     result, _ = _run("hodge")
-    assert result["attempted"] == 3 and _exact(result) == {}
+    # Each dual is checked against all 49 QQ relations.
+    assert result["attempted"] == 3 and _exact(result) == {"dual_checked": 49 * 3}
+
+
+def _dual_qq_failures(result: dict) -> list:
+    """The battery's "dual QQ" entries; each names a seed and relations."""
+    entries = [entry for entry in result["failures"] if len(entry) == 3]
+    for seed, label, relations in entries:
+        assert isinstance(seed, int) and label == "dual QQ" and relations
+    return entries
 
 
 def test_criterion_02_fails_on_a_flipped_hodge_sign(monkeypatch):
     monkeypatch.setitem(qsystem._HODGE, "1|0", (-1, "2|12"))
     result = _fails("hodge")
     assert result["attempted"] == 3
-    assert sorted({slot for _, slot in result["failures"]}) == ["1|0", "2|12"]
-    assert len(result["failures"]) == 6
+    double_dual = [entry for entry in result["failures"] if len(entry) == 2]
+    assert sorted({slot for _, slot in double_dual}) == ["1|0", "2|12"]
+    assert len(double_dual) == 6
+    assert len({seed for seed, *_ in _dual_qq_failures(result)}) == 3
+    assert len(result["failures"]) == 9
+
+
+def test_criterion_02_fails_on_a_consistently_flipped_dual_pair(monkeypatch):
+    # Flipping both entries of a dual pair keeps the double-dual law;
+    # only the QQ relations of the dual see it.
+    monkeypatch.setitem(qsystem._HODGE, "1|0", (-1, "2|12"))
+    monkeypatch.setitem(qsystem._HODGE, "2|12", (1, "1|0"))
+    result = _fails("hodge")
+    assert result["attempted"] == 3
+    assert len({seed for seed, *_ in _dual_qq_failures(result)}) == 3
+    assert len(result["failures"]) == 3
 
 
 def test_criterion_03_wronskian_t_satisfies_hirota():
@@ -142,8 +165,8 @@ def test_criterion_03_wronskian_t_satisfies_hirota():
 def test_criterion_03_fails_on_a_shifted_t_function(monkeypatch):
     t_function = ty_system.t_function
 
-    def shifted(q, a, s, reverse=False):
-        value = t_function(q, a, s, reverse)
+    def shifted(q, a, s):
+        value = t_function(q, a, s)
         return value + 1 if (a, s) == (2, 2) else value
 
     monkeypatch.setattr(ty_system, "t_function", shifted)
@@ -291,7 +314,8 @@ def test_criterion_10_fails_on_a_hamiltonian_of_another_coupling(monkeypatch):
 # Battery -> its negative controls as (test, kind).
 NEGATIVE_CONTROLS = {
     "qq": [(test_criterion_01_fails_on_a_corrupted_slot, "data")],
-    "hodge": [(test_criterion_02_fails_on_a_flipped_hodge_sign, "data")],
+    "hodge": [(test_criterion_02_fails_on_a_flipped_hodge_sign, "data"),
+              (test_criterion_02_fails_on_a_consistently_flipped_dual_pair, "data")],
     "hirota": [(test_criterion_03_fails_on_a_shifted_t_function, "data")],
     "liebwu": [(test_criterion_04_fails_on_a_non_real_energy, "mutation"),
                (test_criterion_04_fails_on_roots_of_another_coupling, "data")],

@@ -23,7 +23,7 @@ from qsc22.ads3 import (
     u_rapidity,
     weight_exponents,
 )
-from qsc22.analytic_layer import SourceF, shell_pair, shell_pairs, x_of_u
+from qsc22.analytic_layer import shell_pair, x_of_u
 
 
 def test_roots_validation():
@@ -144,16 +144,6 @@ def test_trivial_asymptotic_q():
     assert aq.q("12|12")(u) == 1.0
     with pytest.raises(ValueError):
         aq.q("2|1")
-
-
-def test_massless_source_enters_left_tower_only():
-    state = solve_two_particle(1.0, 8)
-    bare = AsymptoticQ(state, n_trunc=6)
-    dressed = AsymptoticQ(state, n_trunc=6,
-                          massless=SourceF(1.0, *shell_pairs(1.0, [1.1])))
-    u = 0.37 + 0.82j
-    assert dressed.fbar(u) == bare.fbar(u)
-    assert abs(dressed.f(u) - bare.f(u)) > 1e-6
 
 
 def test_weight_exponents():
