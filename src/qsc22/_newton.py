@@ -2,8 +2,10 @@
 
 Solvers here work on vector residual functions, real or complex, and
 every caller supplies the Jacobian in closed form alongside the
-residual; nothing here takes finite differences.  Damping is Armijo
-backtracking on the residual 2-norm.
+residual; nothing here takes finite differences.  The start vector
+decides the arithmetic: a real start gives a float iterate, a complex
+one a complex iterate.  Damping is Armijo backtracking on the residual
+2-norm.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 200
 _STEP_MAX_ITER = 5
 _STEP_FLOOR = 1e-6
+# Two roots of a collision group closer than this end a path.
+_COLLISION_TOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
@@ -77,15 +81,14 @@ def solve_damped(
     *,
     tol: float = 1e-13,
     max_iter: int = 60,
-    real: bool = False,
 ) -> np.ndarray:
     """Newton with Armijo backtracking; returns the root vector.
 
-    jac(z) is the Jacobian of fun at z.  With real=True the iterate is a
-    float array, for residual functions and Jacobians that are
-    real-valued on real input.
+    jac(z) is the Jacobian of fun at z.  A real z0 gives a float
+    iterate, for residual functions and Jacobians that are real-valued
+    on real input; a complex z0 gives a complex one.
     """
-    z = np.asarray(z0, dtype=float if real else complex).copy()
+    z = np.array(z0, dtype=complex if np.iscomplexobj(z0) else float)
     if z.size == 0:
         return z
     fval = np.asarray(fun(z))
@@ -124,22 +127,21 @@ def continue_path(
     z0: Sequence[complex],
     *,
     step: float,
+    tol: float = 1e-13,
     collision_groups: Sequence[Sequence[int]] = (),
-    collision_tol: float = 1e-9,
-    **newton_kwargs,
 ) -> np.ndarray:
     """Track the root z0 of fun_of_t(t0, .) to t1, guarding group collisions.
 
     jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  The first
     step, of length `step` toward t1, starts Newton from z0 and later
     ones from the secant through the last two roots, scaled to the step.
-    A step whose corrector misses in _STEP_MAX_ITER iterations is halved,
-    down to _STEP_FLOOR of the path, and an accepted one doubles the next.
-    Roots of a group closer than collision_tol, or in real mode swapping
-    order between steps, raise PathCollision.
+    A step whose corrector misses tol in _STEP_MAX_ITER iterations is
+    halved, down to _STEP_FLOOR of the path, and an accepted one doubles
+    the next.  Roots of a group closer than _COLLISION_TOL, or, for a
+    real z0, swapping order between steps, raise PathCollision.
     """
-    real = bool(newton_kwargs.get("real"))
-    z = np.asarray(z0, dtype=float if real else complex).copy()
+    real = not np.iscomplexobj(z0)
+    z = np.array(z0, dtype=float if real else complex)
     if not step * (t1 - t0) > 0.0:
         raise ValueError("step must point from t0 to a different t1")
     pairs = [p for group in collision_groups for p in itertools.combinations(group, 2)]
@@ -152,7 +154,7 @@ def continue_path(
         guess = z if prev is None else z + (z - prev[1]) * ((s_next - s) / (s - prev[0]))
         try:
             z_next = solve_damped(partial(fun_of_t, t_next), partial(jac_of_t, t_next),
-                                  guess, max_iter=_STEP_MAX_ITER, **newton_kwargs)
+                                  guess, tol=tol, max_iter=_STEP_MAX_ITER)
         except NoConvergence as exc:
             h = 0.5 * (s_next - s)
             if h < _STEP_FLOOR:
@@ -160,7 +162,7 @@ def continue_path(
                                     exc.residual) from exc
             continue
         for a, b in pairs:
-            if abs(z_next[a] - z_next[b]) < collision_tol:
+            if abs(z_next[a] - z_next[b]) < _COLLISION_TOL:
                 raise PathCollision(f"roots {a} and {b} collided at t={t_next}")
             if real and (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
                 raise PathCollision(f"roots {a} and {b} swapped order before t={t_next}")

@@ -48,6 +48,8 @@ _AUX_TOL = 1e-12
 _AUX_Y_SPAN = 12.0
 _CROSSING_U = 0.4 + 0.7j
 _CROSSING_TOL = 1e-8
+# Upper end of the rapidity grid that brackets a shell root.
+_SHELL_VMAX = 80.0
 
 
 class ShellViolation(ValueError):
@@ -195,10 +197,10 @@ def aba_residuals(data: AdS3Roots, phases: Optional[DressingModel] = None) -> np
     return np.array(res, dtype=complex)
 
 
-def _shell_root(hcoup: float, gap: Callable[[float], float], vmax: float,
+def _shell_root(hcoup: float, gap: Callable[[float], float],
                 failure: str) -> Tuple[complex, complex]:
-    """Shell pair at the first sign change of gap on a log grid up to vmax."""
-    vs = np.geomspace(1e-3, vmax, 400)
+    """Shell pair at the first sign change of gap on a log grid in v."""
+    vs = np.geomspace(1e-3, _SHELL_VMAX, 400)
     vals = [gap(v) for v in vs]
     for i in range(len(vs) - 1):
         if vals[i] * vals[i + 1] < 0:
@@ -206,8 +208,7 @@ def _shell_root(hcoup: float, gap: Callable[[float], float], vmax: float,
     raise NoConvergence(failure)
 
 
-def solve_single(hcoup: float, volume: int, winding: int = 1,
-                 vmax: float = 80.0) -> AdS3Roots:
+def solve_single(hcoup: float, volume: int, winding: int = 1) -> AdS3Roots:
     """One left pair on the momentum shell: (x+/x-)^L = 1.
 
     The winding selects which quantized momentum is taken; the root is
@@ -217,13 +218,12 @@ def solve_single(hcoup: float, volume: int, winding: int = 1,
         plus, minus = shell_pair(hcoup, v)
         return volume * cmath.log(plus / minus).imag - 2.0 * math.pi * winding
 
-    plus, minus = _shell_root(hcoup, gap, vmax,
-                              f"no shell root for winding {winding} up to v={vmax}")
+    plus, minus = _shell_root(
+        hcoup, gap, f"no shell root for winding {winding} up to v={_SHELL_VMAX}")
     return AdS3Roots(hcoup, volume, xp=(plus,), xm=(minus,))
 
 
-def solve_two_particle(hcoup: float, volume: int, winding: int = 1,
-                       vmax: float = 80.0) -> AdS3Roots:
+def solve_two_particle(hcoup: float, volume: int, winding: int = 1) -> AdS3Roots:
     """Symmetric two-particle state x2^+- = -x1^-+ with zero momentum.
 
     The symmetry makes the second momentum equation and the total
@@ -235,8 +235,7 @@ def solve_two_particle(hcoup: float, volume: int, winding: int = 1,
             - cmath.log((2 * v + 1j) / (2 * v - 1j)).imag
         return val - 2.0 * math.pi * winding
 
-    plus, minus = _shell_root(hcoup, gap, vmax,
-                              f"no two-particle root for winding {winding}")
+    plus, minus = _shell_root(hcoup, gap, f"no two-particle root for winding {winding}")
     return AdS3Roots(hcoup, volume, xp=(plus, -minus), xm=(minus, -plus))
 
 
@@ -314,7 +313,7 @@ def solve_with_auxiliary(hcoup: float, volume: int,
     y0 = bisect_real(aux_phase, 1e-4, _AUX_Y_SPAN)
     z = solve_damped(partial(_aux_residuals, hcoup, volume),
                      partial(_aux_jacobian, hcoup, volume),
-                     np.array([v1s, v2s, y0]), tol=_AUX_TOL, real=True)
+                     np.array([v1s, v2s, y0]), tol=_AUX_TOL)
     state = _symmetric_state(hcoup, volume, float(z[0]), float(z[1]),
                              float(z[2]))
     worst = float(np.max(np.abs(aba_residuals(state))))

@@ -26,10 +26,10 @@ class OnCut(ValueError):
     """Evaluation requested on the open cut (-h, h)."""
 
 
-def check_coupling(hcoup: float) -> None:
-    """Raise ValueError unless 0 < hcoup < inf (NaN included)."""
-    if not 0 < hcoup < math.inf:
-        raise ValueError(f"hcoup must be finite and positive, got {hcoup}")
+def check_coupling(coupling: float) -> None:
+    """Raise ValueError unless 0 < coupling < inf (NaN included)."""
+    if not 0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
 
 
 def x_of_u(u: complex, hcoup: float) -> complex:

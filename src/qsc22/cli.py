@@ -10,18 +10,19 @@ strings.  Exit codes: 0 pass, 1 numeric failure, 2 input error,
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, acceptance, ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
+from .analytic_layer import check_coupling
 from .exact_poly import GaussRat, TwistedPoly
 
 
@@ -245,10 +246,7 @@ def _liebwu_payload(lsites, coupling, roots) -> dict:
               help="Momentum mode numbers (repeat N times).")
 @click.option("--J", "mode_lam", type=int, multiple=True,
               help="Spin mode numbers in [M - N, -1] (repeat M times).")
-@click.option("--compare-ed", is_flag=True,
-              help="Match the energy against the diagonalization oracle.")
-def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
-                     compare_ed) -> None:
+def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam) -> None:
     """Solve the Lieb-Wu equations for one set of mode numbers."""
     try:
         roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
@@ -259,26 +257,7 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam,
         _emit({"ok": False, "error": str(exc)})
         sys.exit(1)
 
-    payload = {"ok": True, **_liebwu_payload(lsites, coupling, roots)}
-    if compare_ed:
-        sector = (n_charge - m_spin, m_spin)
-        try:
-            ham = ed_oracle.build_hamiltonian(lsites, coupling, sector)
-        except ed_oracle.SectorTooLarge as exc:
-            raise click.UsageError(str(exc))
-        energy, _ = hb.energy_momentum(lsites, coupling, roots)
-        match = ed_oracle.match_spectrum([energy], ed_oracle.spectrum(ham),
-                                         acceptance.LIEBWU_BOUND)
-        payload["ed"] = {
-            "sector": list(sector),
-            "gap": match.gaps[0],
-            "eigenvalue": match.nearest[0],
-        }
-        if not match.passed:
-            payload["ok"] = False
-            _emit(payload)
-            sys.exit(3)
-    _emit(payload)
+    _emit({"ok": True, **_liebwu_payload(lsites, coupling, roots)})
 
 
 @main.command("ed")
@@ -354,16 +333,29 @@ def _ads3_state(hcoup, volume, mode, winding):
 @click.option("--winding", type=int, default=1, show_default=True)
 @click.option("--input", "input_path", type=click.Path(), default=None,
               help="Root data JSON instead of solving.")
-def cmd_ads3_residuals(hcoup, volume, mode, winding, input_path) -> None:
+@click.pass_context
+def cmd_ads3_residuals(ctx, hcoup, volume, mode, winding, input_path) -> None:
     """Bethe residuals of massive root data, solved or supplied."""
     if input_path is not None:
+        given = [param.opts[0] for param in ctx.command.params
+                 if param.name != "input_path" and ctx.get_parameter_source(
+                     param.name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError(f"--input takes no {', '.join(given)}: "
+                                   f"the file holds the state")
         try:
             state = ads3.AdS3Roots.from_json(_load_json(input_path))
         except (KeyError, TypeError, ValueError, ads3.ShellViolation) as exc:
             raise click.UsageError(f"bad root data: {exc}")
     else:
-        if not 0 < hcoup < math.inf or volume < 1 or winding < 1:
-            raise click.UsageError("need a finite --h > 0, --L >= 1 and --winding >= 1")
+        try:
+            check_coupling(hcoup)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        if volume < 1 or winding < 1:
+            raise click.UsageError("need --L >= 1 and --winding >= 1")
+        if mode == "aux" and winding != 1:
+            raise click.UsageError("--mode aux takes no --winding")
         try:
             state = _ads3_state(hcoup, volume, mode, winding)
         except NoConvergence as exc:

@@ -190,8 +190,3 @@ def match_spectrum(
     passed = all(g < tol for g in gaps)
     return MatchReport(tol, tuple(e.real for e in cands), tuple(nearest),
                        tuple(gaps), passed)
-
-
-def sector_table(lsites: int):
-    """All (n_up, n_down) sectors of an L-site chain."""
-    return [(a, b) for a in range(lsites + 1) for b in range(lsites + 1)]

@@ -359,8 +359,7 @@ def solve_liebwu(
     if not all(j in window for j in mode_lam):
         raise ValueError(f"spin mode numbers must lie in "
                          f"[{window.start}, {window.stop - 1}] (M - N to -1)")
-    if not 0 < u_coupling < math.inf:
-        raise ValueError("coupling must be positive and finite")
+    check_coupling(u_coupling)
     if n_charge == 0:
         return LiebWuRoots()
 
@@ -391,16 +390,14 @@ def solve_liebwu(
     for lam0, z0 in sorted(seeds.items(), key=lambda item: start_gap(item[1])):
         try:
             z = solve_damped(partial(fun_of_t, u_start), partial(jac_of_t, u_start),
-                             z0, tol=_START_TOL if continued else _LIEBWU_TOL,
-                             real=True)
+                             z0, tol=_START_TOL if continued else _LIEBWU_TOL)
             if continued:
                 z = continue_path(fun_of_t, jac_of_t, u_start, u_coupling, z,
                                   step=(u_coupling - u_start) / 10,
-                                  collision_groups=groups, real=True,
-                                  tol=_START_TOL)
+                                  tol=_START_TOL, collision_groups=groups)
                 z = solve_damped(partial(fun_of_t, u_coupling),
                                  partial(jac_of_t, u_coupling), z,
-                                 tol=_LIEBWU_TOL, real=True)
+                                 tol=_LIEBWU_TOL)
         except (NoConvergence, PathCollision) as exc:
             best = min(best, getattr(exc, "residual", math.inf))
             last_error = exc

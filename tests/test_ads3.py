@@ -66,8 +66,9 @@ def test_single_pair_momentum_shell():
     assert np.max(np.abs(aba_residuals(state))) < 1e-10
     assert abs(momentum_defect(state)) == pytest.approx(0.7653668647301807,
                                                         abs=1e-12)
-    with pytest.raises(NoConvergence):
-        solve_single(1.0, 8, 1, vmax=1e-2)
+    # L * pi < 2 pi * 5: no rapidity on the grid reaches winding 5 at L = 8.
+    with pytest.raises(NoConvergence, match="winding 5"):
+        solve_single(1.0, 8, 5)
 
 
 def test_two_particle_state():
@@ -129,6 +130,15 @@ def test_aux_b_is_reflected_aux_r():
     for x in (2.0, -1.5, 0.25, 0.5 + 0.25j):
         assert aux_b(x, state.y1, state.y1b) == aux_r(1.0 / x, state.y1,
                                                       state.y1b)
+    # The solved state has no barred roots; this case has, and the
+    # identity is bitwise wherever 1/(1/x) is exact, for every prefix.
+    ys = (1.7 - 0.4j, -2.25 + 0.5j)
+    ybars = (3.5 + 1.5j,)
+    for x in (2.0, -1.5, 0.25):
+        for n in range(len(ys) + 1):
+            for m in range(len(ybars) + 1):
+                assert aux_b(x, ys[:n], ybars[:m]) == aux_r(1.0 / x, ys[:n],
+                                                            ybars[:m])
 
 
 def test_trivial_asymptotic_q():

@@ -53,7 +53,7 @@ def test_readme_examples_hold(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     examples = _readme_examples()
     assert [argv[0] for steps in examples for argv, _ in steps] == [
-        "gen-qsystem", "check-qq", "character", "solve-liebwu"]
+        "gen-qsystem", "check-qq", "character", "solve-liebwu", "compare"]
     for steps in examples:
         for argv, expected in steps:
             result = _run(*argv)
@@ -63,15 +63,18 @@ def test_readme_examples_hold(tmp_path, monkeypatch):
 
 
 def test_solve_liebwu_single_mode_matches_ed():
-    result = _run("solve-liebwu", "--L", "2", "--u", "1", "--N", "1",
-                  "--M", "0", "--I", "0", "--compare-ed")
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
+    # `compare` is the one path from Lieb-Wu roots to the oracle: its row
+    # for the mode set I = (0) carries the energy solve-liebwu prints.
+    args = ("--L", "2", "--u", "1", "--N", "1", "--M", "0")
+    single = _run("solve-liebwu", *args, "--I", "0")
+    assert single.exit_code == 0
+    payload = json.loads(single.stdout)
     assert payload["ok"] is True
-    assert payload["E"] == -2.0
-    assert payload["ed"]["sector"] == [1, 0]
-    assert payload["ed"]["gap"] < 1e-8
     assert payload["residual"] < 1e-12
+    matches = json.loads(_run("compare", *args).stdout)["matches"]
+    assert [(m["E"], m["gap"]) for m in matches if m["I"] == [0]] == [
+        (payload["E"], 0.0)]
+    assert _run("solve-liebwu", *args, "--I", "0", "--compare-ed").exit_code == 2
 
 
 def test_solve_liebwu_vacuum():
@@ -213,8 +216,8 @@ def test_compare_sector():
     assert payload["ok"] is True
     assert payload["solutions"] == 2 and payload["candidates"] == 2
     assert payload["max_gap"] < 1e-8
-    energies = sorted(m["E"] for m in payload["matches"])
-    assert energies == [-2.0, 2.0]
+    assert [(m["I"], m["E"], m["gap"]) for m in payload["matches"]] == [
+        ([0], -2.0, 0.0), ([1], 2.0, 0.0)]
 
 
 def _nested_input(tmp_path, **overrides) -> str:
@@ -278,7 +281,7 @@ def test_solve_nested_rejects_bad_input(tmp_path):
                       {"h": math.inf, "yplus": [], "yminus": []}):
         result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
         assert result.exit_code == 2, overrides
-        assert result.stdout == "" and "hcoup" in result.stderr
+        assert result.stdout == "" and "coupling" in result.stderr
     # A root pair that is not finite, or that holds a zero root.
     yplus, yminus = shell_pairs(1.0, [0.7, -0.7])
     for overrides in ({"yplus": [[math.nan, 0.0], [yplus[1].real, yplus[1].imag]]},
@@ -316,6 +319,8 @@ def test_ads3_residuals_two_particle():
 @pytest.mark.parametrize("args", [
     ("solve-liebwu", "--L", "2", "--u", "nan", "--N", "1", "--M", "0", "--I", "0"),
     ("solve-liebwu", "--L", "2", "--u", "inf", "--N", "1", "--M", "0", "--I", "0"),
+    ("solve-liebwu", "--L", "2", "--u", "0", "--N", "1", "--M", "0", "--I", "0"),
+    ("solve-liebwu", "--L", "2", "--u", "-1", "--N", "1", "--M", "0", "--I", "0"),
     ("solve-liebwu", "--L", "0", "--u", "1", "--N", "1", "--M", "0", "--I", "0"),
     ("ed", "--L", "2", "--u", "nan", "--nup", "1", "--ndown", "0"),
     ("compare", "--L", "2", "--u", "nan", "--N", "1", "--M", "0"),
@@ -325,12 +330,19 @@ def test_ads3_residuals_two_particle():
     ("ads3-residuals", "--L", "0"),
     ("ads3-residuals", "--winding", "0"),
     ("ads3-residuals", "--mode", "single", "--winding", "-1"),
+    # --mode aux solves one state; a winding would be ignored.
+    ("ads3-residuals", "--mode", "aux", "--winding", "5"),
     # A dict stands for a JSON input file with that content.
     ("ads3-residuals", "--input", {"hcoup": math.nan, "L": 8}),
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": -3}),
     ("ads3-residuals", "--input",
      {"hcoup": 1.0, "L": 8, "xp": [[math.nan, 0]], "xm": [[math.nan, 0]]}),
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "y1": [[math.inf, 0]]}),
+    # The input file holds the whole state; solver flags would be ignored.
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8}, "--L", "3", "--h", "7",
+     "--mode", "single", "--winding", "4"),
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8}, "--mode", "two"),
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8}, "--winding", "1"),
     # An auxiliary root on a massive root zeroes a factor of the equations.
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "xp": [_SHELL_PLUS],
                                    "xm": [_SHELL_MINUS], "y1": [_SHELL_PLUS]}),
@@ -384,7 +396,7 @@ COMMAND_PARAMS = {
     "character": {"sx", "sy"},
     "solve-nested": {"input_path"},
     "solve-liebwu": {"lsites", "coupling", "n_charge", "m_spin", "mode_k",
-                     "mode_lam", "compare_ed"},
+                     "mode_lam"},
     "ed": {"lsites", "coupling", "nup", "ndown"},
     "compare": {"lsites", "coupling", "n_charge", "m_spin"},
     "ads3-residuals": {"hcoup", "volume", "mode", "winding", "input_path"},
@@ -399,7 +411,7 @@ def test_no_subcommand_takes_a_tolerance():
     params = {name: [param.name for param in command.params]
               for name, command in main.commands.items()}
     assert {name: set(names) for name, names in params.items()} == COMMAND_PARAMS
-    assert sum(len(names) for names in params.values()) == 31
+    assert sum(len(names) for names in params.values()) == 30
     for name, names in params.items():
         assert "tol" not in names, name
     for name in ("check-f", "pmu-check", "ads3-crossing"):

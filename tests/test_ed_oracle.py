@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from qsc22.ed_oracle import (
     build_hamiltonian,
     fock_sector,
     match_spectrum,
-    sector_table,
     spectrum,
 )
 
@@ -20,7 +20,7 @@ from qsc22.ed_oracle import (
 def test_sector_dimensions():
     for lsites in (1, 2, 3, 4):
         total = 0
-        for n_up, n_down in sector_table(lsites):
+        for n_up, n_down in itertools.product(range(lsites + 1), repeat=2):
             sec = fock_sector(lsites, n_up, n_down)
             assert sec.dim == math.comb(lsites, n_up) * math.comb(lsites, n_down)
             total += sec.dim

@@ -37,9 +37,26 @@ def test_solve_damped_real_mode_stays_real():
     def jac(z):
         return np.array([[-math.sin(z[0]) - 1.0]])
 
-    z = solve_damped(fun, jac, np.array([0.5]), real=True)
+    z = solve_damped(fun, jac, np.array([0.5]))
     assert z.dtype.kind == "f"
     assert abs(math.cos(z[0]) - z[0]) < 1e-13
+
+
+def test_solve_damped_iterate_follows_the_start():
+    # A real start gives a float iterate and a complex one a complex
+    # iterate; no flag chooses between them.
+    def fun(z):
+        return np.array([z[0] ** 2 - 2.0])
+
+    def jac(z):
+        return np.array([[2.0 * z[0]]])
+
+    for start, dtype in (([1], np.float64), (np.array([1.0]), np.float64),
+                         (np.array([1.0 + 0.0j]), np.complex128),
+                         ([1.0 + 0.5j], np.complex128)):
+        z = solve_damped(fun, jac, start)
+        assert z.dtype == dtype, start
+        assert abs(z[0] - math.sqrt(2.0)) < 1e-13
 
 
 def test_solve_damped_reports_failure():
@@ -50,7 +67,7 @@ def test_solve_damped_reports_failure():
         return np.array([[2.0 * z[0]]])
 
     with pytest.raises(NoConvergence) as info:
-        solve_damped(fun, jac, np.array([1.0]), real=True, max_iter=25)
+        solve_damped(fun, jac, np.array([1.0]), max_iter=25)
     # No real root: the best residual is the minimum of x^2 + 1 or above.
     assert info.value.residual >= 1.0
 
@@ -70,10 +87,10 @@ def test_solve_damped_rejects_a_sign_flipped_jacobian():
         return out
 
     start = np.array([1.0, 1.0])
-    z = solve_damped(fun, jac, start, real=True)
+    z = solve_damped(fun, jac, start)
     assert abs(z[0] - math.sqrt(2.0)) < 1e-13
     with pytest.raises(NoConvergence):
-        solve_damped(fun, flipped, start, real=True)
+        solve_damped(fun, flipped, start)
 
 
 def test_continue_path_tracks_a_moving_root():
@@ -83,8 +100,7 @@ def test_continue_path_tracks_a_moving_root():
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 3.0, np.array([1.0]), step=0.1,
-                      real=True)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 3.0, np.array([1.0]), step=0.1)
     assert abs(z[0] - 2.0) < 1e-12
 
 
@@ -122,7 +138,7 @@ def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
         return np.array([[2.0 * z[0]]])
 
     z = continue_path(fun_of_t, jac_of_t, 0.0, 2.5, np.array([1.0]), step=0.25,
-                      real=True, tol=1e-10)
+                      tol=1e-10)
     assert abs(z[0] - 3.5) < 1e-12
     ts = [t for t, _ in attempts]
     assert ts == pytest.approx([0.25, 0.75, 1.75, 2.5])
@@ -143,8 +159,7 @@ def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
     def jac_of_t(t, z):
         return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 10.0, np.array([0.0]), step=10.0,
-                      real=True)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 10.0, np.array([0.0]), step=10.0)
     assert abs(z[0] - 10.0) < 1e-12
     assert attempts == [(10.0, False), (5.0, False), (2.5, False), (1.25, False),
                         (0.625, True), (1.875, True), (4.375, True),
@@ -163,8 +178,7 @@ def test_continue_path_gives_up_below_the_step_floor(monkeypatch):
         return np.array([[2.0 * z[0]]])
 
     with pytest.raises(NoConvergence) as info:
-        continue_path(fun_of_t, jac_of_t, 0.0, 2.0, np.array([0.0]), step=0.5,
-                      real=True)
+        continue_path(fun_of_t, jac_of_t, 0.0, 2.0, np.array([0.0]), step=0.5)
     floor = _newton._STEP_FLOOR * 2.0
     assert not any(ok for _, ok in attempts)
     assert [t for t, _ in attempts] == [0.5 * 0.5 ** k for k in range(len(attempts))]
@@ -184,33 +198,37 @@ def test_continue_path_ends_on_a_path_shorter_than_the_resolution_of_t():
 
     t1 = math.nextafter(1e-3, 1.0)
     z = continue_path(fun_of_t, jac_of_t, 1e-3, t1, np.array([1e-3]),
-                      step=(t1 - 1e-3) / 10, real=True)
+                      step=(t1 - 1e-3) / 10)
     assert z[0] == t1
     with pytest.raises(ValueError):
-        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=-0.1,
-                      real=True)
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=-0.1)
 
 
 def test_continue_path_detects_collisions():
-    # Two roots driven together: +-sqrt(1-t) meet at t = 1, so the
-    # guard must fire once their separation drops below the tolerance.
+    # Two roots driven together: +-(1 - t) meet at t = 1.  At t = 0.999
+    # they are still 2e-3 apart, far above _COLLISION_TOL; at t = 1 the
+    # guard must fire.
     def fun_of_t(t, z):
-        return np.array([z[0] + z[1], z[0] * z[1] + (1.0 - t)])
+        return np.array([z[0] + z[1], z[0] * z[1] + (1.0 - t) ** 2])
 
     def jac_of_t(t, z):
         return np.array([[1.0, 1.0], [z[1], z[0]]])
 
-    with pytest.raises(PathCollision):
-        continue_path(fun_of_t, jac_of_t, 0.0, 0.999, np.array([1.0, -1.0]),
-                      step=0.01, collision_groups=(range(2),), collision_tol=0.25,
-                      real=True)
+    start = np.array([1.0, -1.0])
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.999, start, step=0.01,
+                      collision_groups=(range(2),))
+    assert np.allclose(z, [1e-3, -1e-3], rtol=0.0, atol=1e-12)
+    with pytest.raises(PathCollision, match="collided at t=1.0"):
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.01,
+                      collision_groups=(range(2),))
 
 
 def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
     # z0 = t - 1/2 and z1 = 1/2 - t cross at t = 1/2.  The accepted steps
     # land at t = 0.3 and t = 0.9, where the roots are 0.4 and 0.8 apart, so
     # only the order guard can see the crossing; without the collision
-    # group the path runs through.
+    # group, or from a complex start, which has no order, the path runs
+    # through.
     attempts = _recording_solves(monkeypatch)
 
     def fun_of_t(t, z):
@@ -222,10 +240,14 @@ def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
     start = np.array([-0.5, 0.5])
     with pytest.raises(PathCollision, match="swapped order"):
         continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3,
-                      collision_groups=(range(2),), collision_tol=0.1, real=True)
+                      collision_groups=(range(2),))
     assert [t for t, _ in attempts] == pytest.approx([0.3, 0.9])
     assert all(ok for _, ok in attempts)
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3, real=True)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3)
+    assert np.allclose(z, [0.5, -0.5])
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start.astype(complex),
+                      step=0.3, collision_groups=(range(2),))
+    assert z.dtype == np.complex128
     assert np.allclose(z, [0.5, -0.5])
 
 
