@@ -212,8 +212,14 @@ def solve_single(hcoup: float, volume: int, winding: int = 1) -> AdS3Roots:
     """One left pair on the momentum shell: (x+/x-)^L = 1.
 
     The winding selects which quantized momentum is taken; the root is
-    found by bisection in the real rapidity.
+    found by bisection in the real rapidity.  A real rapidity has
+    momentum p < pi, so L p = 2 pi winding has no root, and ValueError
+    is raised, when 2 winding >= L.
     """
+    if 2 * winding >= volume:
+        raise ValueError(f"no single-pair state for winding {winding} at L={volume}: "
+                         f"L*p < L*pi needs 2*winding < L")
+
     def gap(v: float) -> float:
         plus, minus = shell_pair(hcoup, v)
         return volume * cmath.log(plus / minus).imag - 2.0 * math.pi * winding

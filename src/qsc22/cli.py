@@ -361,6 +361,8 @@ def cmd_ads3_residuals(ctx, hcoup, volume, mode, winding, input_path) -> None:
         except NoConvergence as exc:
             _emit({"ok": False, "error": str(exc)})
             sys.exit(1)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     try:
         res = ads3.aba_residuals(state)
     except hb.SingularDenominator as exc:

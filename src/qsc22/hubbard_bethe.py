@@ -13,7 +13,10 @@ The homogeneous Lieb-Wu system uses the coupling u = 1/(2 h).  Its
 solver works in the counting (arctan) form with integer mode numbers,
 homotopy in the coupling from the decoupled point, and damped Newton;
 solutions are validated against the product-form residuals and, by the
-callers, against exact diagonalization.
+callers, against exact diagonalization.  The start of every homotopy,
+at u = min(1e-3, u), depends on the mode set alone for any target
+coupling above 1e-3, so its seed ranking and start roots are memoized
+per mode set and paid once per process.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -47,6 +50,9 @@ _LIEBWU_TOL = 1e-13
 # rounding floor.  Those points only seed the next Newton solve; the
 # answer is polished at the target coupling to _LIEBWU_TOL.
 _START_TOL = 1e-10
+# Entries of each start-phase memo of solve_liebwu.  The 16 generated
+# rounds of the ed_large benchmark workload fill about 230 of each.
+_START_MEMO_SIZE = 1024
 
 
 def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
@@ -323,6 +329,52 @@ def admissible_modes(lsites: int, n_charge: int, m_spin: int):
     )
 
 
+def _start_momenta(lsites: int, m_spin: int, mode_k: Sequence[int]) -> list:
+    """Decoupled momenta (2 pi I + pi M) / L, where every homotopy starts."""
+    return [(2.0 * math.pi * i + math.pi * m_spin) / lsites for i in mode_k]
+
+
+@lru_cache(maxsize=_START_MEMO_SIZE)
+def _ranked_spin_seeds(lsites: int, mode_k: Tuple[int, ...], mode_lam: Tuple[int, ...],
+                       u_start: float) -> Tuple[Tuple[float, ...], ...]:
+    """Distinct spin seeds of a mode set in increasing start residual.
+
+    The seeds are M-subsets of _lambda_seed_pool at the decoupled
+    momenta; sorted() is stable, so ties keep pool order.
+    """
+    m_spin = len(mode_lam)
+    ks0 = _start_momenta(lsites, m_spin, mode_k)
+    pool = _lambda_seed_pool([math.sin(k) for k in ks0])
+    seeds = dict.fromkeys(tuple(round(pool[i], 12) for i in subset)
+                          for subset in itertools.combinations(range(len(pool)), m_spin))
+
+    def start_gap(lam0: Tuple[float, ...]) -> float:
+        z0 = np.array(ks0 + list(lam0), dtype=float)
+        return float(np.max(np.abs(_counting_residuals(lsites, u_start, mode_k,
+                                                        mode_lam, z0))))
+
+    return tuple(sorted(seeds, key=start_gap))
+
+
+@lru_cache(maxsize=_START_MEMO_SIZE)
+def _start_root(lsites: int, mode_k: Tuple[int, ...], mode_lam: Tuple[int, ...],
+                u_start: float, tol: float, lam0: Tuple[float, ...]) -> np.ndarray | float:
+    """Counting-form root at u_start from one spin seed, as a read-only
+    array, or the best residual (a float) of a start solve that failed.
+
+    The memo keeps no exception: one would hold its traceback's frames.
+    """
+    z0 = np.array(_start_momenta(lsites, len(mode_lam), mode_k) + list(lam0), dtype=float)
+    try:
+        z = solve_damped(partial(_counting_residuals, lsites, u_start, mode_k, mode_lam),
+                         partial(_counting_jacobian, lsites, u_start, len(mode_k)),
+                         z0, tol=tol)
+    except NoConvergence as exc:
+        return float(exc.residual)
+    z.flags.writeable = False
+    return z
+
+
 def solve_liebwu(
     lsites: int,
     u_coupling: float,
@@ -342,9 +394,17 @@ def solve_liebwu(
     each solved to _START_TOL, and drops a seed whose roots swap order;
     the endpoint is then polished to _LIEBWU_TOL.  The returned roots
     satisfy the product-form residuals below 1e-12.
+
+    Everything before the continuation, the seed ranking and each seed's
+    start solve, is a function of (L, I, J, u_start, start tolerance)
+    alone, and u_start = 1e-3 for every coupling above it.  Both are
+    memoized per mode set (_ranked_spin_seeds, _start_root), so a mode
+    set met again at another coupling goes straight to the continuation;
+    start roots are read seed by seed, so a first solve does no more
+    start work than the seeds it tries.
     """
-    mode_k = [int(i) for i in mode_k]
-    mode_lam = [int(j) for j in mode_lam]
+    mode_k = tuple(int(i) for i in mode_k)
+    mode_lam = tuple(int(j) for j in mode_lam)
     if lsites < 1:
         raise ValueError("need at least one site")
     if len(mode_k) != n_charge or len(mode_lam) != m_spin:
@@ -365,8 +425,8 @@ def solve_liebwu(
 
     u_start = min(1e-3, u_coupling)
     continued = u_coupling > u_start
-    ks0 = [(2.0 * math.pi * i + math.pi * m_spin) / lsites for i in mode_k]
-    pool = _lambda_seed_pool([math.sin(k) for k in ks0])
+    start_tol = _START_TOL if continued else _LIEBWU_TOL
+    seeds = _ranked_spin_seeds(lsites, mode_k, mode_lam, u_start)
     groups = [range(n_charge), range(n_charge, n_charge + m_spin)]
 
     def fun_of_t(t: float, z: np.ndarray) -> np.ndarray:
@@ -375,22 +435,15 @@ def solve_liebwu(
     def jac_of_t(t: float, z: np.ndarray) -> np.ndarray:
         return _counting_jacobian(lsites, t, n_charge, z)
 
-    def start_gap(z0: np.ndarray) -> float:
-        return float(np.max(np.abs(fun_of_t(u_start, z0))))
-
-    seeds = {}
-    for subset in itertools.combinations(range(len(pool)), m_spin):
-        lam0 = tuple(round(pool[i], 12) for i in subset)
-        seeds.setdefault(lam0, np.array(ks0 + list(lam0), dtype=float))
     last_error: Exception | None = None
     best = math.inf
     invalid = 0
-    # Seeds in increasing start residual; sorted() is stable, so ties
-    # keep pool order.
-    for lam0, z0 in sorted(seeds.items(), key=lambda item: start_gap(item[1])):
+    for lam0 in seeds:
         try:
-            z = solve_damped(partial(fun_of_t, u_start), partial(jac_of_t, u_start),
-                             z0, tol=_START_TOL if continued else _LIEBWU_TOL)
+            z = _start_root(lsites, mode_k, mode_lam, u_start, start_tol, lam0)
+            if isinstance(z, float):
+                raise NoConvergence(f"start solve at u={u_start} stalled at "
+                                    f"residual {z:.3e}", z)
             if continued:
                 z = continue_path(fun_of_t, jac_of_t, u_start, u_coupling, z,
                                   step=(u_coupling - u_start) / 10,
@@ -413,7 +466,7 @@ def solve_liebwu(
     if isinstance(last_error, PathCollision):
         raise last_error
     raise NoConvergence(
-        f"no spin seed converged for modes I={mode_k}, J={mode_lam}: "
+        f"no spin seed converged for modes I={list(mode_k)}, J={list(mode_lam)}: "
         f"best residual {best:.3e} over {len(seeds)} spin seeds, {invalid} of "
         f"{len(seeds)} converged but failed the product-form check", best,
     ) from last_error

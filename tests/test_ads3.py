@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsc22._newton import NoConvergence
 from qsc22.ads3 import (
     AdS3Roots,
     AsymptoticQ,
@@ -66,9 +65,12 @@ def test_single_pair_momentum_shell():
     assert np.max(np.abs(aba_residuals(state))) < 1e-10
     assert abs(momentum_defect(state)) == pytest.approx(0.7653668647301807,
                                                         abs=1e-12)
-    # L * pi < 2 pi * 5: no rapidity on the grid reaches winding 5 at L = 8.
-    with pytest.raises(NoConvergence, match="winding 5"):
-        solve_single(1.0, 8, 5)
+    # L * p < L * pi <= 2 pi * winding: no real rapidity reaches winding
+    # 4 or 5 at L = 8, and the solver says so before it searches.
+    for winding in (4, 5):
+        with pytest.raises(ValueError, match=f"winding {winding} at L=8"):
+            solve_single(1.0, 8, winding)
+    assert np.max(np.abs(aba_residuals(solve_single(1.0, 8, 3)))) < 1e-10
 
 
 def test_two_particle_state():

@@ -316,6 +316,13 @@ def test_ads3_residuals_two_particle():
     assert abs(payload["momentum_defect"][0]) < 1e-12
 
 
+def test_ads3_residuals_single_pair_at_the_largest_winding():
+    # 2 * 3 < 8: the largest winding with a single-pair state at L = 8.
+    result = _run("ads3-residuals", "--mode", "single", "--L", "8", "--winding", "3")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["ok"] is True
+
+
 @pytest.mark.parametrize("args", [
     ("solve-liebwu", "--L", "2", "--u", "nan", "--N", "1", "--M", "0", "--I", "0"),
     ("solve-liebwu", "--L", "2", "--u", "inf", "--N", "1", "--M", "0", "--I", "0"),
@@ -330,6 +337,9 @@ def test_ads3_residuals_two_particle():
     ("ads3-residuals", "--L", "0"),
     ("ads3-residuals", "--winding", "0"),
     ("ads3-residuals", "--mode", "single", "--winding", "-1"),
+    # A single pair has L*p < L*pi, so no state has 2*winding >= L.
+    ("ads3-residuals", "--mode", "single", "--L", "8", "--winding", "4"),
+    ("ads3-residuals", "--mode", "single", "--L", "8", "--winding", "5"),
     # --mode aux solves one state; a winding would be ignored.
     ("ads3-residuals", "--mode", "aux", "--winding", "5"),
     # A dict stands for a JSON input file with that content.

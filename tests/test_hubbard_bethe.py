@@ -10,7 +10,7 @@ import pytest
 
 from qsc22 import _newton, ed_oracle
 from qsc22 import hubbard_bethe as hb
-from qsc22._newton import NoConvergence, bisect_real
+from qsc22._newton import NoConvergence, PathCollision, bisect_real
 from qsc22.acceptance import _liebwu_grid_cases, match_sector
 from qsc22.analytic_layer import shell_pairs
 from qsc22.hubbard_bethe import (
@@ -171,13 +171,18 @@ def test_liebwu_solves_past_the_first_step_floor():
     assert min(abs(energy - e) for e in eigs) < 1e-12
 
 
-def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
-    # Start solves are the solve_damped calls at the start tolerance;
-    # one that fails costs up to 60 Newton iterations.  Trying the spin
-    # seeds in pool order failed 24 of 171 start solves on this grid.
-    # continue_path calls solve_damped through the _newton module, so
-    # its corrector solves are counted apart: 40 equal steps per path
-    # made 5 880 of them here, the adaptive step rule about 700.
+def _clear_start_memo() -> None:
+    """Forget every memoized start phase, so that solver counts do not
+    depend on which tests ran before."""
+    hb._ranked_spin_seeds.cache_clear()
+    hb._start_root.cache_clear()
+
+
+def _count_start_solves(monkeypatch) -> tuple:
+    """Count hubbard_bethe's solve_damped calls at the start tolerance
+    (all, failed) and continue_path's corrector solves, from a cleared
+    start memo."""
+    _clear_start_memo()
     solve = hb.solve_damped
     starts, failures, path_solves = [], [], []
 
@@ -196,7 +201,21 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
 
     monkeypatch.setattr(hb, "solve_damped", counting)
     monkeypatch.setattr(_newton, "solve_damped", counting_path)
-    mode_sets = 0
+    return starts, failures, path_solves
+
+
+def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
+    # Start solves are the solve_damped calls at the start tolerance;
+    # one that fails costs up to 60 Newton iterations.  Trying the spin
+    # seeds in pool order failed 24 of 171 start solves on this grid.
+    # The start phase does not depend on the coupling, so the 147 solves
+    # at three couplings start each of the 49 mode sets once.
+    # continue_path calls solve_damped through the _newton module, so
+    # its corrector solves are counted apart: 40 equal steps per path
+    # made 5 880 of them here, the adaptive step rule about 700.
+    starts, failures, path_solves = _count_start_solves(monkeypatch)
+    mode_sets = set()
+    solves = 0
     for lsites in (2, 3, 4):
         for coupling in (0.35, 1.0, 2.8):
             for n_charge in range(1, lsites + 1):
@@ -204,11 +223,85 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
                     for mk, ml in admissible_modes(lsites, n_charge, m_spin):
                         solve_liebwu(lsites, coupling, n_charge, m_spin,
                                      list(mk), list(ml))
-                        mode_sets += 1
-    assert mode_sets == 147
+                        mode_sets.add((lsites, mk, ml))
+                        solves += 1
+    assert solves == 147 and len(mode_sets) == 49
     assert sum(failures) == 0
-    assert sum(starts) == mode_sets
+    assert sum(starts) == len(mode_sets)
     assert len(path_solves) <= 1000
+
+
+def _liebwu_outcome(lsites, coupling, n_charge, m_spin, mk, ml):
+    """Roots of one solve, or the type, message and residual of its failure."""
+    try:
+        roots = solve_liebwu(lsites, coupling, n_charge, m_spin, list(mk), list(ml))
+    except (NoConvergence, PathCollision) as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+    return roots.k, roots.lam
+
+
+def test_liebwu_memoized_start_gives_the_answers_of_a_fresh_start():
+    # u = 1e-3 starts at u_start = 1e-3 like the larger couplings but
+    # solves to _LIEBWU_TOL, so only the tolerance in the key keeps it
+    # from reusing their start roots; at 1e-8, u_start = u.
+    _clear_start_memo()
+    cases = [(lsites, coupling, n_charge, m_spin, mk, ml)
+             for lsites in (2, 3, 4)
+             for n_charge in range(1, lsites + 1)
+             for m_spin in range(0, n_charge // 2 + 1)
+             for mk, ml in admissible_modes(lsites, n_charge, m_spin)
+             for coupling in (0.35, 1.0, 2.8, 1e-3, 1e-8)]
+    memoized = [_liebwu_outcome(*case) for case in cases]
+    assert hb._start_root.cache_info().hits > 0
+    fresh = []
+    for case in cases:
+        _clear_start_memo()
+        fresh.append(_liebwu_outcome(*case))
+    assert memoized == fresh
+    # The free limit fails a few mode sets; their messages and
+    # residuals must agree too.
+    assert any(len(outcome) == 3 for outcome in fresh)
+
+
+def test_liebwu_failed_start_seed_is_solved_once_per_mode_set(monkeypatch):
+    # The first-ranked spin seed of this mode set stalls at u = 1e-3;
+    # the second solve, at another coupling, reads the failure from
+    # the memo instead of solving it again.
+    starts, failures, _ = _count_start_solves(monkeypatch)
+    modes = ([0, 1, 2, 3], [-2, -1])
+    first = solve_liebwu(5, 0.4, 4, 2, *modes)
+    assert sum(failures) == 1
+    second = solve_liebwu(5, 1.1, 4, 2, *modes)
+    assert sum(failures) == 1 and sum(starts) == 2
+    assert first != second
+
+
+def test_liebwu_start_memo_holds_only_floats_and_read_only_arrays():
+    _clear_start_memo()
+    lsites, mk, ml = 5, (0, 1, 2, 3), (-2, -1)
+    solve_liebwu(lsites, 0.4, 4, 2, list(mk), list(ml))
+    seeds = hb._ranked_spin_seeds(lsites, mk, ml, 1e-3)
+    held = [hb._start_root(lsites, mk, ml, 1e-3, hb._START_TOL, lam0)
+            for lam0 in seeds[:hb._start_root.cache_info().currsize]]
+    assert hb._start_root.cache_info().misses == len(held) >= 2
+    assert any(isinstance(entry, float) for entry in held)
+    for entry in held:
+        assert isinstance(entry, float) or (
+            isinstance(entry, np.ndarray) and not entry.flags.writeable)
+    assert all(isinstance(lam, float) for lam0 in seeds for lam in lam0)
+
+
+def test_liebwu_start_memo_stays_within_its_size():
+    for lsites, coupling, n_charge, m_spin in _liebwu_grid_cases():
+        for mk, ml in admissible_modes(lsites, n_charge, m_spin):
+            try:
+                solve_liebwu(lsites, coupling, n_charge, m_spin, list(mk), list(ml))
+            except (NoConvergence, PathCollision):
+                pass
+    for memo in (hb._ranked_spin_seeds, hb._start_root):
+        info = memo.cache_info()
+        assert info.maxsize == hb._START_MEMO_SIZE
+        assert 0 < info.currsize <= info.maxsize
 
 
 def test_liebwu_answers_meet_the_final_tolerance_at_the_target_coupling():
