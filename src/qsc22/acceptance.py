@@ -99,21 +99,14 @@ def _battery_qq(rng_seed: int) -> BatteryResult:
 
 
 def _battery_hodge(rng_seed: int) -> BatteryResult:
-    # The dual of a Q-system is a Q-system: its QQ relations catch a
-    # consistently flipped dual pair, which the double-dual law passes.
+    # The dual of a Q-system is a Q-system.  The double-dual sign law
+    # depends on `_HODGE` alone, so it is a unit test, not a statement.
     failures = []
     seeds = _draw_seed_ints(rng_seed + 1, 3)
     dual_checked = 0
     for s in seeds:
         q = qsystem.generate_from_seed(*qsystem.random_seed_polys(s))
-        dual = qsystem.hodge(q)
-        dd = qsystem.hodge(dual)
-        for slot in q:
-            na, ni = qsystem.slot_grades(slot)
-            signed = q[slot] if (na + ni) % 2 == 0 else -q[slot]
-            if dd[slot] != signed:
-                failures.append((s, slot))
-        report = qsystem.check_qq(dual)
+        report = qsystem.check_qq(qsystem.hodge(q))
         dual_checked += report.checked
         if not report.ok or report.checked != 49:
             failures.append((s, "dual QQ", report.failures))

@@ -134,9 +134,12 @@ def cmd_gen_qsystem(rng_seed, out, full) -> None:
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     if out is None:
         click.echo(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {out}: {exc}")
 
 
 @main.command("check-hirota")

@@ -2,11 +2,11 @@
 
 A system assigns one twisted polynomial to every slot "A|I" where A and
 I are subsets of {1,2} ("0" stands for the empty set, so the slots run
-"0|0", "1|0", ..., "12|12").  The defining structure is the set of
-bilinear shift relations checked by `check_qq`: determinant-type
+"0|0", "1|0", ..., "12|12").  Its defining structure is `_QQ_TABLE`, the
+49 bilinear shift relations written once as data: determinant-type
 relations among the middle block, two-term Wronskian relations tying
-neighbouring blocks together, and the corner completions.  Everything
-here is exact; a relation holds iff its residual is the zero element.
+neighbouring blocks together, and the corner completions.  `check_qq`
+evaluates the table exactly; a relation holds iff its residual is zero.
 
 `generate_from_seed` builds a full system from five seed functions by
 shifted-determinant completion.  It does not check the result; callers
@@ -69,6 +69,73 @@ _HODGE = {
 
 _SHIFTS3 = (2, 0, -2)
 _SHIFTS4 = (3, 1, -1, -3)
+
+# The QQ relation inventory, one row per family in check order.  A row
+# names its indices (a, b, i, j over 1, 2; e over the shift signs + and
+# -) and, for each relation, a name and its terms "sign factor factor".
+# A factor is a slot "A|I", raised through _HODGE when it starts with
+# "~" and shifted by +1 or -1 when it ends in "+" or "-".  A term signed
+# "δ" enters, with sign +, only where the row's two indices agree.  A
+# Wronskian W(f, g) = f+ g- - f- g+ is two terms.
+_QQ_TABLE = (
+    ("ai", (("nl1[{a}|{i}]", "+ {a}|{i}+ 0|0- - {a}|{i}- 0|0+ - {a}|0 0|{i}"),)),
+    ("", (
+        ("nl2[even]", "+ ~0|0+ 0|0- - ~0|0- 0|0+ - 1|0 ~1|0 - 2|0 ~2|0"),
+        ("nl2[odd]", "+ ~0|0+ 0|0- - ~0|0- 0|0+ - 0|1 ~0|1 - 0|2 ~0|2"),
+        ("det", "+ 1|1 2|2 - 1|2 2|1 - 12|12 0|0"),
+    )),
+    ("ij", (("orth[.|{i}{j}]", "+ 1|{i} ~1|{j} + 2|{i} ~2|{j} δ ~0|0 0|0"),)),
+    ("ab", (("orth[{a}{b}|.]", "+ {a}|1 ~{b}|1 + {a}|2 ~{b}|2 δ ~0|0 0|0"),)),
+    ("ae", (
+        ("l2a[{a},{e}]", "+ {a}|12 0|0{e} - 0|1 {a}|2{e} + 0|2 {a}|1{e}"),
+        ("l2a*[{a},{e}]", "+ ~{a}|0 0|0{e} + ~{a}|1{e} 0|1 + ~{a}|2{e} 0|2"),
+    )),
+    ("ie", (
+        ("l2b[{i},{e}]", "+ 12|{i} 0|0{e} - 1|0 2|{i}{e} + 2|0 1|{i}{e}"),
+        ("l2b*[{i},{e}]", "+ ~0|{i} 0|0{e} + ~1|{i}{e} 1|0 + ~2|{i}{e} 2|0"),
+    )),
+    ("ae", (
+        ("l2c[{a},{e}]", "+ {a}|0 12|12{e} + 12|1 {a}|2{e} - 12|2 {a}|1{e}"),
+        ("l2c*[{a},{e}]", "+ {a}|0 ~0|0{e} - {a}|1{e} ~0|1 - {a}|2{e} ~0|2"),
+    )),
+    ("ie", (
+        ("l2d[{i},{e}]", "+ 0|{i} 12|12{e} + 1|12 2|{i}{e} - 2|12 1|{i}{e}"),
+        ("l2d*[{i},{e}]", "+ 0|{i} ~0|0{e} - 1|{i}{e} ~1|0 - 2|{i}{e} ~2|0"),
+    )),
+    ("", (
+        ("corner[12|0]", "+ 12|0 0|0 + 1|0+ 2|0- - 1|0- 2|0+"),
+        ("corner[0|12]", "+ 0|12 0|0 + 0|1+ 0|2- - 0|1- 0|2+"),
+    )),
+)
+
+
+def _qq_factor(text: str) -> Tuple[bool, str, int]:
+    """(raised, slot, shift) of a factor written as in `_QQ_TABLE`."""
+    return text[0] == "~", text.strip("~+-"), {"+": 1, "-": -1}.get(text[-1], 0)
+
+
+def _qq_relations() -> Tuple:
+    """`_QQ_TABLE` with its indices substituted: (name, ((sign, f, g), ...))."""
+    out = []
+    for indices, rows in _QQ_TABLE:
+        for values in itertools.product(*("+-" if x == "e" else "12" for x in indices)):
+            idx = dict(zip(indices, values))
+            for name, text in rows:
+                tokens = text.format(**idx).split()
+                terms = tuple((-1 if sign == "-" else 1, _qq_factor(f), _qq_factor(g))
+                              for sign, f, g in zip(tokens[::3], tokens[1::3], tokens[2::3])
+                              if sign != "δ" or len(set(values)) == 1)
+                out.append((name.format(**idx), terms))
+    return tuple(out)
+
+
+_QQ_RELATIONS = _qq_relations()
+_QQ_PRODUCTS = tuple(dict.fromkeys((f, g) for _, terms in _QQ_RELATIONS for _, f, g in terms))
+_QQ_FACTORS = tuple(dict.fromkeys(f for pair in _QQ_PRODUCTS for f in pair))
+# The terms by position, as `qq_residuals` reads them.
+_QQ_PAIRS = tuple((_QQ_FACTORS.index(f), _QQ_FACTORS.index(g)) for f, g in _QQ_PRODUCTS)
+_QQ_TERMS = tuple(tuple((sign, _QQ_PRODUCTS.index((f, g))) for sign, f, g in terms)
+                  for _, terms in _QQ_RELATIONS)
 
 
 class QSystem:
@@ -200,120 +267,30 @@ class QQReport:
 
 
 def qq_residuals(q: QSystem) -> Iterable[Tuple[str, TwistedPoly]]:
-    """Yield (name, residual) over the full relation inventory.
+    """Yield (name, residual) for each relation of `_QQ_TABLE`, in order.
 
     Every residual is the cleared (division-free) form of one relation;
-    the relation holds iff the residual is the zero element.
+    the relation holds iff the residual is the zero element.  Each
+    distinct factor and each distinct product is computed once.
     """
     up = hodge(q)
-
-    def V(slot: str, k: int = 0) -> TwistedPoly:
-        return q[slot].shift(k) if k else q[slot]
-
-    def U(slot: str, k: int = 0) -> TwistedPoly:
-        return up[slot].shift(k) if k else up[slot]
-
-    for a in ("1", "2"):
-        for i in ("1", "2"):
-            yield (
-                f"nl1[{a}|{i}]",
-                wronskian(q[f"{a}|{i}"], q["0|0"]) - V(f"{a}|0") * V(f"0|{i}"),
-            )
-    lhs = wronskian(up["0|0"], q["0|0"])
-    yield ("nl2[even]", lhs - (V("1|0") * U("1|0") + V("2|0") * U("2|0")))
-    yield ("nl2[odd]", lhs - (V("0|1") * U("0|1") + V("0|2") * U("0|2")))
-    yield (
-        "det",
-        V("1|1") * V("2|2") - V("1|2") * V("2|1") - V("12|12") * V("0|0"),
-    )
-    for i in ("1", "2"):
-        for j in ("1", "2"):
-            res = V(f"1|{i}") * U(f"1|{j}") + V(f"2|{i}") * U(f"2|{j}")
-            if i == j:
-                res = res + U("0|0") * V("0|0")
-            yield (f"orth[.|{i}{j}]", res)
-    for a in ("1", "2"):
-        for b in ("1", "2"):
-            res = V(f"{a}|1") * U(f"{b}|1") + V(f"{a}|2") * U(f"{b}|2")
-            if a == b:
-                res = res + U("0|0") * V("0|0")
-            yield (f"orth[{a}{b}|.]", res)
-    for a in ("1", "2"):
-        for e in (1, -1):
-            tag = "+" if e > 0 else "-"
-            yield (
-                f"l2a[{a},{tag}]",
-                V(f"{a}|12") * V("0|0", e)
-                - (V("0|1") * V(f"{a}|2", e) - V("0|2") * V(f"{a}|1", e)),
-            )
-            yield (
-                f"l2a*[{a},{tag}]",
-                U(f"{a}|0") * V("0|0", e)
-                + U(f"{a}|1", e) * V("0|1") + U(f"{a}|2", e) * V("0|2"),
-            )
-    for i in ("1", "2"):
-        for e in (1, -1):
-            tag = "+" if e > 0 else "-"
-            yield (
-                f"l2b[{i},{tag}]",
-                V(f"12|{i}") * V("0|0", e)
-                - (V("1|0") * V(f"2|{i}", e) - V("2|0") * V(f"1|{i}", e)),
-            )
-            yield (
-                f"l2b*[{i},{tag}]",
-                U(f"0|{i}") * V("0|0", e)
-                + U(f"1|{i}", e) * V("1|0") + U(f"2|{i}", e) * V("2|0"),
-            )
-    for a in ("1", "2"):
-        for e in (1, -1):
-            tag = "+" if e > 0 else "-"
-            yield (
-                f"l2c[{a},{tag}]",
-                V(f"{a}|0") * V("12|12", e)
-                + (V("12|1") * V(f"{a}|2", e) - V("12|2") * V(f"{a}|1", e)),
-            )
-            yield (
-                f"l2c*[{a},{tag}]",
-                V(f"{a}|0") * U("0|0", e)
-                - (V(f"{a}|1", e) * U("0|1") + V(f"{a}|2", e) * U("0|2")),
-            )
-    for i in ("1", "2"):
-        for e in (1, -1):
-            tag = "+" if e > 0 else "-"
-            yield (
-                f"l2d[{i},{tag}]",
-                V(f"0|{i}") * V("12|12", e)
-                + (V("1|12") * V(f"2|{i}", e) - V("2|12") * V(f"1|{i}", e)),
-            )
-            yield (
-                f"l2d*[{i},{tag}]",
-                V(f"0|{i}") * U("0|0", e)
-                - (V(f"1|{i}", e) * U("1|0") + V(f"2|{i}", e) * U("2|0")),
-            )
-    yield (
-        "corner[12|0]",
-        V("12|0") * V("0|0") + wronskian(q["1|0"], q["2|0"]),
-    )
-    yield (
-        "corner[0|12]",
-        V("0|12") * V("0|0") + wronskian(q["0|1"], q["0|2"]),
-    )
+    value = [(up if raised else q)[slot] for raised, slot, _ in _QQ_FACTORS]
+    value = [v.shift(k) if k else v for v, (_, _, k) in zip(value, _QQ_FACTORS)]
+    product = [value[i] * value[j] for i, j in _QQ_PAIRS]
+    zero = TwistedPoly.zero()
+    for (name, _), terms in zip(_QQ_RELATIONS, _QQ_TERMS):
+        res = zero
+        for sign, k in terms:
+            res = res + product[k] if sign > 0 else res - product[k]
+        yield name, res
 
 
 def check_qq(q: QSystem) -> QQReport:
     """Check every relation exactly; ok means the residual set is zero."""
-    failures = []
-    checked = 0
-    for name, res in qq_residuals(q):
-        checked += 1
-        if not res.is_zero:
-            failures.append(name)
-    return QQReport(
-        ok=not failures,
-        checked=checked,
-        failures=tuple(failures),
-        zero_slots=q.zero_slots(),
-    )
+    residuals = list(qq_residuals(q))
+    failures = tuple(name for name, res in residuals if not res.is_zero)
+    return QQReport(ok=not failures, checked=len(residuals), failures=failures,
+                    zero_slots=q.zero_slots())
 
 
 def gauge_transform(q: QSystem, g_even: TwistedPoly, g_odd: TwistedPoly) -> QSystem:

@@ -124,17 +124,34 @@ def test_gen_qsystem_full_reports_a_failed_qq_check(monkeypatch):
     assert payload["failures"]
 
 
-def test_check_qq_detects_corruption(tmp_path):
+def _check_corrupted(tmp_path, slot: str, k: int):
+    """check-qq on gen-qsystem 5 with 1 added to the numerator of the
+    real part of coefficient k of the slot's first term."""
     full = json.loads(_run("gen-qsystem", "--rng-seed", "5", "--full").stdout)
-    coeff = full["Q"]["1|1"]["terms"][0]["coeffs"][1]
+    coeff = full["Q"][slot]["terms"][0]["coeffs"][k]
     coeff[0] = str(int(coeff[0]) + 1)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(full), encoding="utf-8")
-    result = _run("check-qq", "--seed", str(path))
+    return _run("check-qq", "--seed", str(path))
+
+
+def test_check_qq_detects_corruption(tmp_path):
+    result = _check_corrupted(tmp_path, "1|1", 1)
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["ok"] is False
     assert any("1|1" in name for name in payload["failures"])
+
+
+def test_check_qq_pins_the_check_order(tmp_path):
+    result = _check_corrupted(tmp_path, "12|12", 0)
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["failures"] == [
+        "det", "orth[.|11]", "orth[.|22]", "orth[11|.]", "orth[22|.]",
+        "l2c[1,+]", "l2c*[1,+]", "l2c[1,-]", "l2c*[1,-]",
+        "l2c[2,+]", "l2c*[2,+]", "l2c[2,-]", "l2c*[2,-]",
+        "l2d[1,+]", "l2d*[1,+]", "l2d[1,-]", "l2d*[1,-]",
+        "l2d[2,+]", "l2d*[2,+]", "l2d[2,-]", "l2d*[2,-]"]
 
 
 def test_check_qq_malformed_input(tmp_path):
@@ -356,6 +373,9 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
     # An auxiliary root on a massive root zeroes a factor of the equations.
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "xp": [_SHELL_PLUS],
                                    "xm": [_SHELL_MINUS], "y1": [_SHELL_PLUS]}),
+    # --out on a directory, and on a file under a missing directory.
+    ("gen-qsystem", "--rng-seed", "5", "--out", "TMP"),
+    ("gen-qsystem", "--rng-seed", "5", "--out", "TMP/absent/seed.json"),
     ("check-hirota", "--seed", "SEED", "--window", "-1,2"),
     ("check-hirota", "--seed", "SEED", "--window", "0,0"),
     ("character", "--sx", "0,0", "--sy", "1,1"),
@@ -371,6 +391,8 @@ def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
             path = tmp_path / "input.json"
             path.write_text(json.dumps(arg), encoding="utf-8")
             return str(path)
+        if arg.startswith("TMP"):
+            return str(tmp_path) + arg[3:]
         return arg
 
     result = _run(*map(materialize, args))

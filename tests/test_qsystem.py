@@ -9,6 +9,8 @@ import pytest
 
 from qsc22.exact_poly import GaussRat, NotDivisible, TwistedPoly, wronskian
 from qsc22.qsystem import (
+    _HODGE,
+    _QQ_RELATIONS,
     SLOTS,
     QSystem,
     check_qq,
@@ -85,13 +87,27 @@ def test_perturbation_is_detected_and_named():
 
 
 def test_hodge_double_dual_signs():
-    for seed in (3, 11, 77):
-        q = _system(seed)
-        dd = hodge(hodge(q))
-        for slot in q:
-            na, ni = slot_grades(slot)
-            expected = q[slot] if (na + ni) % 2 == 0 else GaussRat(-1) * q[slot]
-            assert dd[slot] == expected
+    # The double dual is (-1)^(|A|+|I|) times the identity: a law of the
+    # table alone, whatever the system.
+    assert sorted(src for _, src in _HODGE.values()) == sorted(SLOTS)
+    for slot, (sign, src) in _HODGE.items():
+        back_sign, back = _HODGE[src]
+        assert back == slot
+        assert sign * back_sign == (-1) ** sum(slot_grades(slot))
+
+
+def test_every_slot_is_read_by_the_relation_table():
+    q = _system(9)
+    for slot in SLOTS:
+        # The relations whose terms hold the slot, plainly or raised.
+        reading = {name for name, terms in _QQ_RELATIONS
+                   for _, *factors in terms for raised, src, _ in factors
+                   if (_HODGE[src][1] if raised else src) == slot}
+        mapping = dict(q.items())
+        mapping[slot] = mapping[slot] + 1
+        rep = check_qq(QSystem(mapping))
+        assert not rep.ok, slot
+        assert set(rep.failures) <= reading, slot
 
 
 def test_hodge_preserves_relations():
