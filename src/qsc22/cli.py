@@ -234,7 +234,7 @@ def _liebwu_payload(lsites, coupling, roots) -> dict:
     return {
         "k": [_cj(z) for z in roots.k],
         "lambda": [_cj(z) for z in roots.lam],
-        "E": float(np.real(energy)) if abs(np.imag(energy)) < 1e-9 else _cj(energy),
+        "E": energy if isinstance(energy, float) else _cj(energy),
         "P": float(momentum),
         "residual": residual,
     }

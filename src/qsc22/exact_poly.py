@@ -358,15 +358,6 @@ def _shift_term(term: IntTerm, n: int) -> IntTerm:
     return _canonical(s, d, re, im)
 
 
-def _lead(t: Tuple[IntTerm, ...]) -> IntTerm:
-    """The term of top degree, the last in twist order among equals.
-
-    The terms are sorted by twist, and `max` keeps the first maximum it
-    meets, so scanning them backwards orders by (degree, sort_key).
-    """
-    return max(reversed(t), key=lambda term: len(term[2]))
-
-
 class TwistedPoly:
     """Canonical finite sum of terms s^(-2iu) * p(u).
 
@@ -623,39 +614,21 @@ def _divide(df, rf, jf, dg, rg, jg) -> Tuple[int, List[int], List[int]]:
 
 
 def exact_div(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
-    """Exact quotient f/g in the ring.
+    """Exact quotient f/g in the ring, for a divisor g with one twist.
 
-    Complete when g has a single twist (per-term long division with a
-    zero-remainder requirement).  For several twists it reduces by the
-    leading term under (degree, twist) order with a step cap and then
-    verifies the candidate by multiplication, so a returned quotient is
-    always certified; NotDivisible is raised otherwise.
+    Each term of f is long-divided by g with a zero-remainder
+    requirement, so the quotient is complete and unique; NotDivisible is
+    raised when a remainder is left.  A divisor with two or more twists
+    raises ValueError: every divisor the program forms (b0, b0^+ b0^-,
+    b0^[2] b0 b0^[-2]) has one twist whenever the even seed b0 does.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero element")
+    if len(g._t) != 1:
+        raise ValueError(f"divisor has {len(g._t)} twists; exact_div needs one")
     if f.is_zero:
         return TwistedPoly.zero()
-    if len(g._t) == 1:
-        sg, dg, rg, jg = g._t[0]
-        return _collect({
-            _twist_div(sf, sg): _divide(df, rf, jf, dg, rg, jg) for sf, df, rf, jf in f._t
-        })
-    sg, dg, rg, jg = _lead(g._t)
-    lr, li = rg[-1], jg[-1]
-    quot = TwistedPoly.zero()
-    rem = f
-    cap = 64 + 8 * len(f._t) * (f.degree() + 2)
-    for _ in range(cap):
-        if rem.is_zero:
-            break
-        sr, dr, rr, jr = _lead(rem._t)
-        if len(rr) < len(rg):
-            break
-        pad = [0] * (len(rr) - len(rg))
-        (a,), (b,) = _times(rr[-1:], jr[-1:], dg * lr, -dg * li)
-        t = _collect({_twist_div(sr, sg): (dr * (lr * lr + li * li), pad + [a], pad + [b])})
-        quot = quot + t
-        rem = rem - t * g
-    if not rem.is_zero or quot * g != f:
-        raise NotDivisible("no exact quotient found")
-    return quot
+    sg, dg, rg, jg = g._t[0]
+    return _collect({
+        _twist_div(sf, sg): _divide(df, rf, jf, dg, rg, jg) for sf, df, rf, jf in f._t
+    })

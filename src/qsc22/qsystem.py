@@ -212,9 +212,10 @@ def seed_components(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> Dict[Tuple[in
 
     b0 is the even scalar seed; bs are the four odd-direction seeds.
     Pairs come from Wronskians over b0, triples and the top component
-    from shifted determinants divided by shifted products of b0.  The
-    divisions must be exact; NotDivisible propagates to the caller when
-    the seed does not generate a polynomial family.
+    from shifted determinants over b0^+ b0^- and b0^[2] b0 b0^[-2].
+    b0 must have one twist, so that each divisor has one too (ValueError
+    otherwise), and the divisions must be exact: NotDivisible propagates
+    to the caller when the seed does not generate a polynomial family.
     """
     if len(bs) != 4:
         raise ValueError("expected exactly four odd seeds")
@@ -291,70 +292,6 @@ def check_qq(q: QSystem) -> QQReport:
     failures = tuple(name for name, res in residuals if not res.is_zero)
     return QQReport(ok=not failures, checked=len(residuals), failures=failures,
                     zero_slots=q.zero_slots())
-
-
-def gauge_transform(q: QSystem, g_even: TwistedPoly, g_odd: TwistedPoly) -> QSystem:
-    """Rescale the system by a two-parameter gauge.
-
-    The middle block gains g_even * g_odd, the even column gains
-    g_even^+ g_even^-, the odd row gains g_odd^+ g_odd^-, and the two
-    corners gain three-fold shifted products with one exact division
-    (g_even^[2] g_even g_even^[-2] / g_odd and the mirror), which may
-    raise NotDivisible.  The output satisfies the same relation set.
-    """
-    if not isinstance(g_even, TwistedPoly):
-        g_even = TwistedPoly.constant(GaussRat.coerce(g_even))
-    if not isinstance(g_odd, TwistedPoly):
-        g_odd = TwistedPoly.constant(GaussRat.coerce(g_odd))
-    if g_even.is_zero or g_odd.is_zero:
-        raise ValueError("gauge functions must be nonzero")
-    mid = g_even * g_odd
-    col = g_even.shift(1) * g_even.shift(-1)
-    row = g_odd.shift(1) * g_odd.shift(-1)
-    c_even = exact_div(g_even.shift(2) * g_even * g_even.shift(-2), g_odd)
-    c_odd = exact_div(g_odd.shift(2) * g_odd * g_odd.shift(-2), g_even)
-    out = {}
-    for slot in SLOTS:
-        na, ni = slot_grades(slot)
-        if slot == "12|0":
-            out[slot] = c_even * q[slot]
-        elif slot == "0|12":
-            out[slot] = c_odd * q[slot]
-        elif (na, ni) in ((0, 0), (1, 1), (2, 2)):
-            out[slot] = mid * q[slot]
-        elif ni == 0 or (na, ni) == (2, 1):
-            out[slot] = col * q[slot]
-        else:
-            out[slot] = row * q[slot]
-    return QSystem(out)
-
-
-def h_rotate(q: QSystem, h_even: Sequence[Sequence], h_odd: Sequence[Sequence]) -> QSystem:
-    """Apply constant 2x2 rotations to the even and odd index pairs."""
-    he = [[GaussRat.coerce(x) for x in row] for row in h_even]
-    ho = [[GaussRat.coerce(x) for x in row] for row in h_odd]
-    if len(he) != 2 or len(ho) != 2 or any(len(r) != 2 for r in he + ho):
-        raise ValueError("rotations must be 2x2")
-    det_e = he[0][0] * he[1][1] - he[0][1] * he[1][0]
-    det_o = ho[0][0] * ho[1][1] - ho[0][1] * ho[1][0]
-    out = {"0|0": q["0|0"]}
-    for a in (1, 2):
-        out[f"{a}|0"] = he[a - 1][0] * q["1|0"] + he[a - 1][1] * q["2|0"]
-        out[f"{a}|12"] = det_o * (he[a - 1][0] * q["1|12"] + he[a - 1][1] * q["2|12"])
-    for i in (1, 2):
-        out[f"0|{i}"] = ho[i - 1][0] * q["0|1"] + ho[i - 1][1] * q["0|2"]
-        out[f"12|{i}"] = det_e * (ho[i - 1][0] * q["12|1"] + ho[i - 1][1] * q["12|2"])
-    for a in (1, 2):
-        for i in (1, 2):
-            acc = TwistedPoly.zero()
-            for b in (1, 2):
-                for j in (1, 2):
-                    acc = acc + he[a - 1][b - 1] * ho[i - 1][j - 1] * q[f"{b}|{j}"]
-            out[f"{a}|{i}"] = acc
-    out["12|0"] = det_e * q["12|0"]
-    out["0|12"] = det_o * q["0|12"]
-    out["12|12"] = det_e * det_o * q["12|12"]
-    return QSystem(out)
 
 
 def random_seed_polys(seed: int) -> Tuple[TwistedPoly, Tuple[TwistedPoly, ...]]:

@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 from . import qsystem
 from .exact_poly import GaussRat, TwistedPoly
-from .qsystem import QSystem, gauge_transform, generate_from_seed, h_rotate
+from .qsystem import SLOTS, QSystem, generate_from_seed
 
 
 class DegenerateTwist(ValueError):
@@ -150,8 +150,14 @@ def character_solution(sx: GaussRat, sy: GaussRat) -> QSystem:
     sx and sy are the half-twists: the even twist pair is (sx^2, 1/sx^2)
     and the odd pair (sy^2, 1/sy^2), so everything closes over the exact
     ring.  The system is generated from pure-twist seeds, its QQ
-    relations are checked (ArithmeticError if one fails), and it is
-    normalized so that slots 0|0, 1|0, 2|0, 0|1, 0|2 carry constant 1.
+    relations are checked (ArithmeticError if one fails), and slot A|I
+    is multiplied by the constant
+
+        Q_{0|0}^(|A|+|I|-1) / (prod_{a in A} Q_{a|0} * prod_{i in I} Q_{0|i})
+
+    read off the generated system.  That is a constant gauge with a
+    diagonal H-rotation, so the relations still hold, and it leaves
+    0|0 = 1 and coefficient 1 on the pure twists of 1|0, 2|0, 0|1, 0|2.
     Raises DegenerateTwist when a twist collision makes any slot vanish
     (for example sx^4 = 1, sy^4 = 1, or (sx*sy)^2 = (sx/sy)^2).
     """
@@ -175,8 +181,18 @@ def character_solution(sx: GaussRat, sy: GaussRat) -> QSystem:
         raise ArithmeticError(f"generated system failed QQ: {report.failures}")
     if q.zero_slots():
         raise DegenerateTwist(f"vanishing slots {q.zero_slots()} for sx={sx}, sy={sy}")
-    scale = _const_of(q["0|0"]).inverse()
-    q = gauge_transform(q, TwistedPoly.constant(scale), TwistedPoly.one())
-    he = [[_const_of(q["1|0"]).inverse(), 0], [0, _const_of(q["2|0"]).inverse()]]
-    ho = [[_const_of(q["0|1"]).inverse(), 0], [0, _const_of(q["0|2"]).inverse()]]
-    return h_rotate(q, he, ho)
+    # The scale of A|I is even[A] * odd[I], with
+    # even[A] = Q_{0|0}^(|A|-1) / prod Q_{a|0} and odd[I] = Q_{0|0}^|I| / prod Q_{0|i}.
+    q00 = _const_of(q["0|0"])
+    even = {"0": q00.inverse()}
+    odd = {"0": GaussRat.ONE}
+    for x in ("1", "2"):
+        even[x] = _const_of(q[f"{x}|0"]).inverse()
+        odd[x] = q00 * _const_of(q[f"0|{x}"]).inverse()
+    even["12"] = q00 * even["1"] * even["2"]
+    odd["12"] = odd["1"] * odd["2"]
+    out = {}
+    for slot in SLOTS:
+        a, i = slot.split("|")
+        out[slot] = odd[i] * (even[a] * q[slot])
+    return QSystem(out)

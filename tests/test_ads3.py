@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,9 @@ def test_crossing_rules_out_constant_dressing():
     assert not constant.passed
     assert constant.rel_gap == pytest.approx(0.46165266784314857, abs=1e-12)
     assert constant.factor != 1.0
+    # The statement holds for any state with massive roots, solved or not:
+    # L=9 roots labelled L=8 (ABA residual 0.77) still rule the model out.
+    misplaced = dataclasses.replace(solve_two_particle(1.0, 9), volume=8)
+    constant = crossing_structure_check(misplaced, lambda u, crossings: 1.0 + 0.0j)
+    assert not constant.passed
+    assert constant.rel_gap == pytest.approx(0.39, abs=0.01)

@@ -162,6 +162,17 @@ def test_check_qq_malformed_input(tmp_path):
     assert _run("check-qq", "--seed", str(missing)).exit_code == 2
 
 
+def test_check_qq_refuses_a_two_twist_even_seed(tmp_path):
+    data = json.loads(_run("gen-qsystem", "--rng-seed", "3").stdout)
+    # B0 = 1 + 2^(-2iu) has two twists, and exact_div refuses such a divisor.
+    data["B0"]["terms"].append({"s": ["2", "1", "0", "1"], "coeffs": [["1", "1", "0", "1"]]})
+    path = tmp_path / "two_twist.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = _run("check-qq", "--seed", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == "" and "cannot build system" in result.stderr
+
+
 def _seed_file(tmp_path, rng_seed=3) -> str:
     path = tmp_path / f"seed{rng_seed}.json"
     assert _run("gen-qsystem", "--rng-seed", str(rng_seed),

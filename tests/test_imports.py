@@ -1,5 +1,6 @@
-"""Every imported name in the package and the tests is used, and every
-name a module lists in `__all__` is bound in it."""
+"""Every imported name in the package and the tests is used, every name a
+module lists in `__all__` is bound in it, and every top-level function
+and class of the package is read by the package or the benchmark."""
 
 from __future__ import annotations
 
@@ -54,6 +55,48 @@ def stale_exports(source: str) -> list:
     return sorted(_exported(tree) - bound)
 
 
+def _registered(node) -> bool:
+    """True for a definition that a decorator registers (a click command);
+    `dataclass` only builds its class and does not count."""
+    def builds(dec) -> bool:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+    return not all(builds(dec) for dec in node.decorator_list)
+
+
+def unreferenced_definitions(defining: list, reading: list) -> list:
+    """Top-level functions and classes of the `defining` sources that no
+    source in `defining` or `reading` names outside their own body.
+
+    A name is read wherever it appears as a name or as an attribute.
+    Definitions that a decorator registers are skipped.
+    """
+    read = set()
+    for source in defining + reading:
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            read.update((sub.id if isinstance(sub, ast.Name) else sub.attr, owner)
+                        for sub in ast.walk(node)
+                        if isinstance(sub, (ast.Name, ast.Attribute)))
+    found = []
+    for source in defining:
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not _registered(node)
+                    and not any(name == node.name and owner != node.name
+                                for name, owner in read)):
+                found.append(node.name)
+    return sorted(found)
+
+
+# Reached only by their own tests, each kept for the ROADMAP item that
+# is to call it; that item's PR calls it or deletes it, and its entry.
+_UNREFERENCED = (
+    "AsymptoticQ", "weight_exponents", "SourceF", "shell_pairs",  # ROADMAP item 3
+    "crossing_structure_check",  # ROADMAP item 8
+)
+
+
 def _sources():
     return sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
@@ -85,3 +128,20 @@ def test_every_export_is_bound():
         for name in stale_exports(path.read_text(encoding="utf-8")):
             found.append(f"{path.relative_to(ROOT)}: {name}")
     assert not found, "names in __all__ but not bound:\n" + "\n".join(found)
+
+
+def test_unreferenced_definitions_are_found():
+    source = "from dataclasses import dataclass\nimport click\n" \
+             "@click.command()\ndef cmd():\n    pass\n" \
+             "def loop():\n    return loop()\ndef used():\n    pass\n" \
+             "@dataclass\nclass Box:\n    pass\nclass Kept:\n    pass\nx = used\n"
+    assert unreferenced_definitions([source], ["Kept()\n"]) == ["Box", "loop"]
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    read = [path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src").rglob("*.py"))]
+    bench = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "bench").rglob("*.py"))]
+    found = unreferenced_definitions(read, bench)
+    assert found == sorted(_UNREFERENCED), f"read by nothing in src/ or bench/: {found}"

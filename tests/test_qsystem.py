@@ -5,18 +5,14 @@ from __future__ import annotations
 import json
 import random
 
-import pytest
-
-from qsc22.exact_poly import GaussRat, NotDivisible, TwistedPoly, wronskian
+from qsc22.exact_poly import GaussRat, TwistedPoly, wronskian
 from qsc22.qsystem import (
     _HODGE,
     _QQ_RELATIONS,
     SLOTS,
     QSystem,
     check_qq,
-    gauge_transform,
     generate_from_seed,
-    h_rotate,
     hodge,
     qq_residuals,
     random_seed_polys,
@@ -26,11 +22,6 @@ from qsc22.qsystem import (
 
 def _system(seed: int) -> QSystem:
     return generate_from_seed(*random_seed_polys(seed))
-
-
-def _linear(a, b, twist=1) -> TwistedPoly:
-    return TwistedPoly.from_coeffs([GaussRat.coerce(a), GaussRat.coerce(b)],
-                                   twist=GaussRat.coerce(twist))
 
 
 def test_slot_inventory():
@@ -113,29 +104,6 @@ def test_every_slot_is_read_by_the_relation_table():
 def test_hodge_preserves_relations():
     rep = check_qq(hodge(_system(21)))
     assert rep.ok
-
-
-def test_gauge_transform_preserves_relations():
-    q = _system(13)
-    g = _linear(1, 1, twist=GaussRat(2, 1))
-    out = gauge_transform(q, g, g)
-    assert out["0|0"] != q["0|0"]
-    assert check_qq(out).ok
-
-
-def test_gauge_transform_rejects_nondividing_gauges():
-    q = _system(13)
-    with pytest.raises(NotDivisible):
-        gauge_transform(q, _linear(1, 1), TwistedPoly.constant(GaussRat(2)))
-
-
-def test_h_rotation_preserves_relations():
-    q = _system(17)
-    h_even = ((GaussRat(1), GaussRat(2)), (GaussRat.ZERO, GaussRat(1)))
-    h_odd = ((GaussRat(1), GaussRat.ZERO), (GaussRat(0, 1), GaussRat(1)))
-    out = h_rotate(q, h_even, h_odd)
-    assert out != q
-    assert check_qq(out).ok
 
 
 def test_json_round_trip_and_stability():

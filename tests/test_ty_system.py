@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -107,13 +108,29 @@ def test_character_solution_satisfies_everything():
         assert val.shift(2) == val
 
 
+def _half_twists() -> list:
+    """The 22 distinct half-twists z / conj(z), z = a + bi with a != b in
+    1..6, that the character battery draws from."""
+    out = []
+    for a, b in itertools.product(range(1, 7), repeat=2):
+        z = GaussRat(a, b)
+        if a != b and z / z.conjugate() not in out:
+            out.append(z / z.conjugate())
+    return out
+
+
 def test_character_normalization_is_pure_twist():
-    q = character_solution(_gr("3/5", "4/5"), _gr("5/13", "12/13"))
-    for slot in ("1|0", "2|0", "0|1", "0|2"):
-        assert q[slot].degree() == 0
-        ((twist, coeffs),) = q[slot].terms
-        assert coeffs == (GaussRat.ONE,)
-        assert twist * twist.conjugate() == GaussRat.ONE
+    halves = _half_twists()
+    assert len(halves) == 22
+    # Each half-twist once as sx and once as sy.
+    for sx, sy in zip(halves, halves[1:] + halves[:1]):
+        q = character_solution(sx, sy)
+        assert q["0|0"] == TwistedPoly.one()
+        for slot in ("1|0", "2|0", "0|1", "0|2"):
+            assert q[slot].degree() == 0
+            ((twist, coeffs),) = q[slot].terms
+            assert coeffs == (GaussRat.ONE,)
+            assert twist * twist.conjugate() == GaussRat.ONE
 
 
 def test_degenerate_twists_are_rejected():
