@@ -90,7 +90,8 @@ def unreferenced_definitions(defining: list, reading: list) -> list:
 
 
 # Reached only by their own tests, each kept for the ROADMAP item that
-# is to call it; that item's PR calls it or deletes it, and its entry.
+# is to call it. The change that lands the item calls or deletes it, and
+# drops its entry.
 _UNREFERENCED = (
     "AsymptoticQ", "weight_exponents", "SourceF", "shell_pairs",  # ROADMAP item 3
     "crossing_structure_check",  # ROADMAP item 8
