@@ -25,9 +25,12 @@ The form is canonical (each twist triple reduced, gcd(d, *re, *im) == 1,
 nonzero top coefficient, terms sorted by twist in `GaussRat.sort_key`
 order), so equal elements have equal term tuples and `==` and `hash`
 compare structure.  Products, sums, shifts and exact division run on
-these integers, twists included.  `GaussRat` is the boundary type: the
-constructor parses it once, and twists and coefficients are built as
-`GaussRat` only when `.terms` or `.twists()` is read.  `shift(n)` runs
+these integers, twists included.  A sum of products, `signed_sum` (`*`
+calls it too), collects every term pair in one bucket and is put in
+canonical form once, not once per product and partial sum.  `GaussRat`
+is the boundary type: the constructor parses it once, and twists and
+coefficients are built as `GaussRat` only when `.terms` or `.twists()`
+is read.  `shift(n)` runs
 an integer Taylor shift on the numerators (scaled by 2^deg for odd n,
 where the step i*n/2 is not a Gaussian integer), multiplies by s^n and
 reduces once by the gcd.
@@ -500,12 +503,7 @@ class TwistedPoly:
     def __mul__(self, other) -> "TwistedPoly":
         if not isinstance(other, TwistedPoly):
             return self._scaled(other)
-        bucket: Bucket = {}
-        for s1, d1, r1, i1 in self._t:
-            for s2, d2, r2, i2 in other._t:
-                re, im = _convolve(r1, i1, r2, i2)
-                _accumulate(bucket, _twist_mul(s1, s2), d1 * d2, re, im)
-        return _collect(bucket)
+        return signed_sum(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -574,9 +572,27 @@ class TwistedPoly:
         return "TwistedPoly(" + " | ".join(parts) + ")"
 
 
+def signed_sum(terms: Iterable[Tuple[int, TwistedPoly, TwistedPoly]]) -> TwistedPoly:
+    """The sum of sign * f * g over (sign, f, g) triples, sign 1 or -1.
+    Two one-coefficient terms multiply inline, not by `_convolve`."""
+    bucket: Bucket = {}
+    for sign, f, g in terms:
+        for s1, d1, r1, i1 in f._t:
+            if sign < 0:
+                r1, i1 = [-x for x in r1], [-x for x in i1]
+            for s2, d2, r2, i2 in g._t:
+                if len(r1) == 1 and len(r2) == 1:
+                    a, b, c, e = r1[0], i1[0], r2[0], i2[0]
+                    re, im = [a * c - b * e], [a * e + b * c]
+                else:
+                    re, im = _convolve(r1, i1, r2, i2)
+                _accumulate(bucket, _twist_mul(s1, s2), d1 * d2, re, im)
+    return _collect(bucket)
+
+
 def wronskian(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
     """f^[+1] g^[-1] - f^[-1] g^[+1] on the half-unit shift lattice."""
-    return f.shift(1) * g.shift(-1) - f.shift(-1) * g.shift(1)
+    return signed_sum(((1, f.shift(1), g.shift(-1)), (-1, f.shift(-1), g.shift(1))))
 
 
 def _divide(df, rf, jf, dg, rg, jg) -> Tuple[int, List[int], List[int]]:

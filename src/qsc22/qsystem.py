@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .exact_poly import GaussRat, TwistedPoly, exact_div, wronskian
+from .exact_poly import GaussRat, TwistedPoly, exact_div, signed_sum, wronskian
 
 SLOTS = (
     "0|0", "1|0", "2|0", "12|0",
@@ -130,11 +130,9 @@ def _qq_relations() -> Tuple:
 
 
 _QQ_RELATIONS = _qq_relations()
-_QQ_PRODUCTS = tuple(dict.fromkeys((f, g) for _, terms in _QQ_RELATIONS for _, f, g in terms))
-_QQ_FACTORS = tuple(dict.fromkeys(f for pair in _QQ_PRODUCTS for f in pair))
-# The terms by position, as `qq_residuals` reads them.
-_QQ_PAIRS = tuple((_QQ_FACTORS.index(f), _QQ_FACTORS.index(g)) for f, g in _QQ_PRODUCTS)
-_QQ_TERMS = tuple(tuple((sign, _QQ_PRODUCTS.index((f, g))) for sign, f, g in terms)
+_QQ_FACTORS = tuple(dict.fromkeys(f for _, terms in _QQ_RELATIONS for _, *fg in terms for f in fg))
+# The terms as (sign, factor index, factor index), as `qq_residuals` reads them.
+_QQ_TERMS = tuple(tuple((sign, _QQ_FACTORS.index(f), _QQ_FACTORS.index(g)) for sign, f, g in terms)
                   for _, terms in _QQ_RELATIONS)
 
 
@@ -196,15 +194,10 @@ def slot_grades(slot: str) -> Tuple[int, int]:
 
 
 def _det(mat: Sequence[Sequence[TwistedPoly]]) -> TwistedPoly:
-    n = len(mat)
-    if n == 1:
+    if len(mat) == 1:
         return mat[0][0]
-    total = TwistedPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return signed_sum((1 - 2 * (j % 2), x, _det([row[:j] + row[j + 1:] for row in mat[1:]]))
+                      for j, x in enumerate(mat[0]))
 
 
 def seed_components(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> Dict[Tuple[int, ...], TwistedPoly]:
@@ -272,18 +265,14 @@ def qq_residuals(q: QSystem) -> Iterable[Tuple[str, TwistedPoly]]:
 
     Every residual is the cleared (division-free) form of one relation;
     the relation holds iff the residual is the zero element.  Each
-    distinct factor and each distinct product is computed once.
+    distinct factor is computed once, and each residual is one
+    `signed_sum` of its terms.
     """
     up = hodge(q)
     value = [(up if raised else q)[slot] for raised, slot, _ in _QQ_FACTORS]
     value = [v.shift(k) if k else v for v, (_, _, k) in zip(value, _QQ_FACTORS)]
-    product = [value[i] * value[j] for i, j in _QQ_PAIRS]
-    zero = TwistedPoly.zero()
     for (name, _), terms in zip(_QQ_RELATIONS, _QQ_TERMS):
-        res = zero
-        for sign, k in terms:
-            res = res + product[k] if sign > 0 else res - product[k]
-        yield name, res
+        yield name, signed_sum((sign, value[i], value[j]) for sign, i, j in terms)
 
 
 def check_qq(q: QSystem) -> QQReport:

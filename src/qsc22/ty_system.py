@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import qsystem
-from .exact_poly import GaussRat, TwistedPoly
+from .exact_poly import GaussRat, TwistedPoly, signed_sum
 from .qsystem import SLOTS, QSystem, generate_from_seed
 
 
@@ -44,15 +44,14 @@ def t_function(q: QSystem, a: int, s: int) -> TwistedPoly:
     if s == 0:
         return sgn(a) * (S("12|12", a) * S("0|0", -a))
     if s == 1 and a >= 1:
-        return -(S("12|1", a) * S("0|2", -a) - S("12|2", a) * S("0|1", -a))
+        return signed_sum(((-1, S("12|1", a), S("0|2", -a)), (1, S("12|2", a), S("0|1", -a))))
     if s == 2 and a >= 2:
         return sgn(a) * (S("12|0", a) * S("0|12", -a))
     if a == 0:
         return sgn(s) * (S("0|0", s) * S("12|12", -s))
     if a == 1:
-        return sgn(s + 1) * (
-            S("1|0", s) * S("2|12", -s) - S("2|0", s) * S("1|12", -s)
-        )
+        return signed_sum(((sgn(s + 1), S("1|0", s), S("2|12", -s)),
+                           (sgn(s), S("2|0", s), S("1|12", -s))))
     return sgn(s) * (S("12|0", s) * S("0|12", -s))
 
 
@@ -113,11 +112,9 @@ def check_hirota(q: QSystem, window: Tuple[int, int] = (4, 4)) -> HirotaReport:
                 skipped.append(f"{a},{s}")
                 continue
             mid = T(a, s)
-            res = (
-                mid.shift(1) * mid.shift(-1)
-                - T(a, s + 1) * T(a, s - 1)
-                - T(a + 1, s) * T(a - 1, s)
-            )
+            res = signed_sum(((1, mid.shift(1), mid.shift(-1)),
+                              (-1, T(a, s + 1), T(a, s - 1)),
+                              (-1, T(a + 1, s), T(a - 1, s))))
             checked += 1
             if not res.is_zero:
                 failures.append(f"{a},{s}")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc22.exact_poly import GaussRat, NotDivisible, TwistedPoly, exact_div, wronskian
+from qsc22.exact_poly import (GaussRat, NotDivisible, TwistedPoly, exact_div, signed_sum,
+                              wronskian)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -278,6 +279,83 @@ def test_wronskian_of_twisted_constants():
     # Orientation: W(f, g) = f^+ g^- - f^- g^+, so W(u, 1) = +i.
     u = _poly([0, 1])
     assert wronskian(u, one) == TwistedPoly.constant(GaussRat(0, 1))
+
+
+# Factors for the signed-sum kernel: one coefficient, longer, and on
+# several twists.
+one_coeff = st.builds(_top_poly, st.just(()), nonzero_gauss, st.sampled_from(TWISTS))
+longer = single_twist.filter(lambda f: f.degree() >= 1)
+factors = st.one_of(small_polys, one_coeff, longer, two_twist())
+signed_terms = st.lists(st.tuples(st.sampled_from((1, -1)), factors, factors), max_size=4)
+
+
+def _fold(terms) -> TwistedPoly:
+    """The same sum with `*`, `+` and `-`, one partial sum at a time."""
+    out = TwistedPoly.zero()
+    for sign, f, g in terms:
+        out = out + f * g if sign > 0 else out - f * g
+    return out
+
+
+def _naive(terms) -> TwistedPoly:
+    """The same sum from GaussRat coefficient convolutions, through the
+    constructor and without the kernel."""
+    out = []
+    for sign, f, g in terms:
+        for s, p in f.terms:
+            for t, r in g.terms:
+                prod = [GaussRat.ZERO] * (len(p) + len(r) - 1)
+                for j, x in enumerate(p):
+                    for k, y in enumerate(r):
+                        prod[j + k] = prod[j + k] + sign * x * y
+                out.append((s * t, prod))
+    return TwistedPoly(out)
+
+
+def _assert_kernel(terms) -> TwistedPoly:
+    out = signed_sum(terms)
+    assert out == _fold(terms) == _naive(terms)
+    assert out == TwistedPoly(out.terms)
+    _assert_canonical(out)
+    return out
+
+
+@given(signed_terms)
+@settings(max_examples=40)
+def test_signed_sum_matches_the_fold(terms):
+    _assert_kernel(terms)
+
+
+def test_signed_sum_of_nothing_is_zero():
+    assert _assert_kernel(()) == TwistedPoly.zero()
+    assert signed_sum(iter(())).is_zero
+
+
+@given(signed_terms.filter(bool))
+@settings(max_examples=25)
+def test_signed_sum_cancels_to_zero(terms):
+    # Each term again with the factors swapped and the sign flipped.
+    assert _assert_kernel(terms + [(-sign, g, f) for sign, f, g in terms]).is_zero
+
+
+@given(factors, factors)
+@settings(max_examples=40)
+def test_signed_sum_sign(f, g):
+    assert _assert_kernel([(-1, f, g)]) == -(f * g)
+    assert _assert_kernel([(1, f, g)]) == f * g
+
+
+@given(two_twist(), two_twist(), factors)
+@settings(max_examples=25)
+def test_signed_sum_of_multi_twist_factors(f, g, h):
+    _assert_kernel([(1, f, g), (-1, g, h), (1, h, f)])
+
+
+@given(one_coeff, one_coeff, longer, longer)
+@settings(max_examples=25)
+def test_signed_sum_runs_both_product_branches(c, e, p, r):
+    # c * e multiplies inline; the products with p or r convolve.
+    _assert_kernel([(1, c, e), (-1, c, p), (1, p, r), (-1, r, e)])
 
 
 def test_exact_div_round_trip():

@@ -77,6 +77,35 @@ def test_perturbation_is_detected_and_named():
     assert any("1|1" in name for name in rep.failures)
 
 
+def _folded_residuals(q: QSystem):
+    """Every relation of `_QQ_RELATIONS` folded with `*`, `+` and `-`,
+    its factors read by name through `_HODGE`."""
+    def factor(raised, slot, k):
+        sign, src = _HODGE[slot] if raised else (1, slot)
+        return (sign * q[src]).shift(k)
+
+    out = []
+    for name, terms in _QQ_RELATIONS:
+        res = TwistedPoly.zero()
+        for sign, f, g in terms:
+            prod = factor(*f) * factor(*g)
+            res = res + prod if sign > 0 else res - prod
+        out.append((name, res))
+    return out
+
+
+def test_residuals_match_a_fold_of_the_relation_table():
+    q = _system(13)
+    bump = TwistedPoly.from_coeffs([GaussRat(1), GaussRat(0, 2)])
+    for slot in ("1|2", "0|0", "12|1"):
+        mapping = dict(q.items())
+        mapping[slot] = mapping[slot] + bump
+        perturbed = QSystem(mapping)
+        got = list(qq_residuals(perturbed))
+        assert got == _folded_residuals(perturbed), slot
+        assert any(not res.is_zero for _, res in got), slot
+
+
 def test_hodge_double_dual_signs():
     # The double dual is (-1)^(|A|+|I|) times the identity: a law of the
     # table alone, whatever the system.
