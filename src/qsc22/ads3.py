@@ -60,11 +60,12 @@ class ShellViolation(ValueError):
 class AdS3Roots:
     """Root content of one asymptotic state.
 
-    The coupling must be finite and positive, the volume at least 1 and
-    every root finite.  Shell conditions (|x| > 1 and the i-shift
-    pairing) are enforced on both massive towers.  The zero-momentum
-    product is deliberately not enforced: the single-pair shell oracle
-    needs it violated, so it is exposed through momentum_defect instead.
+    The coupling must be finite and positive, the volume at least 1,
+    every root finite and no auxiliary root at 0, which is u = infinity.
+    Shell conditions (|x| > 1 and the i-shift pairing) are enforced on
+    both massive towers.  The zero-momentum product is deliberately not
+    enforced: the single-pair shell oracle needs it violated, so it is
+    exposed through momentum_defect instead.
     """
 
     hcoup: float
@@ -84,6 +85,8 @@ class AdS3Roots:
             raise ValueError(f"volume must be at least 1, got {self.volume}")
         for name in ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b"):
             object.__setattr__(self, name, finite_roots(getattr(self, name)))
+        if 0 in self.y1 + self.y3 + self.y1b + self.y3b:
+            raise ValueError("an auxiliary root at 0 sits at u = infinity")
         if len(self.xp) != len(self.xm) or len(self.xbp) != len(self.xbm):
             raise ShellViolation("massive towers need matching +/- counts")
         for plus, minus in zip(self.xp + self.xbp, self.xm + self.xbm):
@@ -105,7 +108,9 @@ class AdS3Roots:
     def from_json(cls, data: dict) -> "AdS3Roots":
         def dec(vals):
             return tuple(complex(re, im) for re, im in vals)
-        return cls(float(data["hcoup"]), int(data["L"]),
+        if type(data["L"]) is not int:
+            raise ValueError(f"volume L must be a JSON integer, got {data['L']!r}")
+        return cls(float(data["hcoup"]), data["L"],
                    *(dec(data.get(key, ())) for key in
                      ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b")))
 
@@ -311,7 +316,8 @@ def solve_with_auxiliary(hcoup: float, volume: int,
     from bracketing the auxiliary equation at the seed rapidities.
     """
     v1s, v2s = float(seed[0]), float(seed[1])
-    xp_seed = _symmetric_state(hcoup, volume, v1s, v2s, 0.0).xp
+    # Any nonzero y fills the auxiliary slot; only the massive roots are read.
+    xp_seed = _symmetric_state(hcoup, volume, v1s, v2s, 1.0).xp
 
     def aux_phase(y: float) -> float:
         return sum(np.angle(y - x) for x in xp_seed) + math.pi

@@ -189,17 +189,19 @@ def cmd_solve_nested(input_path) -> None:
             twist_x=_complex_pair(data.get("twist_x", [1.0, 0.0])),
             twist_y=_complex_pair(data.get("twist_y", [1.0, 0.0])),
         )
-        if "Mtheta" in data and int(data["Mtheta"]) != len(spec.yplus):
+        if "Mtheta" in data and data["Mtheta"] != len(spec.yplus):
             raise ValueError(f"Mtheta {data['Mtheta']} differs from the "
                              f"{len(spec.yplus)} yplus/yminus pairs")
         seed_data = data["seed"]
+        if not isinstance(seed_data, dict):
+            raise ValueError(f"seed must be an object of root lists, got {seed_data!r}")
         seed = hb.HubbardRoots(
             tuple(_complex_pairs(seed_data.get("x1e", []))),
             tuple(_complex_pairs(seed_data.get("u11", []))),
             tuple(_complex_pairs(seed_data.get("x112", []))),
         )
         sizes = [len(seed.x1e), len(seed.u11), len(seed.x112)]
-        if "counts" in data and [int(n) for n in data["counts"]] != sizes:
+        if "counts" in data and list(data["counts"]) != sizes:
             raise ValueError(f"counts {data['counts']} differ from the seed "
                              f"list lengths {sizes}")
     except (KeyError, TypeError, ValueError) as exc:

@@ -35,10 +35,13 @@ an integer Taylor shift on the numerators (scaled by 2^deg for odd n,
 where the step i*n/2 is not a Gaussian integer), multiplies by s^n and
 reduces once by the gcd.
 
+`wronskian(f_1, ..., f_k)` is the Casoratian det f_i^[k+1-2j] on the
+half-unit shift lattice, expanded along its first row with one
+`signed_sum` per level; for two functions it is f^+ g^- - f^- g^+.
+
 Elements are immutable, so `f.shift(n)` keeps its result in a memo on
-f, and `-f` answers `shift(n)` with `-(f.shift(n))`: an element and its
-negative share one set of shifts.  A memo lives and dies with its
-instance; nothing is cached across instances.
+f.  A memo lives and dies with its instance; nothing is cached across
+instances.
 """
 
 from __future__ import annotations
@@ -374,7 +377,7 @@ class TwistedPoly:
     coefficients in ascending order, the form the constructor accepts.
     """
 
-    __slots__ = ("_t", "_terms", "_shifts", "_neg")
+    __slots__ = ("_t", "_terms", "_shifts")
 
     def __init__(self, terms: Iterable = ()) -> None:
         bucket: Bucket = {}
@@ -396,7 +399,6 @@ class TwistedPoly:
         self._t = t
         self._terms = None
         self._shifts = None
-        self._neg = None
 
     @classmethod
     def _wrap(cls, t: Tuple[IntTerm, ...]) -> "TwistedPoly":
@@ -471,14 +473,10 @@ class TwistedPoly:
     __radd__ = __add__
 
     def _negated(self) -> "TwistedPoly":
-        if self._neg is not None:
-            return self._neg
-        out = TwistedPoly._wrap(tuple(
+        return TwistedPoly._wrap(tuple(
             (s, d, tuple(-x for x in re), tuple(-x for x in im))
             for s, d, re, im in self._t
         ))
-        out._neg = self
-        return out
 
     def __neg__(self) -> "TwistedPoly":
         return self._negated()
@@ -492,12 +490,10 @@ class TwistedPoly:
         return self._negated() + other
 
     def _scaled(self, c) -> "TwistedPoly":
-        """self * c for a scalar c; the factors 1 and -1 keep the memo."""
+        """self * c for a scalar c; the factor 1 returns self."""
         a, b, e = _scalar(c)
         if not b and a == e:
             return self
-        if not b and a == -e:
-            return self._negated()
         return _collect({s: (d * e, *_times(re, im, a, b)) for s, d, re, im in self._t})
 
     def __mul__(self, other) -> "TwistedPoly":
@@ -514,11 +510,6 @@ class TwistedPoly:
 
     def shift(self, n: int) -> "TwistedPoly":
         """f(u + i*n/2), recomposed exactly in powers of u."""
-        return self._shifted(n)
-
-    def _shifted(self, n: int) -> "TwistedPoly":
-        # Internal callers come here, so a wrapper around `shift` (as in
-        # bench/tracing.py) counts the calls from outside only.
         if n == 0 or not self._t:
             return self
         memo = self._shifts
@@ -526,11 +517,7 @@ class TwistedPoly:
             memo = self._shifts = {}
         elif n in memo:
             return memo[n]
-        if self._neg is not None:
-            out = self._neg._shifted(n)._negated()
-        else:
-            out = TwistedPoly._wrap(tuple(_shift_term(t, n) for t in self._t))
-        memo[n] = out
+        out = memo[n] = TwistedPoly._wrap(tuple(_shift_term(t, n) for t in self._t))
         return out
 
     def as_json(self) -> dict:
@@ -590,9 +577,22 @@ def signed_sum(terms: Iterable[Tuple[int, TwistedPoly, TwistedPoly]]) -> Twisted
     return _collect(bucket)
 
 
-def wronskian(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
-    """f^[+1] g^[-1] - f^[-1] g^[+1] on the half-unit shift lattice."""
-    return signed_sum(((1, f.shift(1), g.shift(-1)), (-1, f.shift(-1), g.shift(1))))
+def _det(mat: Sequence[Sequence[TwistedPoly]]) -> TwistedPoly:
+    """Laplace expansion along the first row, one `signed_sum` per level."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return signed_sum((1 - 2 * (j % 2), x, _det([row[:j] + row[j + 1:] for row in mat[1:]]))
+                      for j, x in enumerate(mat[0]))
+
+
+def wronskian(*fs: TwistedPoly) -> TwistedPoly:
+    """The Casoratian det f_i^[k+1-2j] (i, j = 1..k) of k >= 1 functions
+    on the half-unit shift lattice: f itself for k = 1, and
+    f^[+1] g^[-1] - f^[-1] g^[+1] for k = 2."""
+    k = len(fs)
+    if not k:
+        raise ValueError("wronskian needs at least one function")
+    return _det([[f.shift(k - 1 - 2 * j) for j in range(k)] for f in fs])
 
 
 def _divide(df, rf, jf, dg, rg, jg) -> Tuple[int, List[int], List[int]]:

@@ -69,11 +69,11 @@ class HubbardSpec:
     """Coupling, optional inhomogeneity pairs, and twists.
 
     The number of pairs is len(yplus).  The twists are the diagonal
-    parameters (tx, 1/tx) and (ty, 1/ty); only the ratio tx/ty and
-    ty**2 enter the equations.  The constructor checks that every root
-    is finite and that every pair meets y+ + 1/y+ - y- - 1/y- = 2i/h to
-    within analytic_layer.SHELL_TOL, but not |y| > 1: the homogeneous
-    limit drives y- inside the unit disk.
+    parameters (tx, 1/tx) and (ty, 1/ty), both nonzero; only tx/ty and
+    ty**2 enter the equations.  The constructor checks the twists, that
+    every root is finite and that every pair meets
+    y+ + 1/y+ - y- - 1/y- = 2i/h to within analytic_layer.SHELL_TOL, but
+    not |y| > 1: the homogeneous limit drives y- inside the unit disk.
     """
 
     hcoup: float
@@ -84,6 +84,8 @@ class HubbardSpec:
 
     def __post_init__(self) -> None:
         check_coupling(self.hcoup)
+        if not self.twist_x or not self.twist_y:
+            raise ValueError(f"twists must be nonzero, got {self.twist_x} and {self.twist_y}")
         object.__setattr__(self, "yplus", finite_roots(self.yplus))
         object.__setattr__(self, "yminus", finite_roots(self.yminus))
         if len(self.yplus) != len(self.yminus):
@@ -200,9 +202,11 @@ def _nested_jacobian(spec: HubbardSpec, roots: HubbardRoots) -> np.ndarray:
 def solve_nested(spec: HubbardSpec, seed: HubbardRoots) -> HubbardRoots:
     """Damped Newton on the nested log residuals from a caller seed.
 
-    The seed's list lengths fix the root count of each node.  A seed on
-    a pole of the equations raises SingularDenominator, a ValueError.
+    The seed's list lengths fix the root count of each node.  A seed on a
+    pole (x = 0 among them) raises SingularDenominator, a ValueError.
     """
+    if 0 in seed.x1e + seed.x112:
+        raise SingularDenominator("an x root at 0 sits at u = infinity")
     m_first, m_mid = len(seed.x1e), len(seed.u11)
     z0 = np.array(seed.x1e + seed.u11 + seed.x112, dtype=complex)
     if z0.size == 0:

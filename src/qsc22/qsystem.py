@@ -8,9 +8,10 @@ relations among the middle block, two-term Wronskian relations tying
 neighbouring blocks together, and the corner completions.  `check_qq`
 evaluates the table exactly; a relation holds iff its residual is zero.
 
-`generate_from_seed` builds a full system from five seed functions by
-shifted-determinant completion.  It does not check the result; callers
-that certify a system run `check_qq` on it.
+`generate_from_seed` builds a full system from five seed functions:
+each slot is a signed Casoratian of odd seeds over shifts of the even
+one.  It does not check the result; callers that certify a system run
+`check_qq` on it.
 """
 
 from __future__ import annotations
@@ -31,27 +32,21 @@ SLOTS = (
     "12|12",
 )
 
-# Component of the seed expansion backing each slot (indices 1,2 are the
-# even directions, 3,4 the odd ones), and the sign convention.  The
-# signs are a frozen convention: they are the unique assignment (up to
-# the constant-rotation orbit) under which every relation family below
+# Slot -> (sign, seed subset): the component of the seed expansion
+# backing each slot (indices 1,2 are the even directions, 3,4 the odd
+# ones), of size |A| + 2 - |I|, and the sign convention.  The signs are
+# a frozen convention: they are the unique assignment (up to the
+# constant-rotation orbit) under which every relation family below
 # holds identically for generated systems, with the corner orientation
 # Q_{12|0} Q_{0|0} = -W(Q_{1|0}, Q_{2|0}) of the corner relations.
-_BASE = {
-    "0|0": (3, 4), "1|0": (1, 3, 4), "2|0": (2, 3, 4), "12|0": (1, 2, 3, 4),
-    "0|1": (4,), "0|2": (3,), "0|12": (),
-    "1|1": (1, 4), "1|2": (1, 3), "2|1": (2, 4), "2|2": (2, 3),
-    "12|1": (1, 2, 4), "12|2": (1, 2, 3),
-    "1|12": (1,), "2|12": (2,),
-    "12|12": (1, 2),
-}
-
-_SIGN = {
-    "0|0": 1, "1|0": 1, "2|0": 1, "12|0": -1,
-    "0|1": -1, "0|2": 1, "0|12": -1,
-    "1|1": -1, "1|2": 1, "2|1": -1, "2|2": 1,
-    "12|1": -1, "12|2": 1, "1|12": 1, "2|12": 1,
-    "12|12": 1,
+_COMPONENT = {
+    "0|0": (1, (3, 4)), "1|0": (1, (1, 3, 4)), "2|0": (1, (2, 3, 4)),
+    "12|0": (-1, (1, 2, 3, 4)),
+    "0|1": (-1, (4,)), "0|2": (1, (3,)), "0|12": (-1, ()),
+    "1|1": (-1, (1, 4)), "1|2": (1, (1, 3)), "2|1": (-1, (2, 4)), "2|2": (1, (2, 3)),
+    "12|1": (-1, (1, 2, 4)), "12|2": (1, (1, 2, 3)),
+    "1|12": (1, (1,)), "2|12": (1, (2,)),
+    "12|12": (1, (1, 2)),
 }
 
 # Dual table: slot -> (sign, source slot), implementing the raising
@@ -66,9 +61,6 @@ _HODGE = {
     "1|12": (1, "2|0"), "2|12": (-1, "1|0"),
     "12|12": (1, "0|0"),
 }
-
-_SHIFTS3 = (2, 0, -2)
-_SHIFTS4 = (3, 1, -1, -3)
 
 # The QQ relation inventory, one row per family in check order.  A row
 # names its indices (a, b, i, j over 1, 2; e over the shift signs + and
@@ -129,11 +121,27 @@ def _qq_relations() -> Tuple:
     return tuple(out)
 
 
+def _qq_plan() -> Tuple:
+    """`_QQ_RELATIONS` with each raised factor read through `_HODGE`:
+    the distinct factors as plain (slot, shift) pairs, and each
+    relation's terms as (sign, factor index, factor index), the Hodge
+    signs folded into the sign."""
+    index: Dict[Tuple[str, int], int] = {}
+
+    def lower(raised: bool, slot: str, shift: int) -> Tuple[int, int]:
+        sign, src = _HODGE[slot] if raised else (1, slot)
+        return sign, index.setdefault((src, shift), len(index))
+
+    def term(sign: int, f, g) -> Tuple[int, int, int]:
+        (sf, i), (sg, j) = lower(*f), lower(*g)
+        return sign * sf * sg, i, j
+
+    plan = tuple(tuple(term(*t) for t in terms) for _, terms in _QQ_RELATIONS)
+    return tuple(index), plan
+
+
 _QQ_RELATIONS = _qq_relations()
-_QQ_FACTORS = tuple(dict.fromkeys(f for _, terms in _QQ_RELATIONS for _, *fg in terms for f in fg))
-# The terms as (sign, factor index, factor index), as `qq_residuals` reads them.
-_QQ_TERMS = tuple(tuple((sign, _QQ_FACTORS.index(f), _QQ_FACTORS.index(g)) for sign, f, g in terms)
-                  for _, terms in _QQ_RELATIONS)
+_QQ_FACTORS, _QQ_TERMS = _qq_plan()
 
 
 class QSystem:
@@ -193,19 +201,12 @@ def slot_grades(slot: str) -> Tuple[int, int]:
     return (0 if a == "0" else len(a), 0 if i == "0" else len(i))
 
 
-def _det(mat: Sequence[Sequence[TwistedPoly]]) -> TwistedPoly:
-    if len(mat) == 1:
-        return mat[0][0]
-    return signed_sum((1 - 2 * (j % 2), x, _det([row[:j] + row[j + 1:] for row in mat[1:]]))
-                      for j, x in enumerate(mat[0]))
-
-
 def seed_components(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> Dict[Tuple[int, ...], TwistedPoly]:
     """All antisymmetric components generated by a seed.
 
     b0 is the even scalar seed; bs are the four odd-direction seeds.
-    Pairs come from Wronskians over b0, triples and the top component
-    from shifted determinants over b0^+ b0^- and b0^[2] b0 b0^[-2].
+    The component of a k-subset (k = 2, 3, 4) is the Casoratian of its
+    seeds over b0, b0^+ b0^- and b0^[2] b0 b0^[-2] respectively.
     b0 must have one twist, so that each divisor has one too (ValueError
     otherwise), and the divisions must be exact: NotDivisible propagates
     to the caller when the seed does not generate a polynomial family.
@@ -215,31 +216,22 @@ def seed_components(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> Dict[Tuple[in
     comp: Dict[Tuple[int, ...], TwistedPoly] = {(): b0}
     for m in range(1, 5):
         comp[(m,)] = bs[m - 1]
-    for m, n in itertools.combinations(range(1, 5), 2):
-        comp[(m, n)] = exact_div(wronskian(bs[m - 1], bs[n - 1]), b0)
-    den3 = b0.shift(1) * b0.shift(-1)
-    for trip in itertools.combinations(range(1, 5), 3):
-        mat = [[bs[x - 1].shift(s) for s in _SHIFTS3] for x in trip]
-        comp[trip] = exact_div(_det(mat), den3)
-    den4 = b0.shift(2) * b0 * b0.shift(-2)
-    mat = [[bs[x - 1].shift(s) for s in _SHIFTS4] for x in range(1, 5)]
-    comp[(1, 2, 3, 4)] = exact_div(_det(mat), den4)
+    dens = (b0, b0.shift(1) * b0.shift(-1), b0.shift(2) * b0 * b0.shift(-2))
+    for k, den in enumerate(dens, 2):
+        for sub in itertools.combinations(range(1, 5), k):
+            comp[sub] = exact_div(wronskian(*(bs[m - 1] for m in sub)), den)
     return comp
 
 
 def generate_from_seed(b0: TwistedPoly, bs: Sequence[TwistedPoly]) -> QSystem:
     """Full Q system from a seed, unchecked."""
     comp = seed_components(b0, bs)
-    return QSystem({slot: _SIGN[slot] * comp[_BASE[slot]] for slot in SLOTS})
+    return QSystem({slot: sign * comp[sub] for slot, (sign, sub) in _COMPONENT.items()})
 
 
 def hodge(q: QSystem) -> QSystem:
     """The raised system; slot 'A|I' of the result holds Q^{A|I}."""
-    out = {}
-    for slot in SLOTS:
-        sgn, src = _HODGE[slot]
-        out[slot] = q[src] if sgn > 0 else -q[src]
-    return QSystem(out)
+    return QSystem({slot: q[src] if sign > 0 else -q[src] for slot, (sign, src) in _HODGE.items()})
 
 
 @dataclass(frozen=True)
@@ -265,12 +257,10 @@ def qq_residuals(q: QSystem) -> Iterable[Tuple[str, TwistedPoly]]:
 
     Every residual is the cleared (division-free) form of one relation;
     the relation holds iff the residual is the zero element.  Each
-    distinct factor is computed once, and each residual is one
-    `signed_sum` of its terms.
+    distinct factor is a shifted slot of q, computed once, and each
+    residual is one `signed_sum` of its terms.
     """
-    up = hodge(q)
-    value = [(up if raised else q)[slot] for raised, slot, _ in _QQ_FACTORS]
-    value = [v.shift(k) if k else v for v, (_, _, k) in zip(value, _QQ_FACTORS)]
+    value = [q[slot].shift(k) if k else q[slot] for slot, k in _QQ_FACTORS]
     for (name, _), terms in zip(_QQ_RELATIONS, _QQ_TERMS):
         yield name, signed_sum((sign, value[i], value[j]) for sign, i, j in terms)
 

@@ -116,7 +116,7 @@ def test_gen_qsystem_round_trip(tmp_path):
 
 def test_gen_qsystem_full_reports_a_failed_qq_check(monkeypatch):
     # A wrong sign convention makes the generated components break QQ.
-    monkeypatch.setitem(qsystem._SIGN, "1|1", 1)
+    monkeypatch.setitem(qsystem._COMPONENT, "1|1", (1, (1, 4)))
     result = _run("gen-qsystem", "--rng-seed", "5", "--full")
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
@@ -335,6 +335,23 @@ def test_solve_nested_rejects_bad_input(tmp_path):
     assert result.stdout == "" and "pole" in result.stderr
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": [1, 2]},
+    # An x root at 0 sits at u = infinity.
+    {"seed": {"x1e": [[0.0, 0.0]], "u11": [[-0.6, 0.1]], "x112": []}},
+    {"seed": {"x1e": [], "u11": [[-0.6, 0.1]], "x112": [[0.0, 0.0]]}},
+    {"twist_y": [0, 0]},
+    # Counts are JSON integers; 2.5 and 1.5 would truncate to valid ones.
+    {"Mtheta": 2.5},
+    {"counts": [1.5, 1, 1]},
+])
+def test_solve_nested_input_errors_are_usage_errors(overrides, tmp_path):
+    result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == "" and "Error:" in result.stderr
+
+
 def test_ads3_residuals_two_particle():
     result = _run("ads3-residuals", "--mode", "two")
     assert result.exit_code == 0
@@ -381,6 +398,12 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
      "--mode", "single", "--winding", "4"),
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8}, "--mode", "two"),
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8}, "--winding", "1"),
+    # A volume that is not a JSON integer.
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8.7}),
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": True}),
+    # An auxiliary root at 0 sits at u = infinity.
+    ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "xp": [_SHELL_PLUS],
+                                   "xm": [_SHELL_MINUS], "y1b": [[0, 0]]}),
     # An auxiliary root on a massive root zeroes a factor of the equations.
     ("ads3-residuals", "--input", {"hcoup": 1.0, "L": 8, "xp": [_SHELL_PLUS],
                                    "xm": [_SHELL_MINUS], "y1": [_SHELL_PLUS]}),

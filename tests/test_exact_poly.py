@@ -166,7 +166,7 @@ def test_shift_memo_matches_a_fresh_copy(f, k):
 
 @given(small_polys, st.integers(min_value=-3, max_value=3))
 @settings(max_examples=60)
-def test_negation_shares_shifts(f, k):
+def test_negation_commutes_with_shift(f, k):
     neg = -f
     assert neg.shift(k) == -(f.shift(k))
     assert neg.shift(k) == (-TwistedPoly(f.terms)).shift(k)
@@ -279,6 +279,41 @@ def test_wronskian_of_twisted_constants():
     # Orientation: W(f, g) = f^+ g^- - f^- g^+, so W(u, 1) = +i.
     u = _poly([0, 1])
     assert wronskian(u, one) == TwistedPoly.constant(GaussRat(0, 1))
+    # The Casoratian of 1, u, ..., u^(k-1) is the Vandermonde product of
+    # its shift points u + i*(k+1-2j)/2: 2i for k = 3, -12 for k = 4.
+    powers = [_poly([0] * n + [1]) for n in range(4)]
+    assert wronskian(*powers[:3]) == TwistedPoly.constant(GaussRat(0, 2))
+    assert wronskian(*powers) == TwistedPoly.constant(-12)
+
+
+@given(small_polys, small_polys)
+@settings(max_examples=40)
+def test_wronskian_of_one_and_two_functions(f, g):
+    assert wronskian(f) is f
+    assert wronskian(f, g) == f.shift(1) * g.shift(-1) - f.shift(-1) * g.shift(1)
+    with pytest.raises(ValueError):
+        wronskian()
+
+
+@st.composite
+def casoratian_rows(draw):
+    """k = 3 or 4 functions and two distinct row indices."""
+    k = draw(st.sampled_from((3, 4)))
+    fs = draw(st.lists(small_polys, min_size=k, max_size=k))
+    i, j = draw(st.sampled_from(list(itertools.combinations(range(k), 2))))
+    return fs, i, j
+
+
+@given(casoratian_rows())
+@settings(max_examples=30)
+def test_casoratian_is_alternating(rows):
+    fs, i, j = rows
+    swapped = list(fs)
+    swapped[i], swapped[j] = fs[j], fs[i]
+    assert wronskian(*swapped) == -wronskian(*fs)
+    repeated = list(fs)
+    repeated[j] = fs[i]
+    assert wronskian(*repeated).is_zero
 
 
 # Factors for the signed-sum kernel: one coefficient, longer, and on

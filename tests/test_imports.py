@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every name a
-module lists in `__all__` is bound in it, and every top-level function
-and class of the package is read by the package or the benchmark."""
+module lists in `__all__` is bound in it, and every top-level function,
+class and constant of the package is read by the package or the
+benchmark."""
 
 from __future__ import annotations
 
@@ -64,12 +65,27 @@ def _registered(node) -> bool:
     return not all(builds(dec) for dec in node.decorator_list)
 
 
-def unreferenced_definitions(defining: list, reading: list) -> list:
-    """Top-level functions and classes of the `defining` sources that no
-    source in `defining` or `reading` names outside their own body.
+def _constants(node) -> list:
+    """Names a top-level assignment binds, dunder names excepted."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [sub.id for target in targets for sub in ast.walk(target)
+             if isinstance(sub, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
 
-    A name is read wherever it appears as a name or as an attribute.
-    Definitions that a decorator registers are skipped.
+
+def unreferenced_definitions(defining: list, reading: list) -> list:
+    """Top-level functions, classes and constants of the `defining`
+    sources that no source in `defining` or `reading` names outside
+    their own body.
+
+    A name is read wherever it appears as an attribute, or as a name it
+    is not assigned to.  Definitions that a decorator registers and
+    dunder constants such as `__all__` are skipped.
     """
     read = set()
     for source in defining + reading:
@@ -77,15 +93,19 @@ def unreferenced_definitions(defining: list, reading: list) -> list:
             owner = getattr(node, "name", None)
             read.update((sub.id if isinstance(sub, ast.Name) else sub.attr, owner)
                         for sub in ast.walk(node)
-                        if isinstance(sub, (ast.Name, ast.Attribute)))
+                        if isinstance(sub, ast.Attribute)
+                        or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store))
     found = []
     for source in defining:
         for node in ast.parse(source).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not _registered(node)
-                    and not any(name == node.name and owner != node.name
-                                for name, owner in read)):
-                found.append(node.name)
+                    and not _registered(node)):
+                names = [node.name]
+            else:
+                names = _constants(node)
+            found.extend(name for name in names
+                         if not any(read_name == name and owner != name
+                                    for read_name, owner in read))
     return sorted(found)
 
 
@@ -135,8 +155,10 @@ def test_unreferenced_definitions_are_found():
     source = "from dataclasses import dataclass\nimport click\n" \
              "@click.command()\ndef cmd():\n    pass\n" \
              "def loop():\n    return loop()\ndef used():\n    pass\n" \
-             "@dataclass\nclass Box:\n    pass\nclass Kept:\n    pass\nx = used\n"
-    assert unreferenced_definitions([source], ["Kept()\n"]) == ["Box", "loop"]
+             "@dataclass\nclass Box:\n    pass\nclass Kept:\n    pass\nx = used\n" \
+             "__all__ = []\n_READ: int = 1\n_UNREAD = _READ\nA, B = 2, 3\n"
+    found = unreferenced_definitions([source], ["Kept()\nmod.B\nprint(x)\n"])
+    assert found == ["A", "Box", "_UNREAD", "loop"]
 
 
 def test_every_definition_is_read_by_the_package_or_the_benchmark():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
+from qsc22 import qsystem
 from qsc22.exact_poly import GaussRat, TwistedPoly, wronskian
 from qsc22.qsystem import (
+    _COMPONENT,
     _HODGE,
     _QQ_RELATIONS,
     SLOTS,
@@ -31,6 +34,16 @@ def test_slot_inventory():
     assert grades.count((1, 1)) == 4
     assert grades.count((0, 0)) == 1
     assert grades.count((2, 2)) == 1
+
+
+def test_component_table_covers_every_seed_subset_once():
+    subsets = [sub for _, sub in _COMPONENT.values()]
+    assert sorted(_COMPONENT) == sorted(SLOTS)
+    assert sorted(subsets) == sorted(sub for k in range(5)
+                                     for sub in itertools.combinations(range(1, 5), k))
+    for slot, (sign, sub) in _COMPONENT.items():
+        na, ni = slot_grades(slot)
+        assert sign in (1, -1) and len(sub) == na + 2 - ni, slot
 
 
 def test_random_seed_polys_are_admissible():
@@ -94,7 +107,10 @@ def _folded_residuals(q: QSystem):
     return out
 
 
-def test_residuals_match_a_fold_of_the_relation_table():
+def test_residuals_match_a_fold_of_the_relation_table(monkeypatch):
+    # The raised factors are read through `_HODGE` at import, so the
+    # residuals build no dual.
+    monkeypatch.setattr(qsystem, "hodge", None)
     q = _system(13)
     bump = TwistedPoly.from_coeffs([GaussRat(1), GaussRat(0, 2)])
     for slot in ("1|2", "0|0", "12|1"):
