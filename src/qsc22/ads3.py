@@ -31,7 +31,7 @@ import numpy as np
 
 from ._newton import NoConvergence, _log, _ratio, bisect_real, solve_damped
 from .analytic_layer import (SHELL_TOL, MassiveTower,
-                             aux_b, aux_r, check_coupling, finite_roots,
+                             aux_b, aux_r, check_coupling, finite_roots, json_number,
                              shell_gap, shell_pair, truncated_f, u_rapidity,
                              w_combination, x_of_u)
 
@@ -107,10 +107,10 @@ class AdS3Roots:
     @classmethod
     def from_json(cls, data: dict) -> "AdS3Roots":
         def dec(vals):
-            return tuple(complex(re, im) for re, im in vals)
+            return tuple(complex(json_number(re), json_number(im)) for re, im in vals)
         if type(data["L"]) is not int:
             raise ValueError(f"volume L must be a JSON integer, got {data['L']!r}")
-        return cls(float(data["hcoup"]), data["L"],
+        return cls(json_number(data["hcoup"]), data["L"],
                    *(dec(data.get(key, ())) for key in
                      ("xp", "xm", "xbp", "xbm", "y1", "y3", "y1b", "y3b")))
 

@@ -62,6 +62,13 @@ def shell_gap(hcoup: float, xplus: complex, xminus: complex) -> float:
     return abs(xplus + 1.0 / xplus - xminus - 1.0 / xminus - 2j / hcoup)
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; TypeError for a boolean, string or other value."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def finite_roots(values) -> Tuple[complex, ...]:
     """The roots as complex numbers; ValueError if one is NaN or infinite."""
     roots = tuple(complex(v) for v in values)

@@ -22,7 +22,7 @@ from . import __version__, acceptance, ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
-from .analytic_layer import check_coupling
+from .analytic_layer import check_coupling, json_number
 from .exact_poly import GaussRat, TwistedPoly
 
 
@@ -45,7 +45,7 @@ def _load_json(path: str) -> dict:
 def _complex_pair(value) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise click.UsageError(f"expected [re, im], got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(json_number(value[0]), json_number(value[1]))
 
 
 def _complex_pairs(values) -> list:
@@ -183,7 +183,7 @@ def cmd_solve_nested(input_path) -> None:
     data = _load_json(input_path)
     try:
         spec = hb.HubbardSpec(
-            float(data["h"]),
+            json_number(data["h"]),
             _complex_pairs(data.get("yplus", [])),
             _complex_pairs(data.get("yminus", [])),
             twist_x=_complex_pair(data.get("twist_x", [1.0, 0.0])),

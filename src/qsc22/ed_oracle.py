@@ -28,33 +28,15 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-# The L=8 half-filling block.  One BLAS thread, 2-core Xeon: `spectrum`
-# took 0.03 s at dimension 400, 0.66 s at 1225, 18 s at 3920 and 37 s at
-# 4900 (peak RSS 0.98 GB); L=9 at half filling (15 876) would need ~8 GB.
+# The L=8 half-filling block.  One BLAS thread, 2-core Xeon, at dimension
+# 400, 1225 and 4900: build 1.1, 5.3 and 36 ms, `spectrum` 0.02, 0.45 and
+# 28-30 s (peak RSS 0.95 GB); L=9 at half filling (15 876) would need ~8 GB.
 _DIM_CAP = 4900
 _CERT_TOL = 1e-10
 
 
 class SectorTooLarge(ValueError):
     """Requested sector dimension exceeds the dense-oracle cap."""
-
-
-@dataclass(frozen=True)
-class FockSector:
-    """Occupation-number basis of a fixed (n_up, n_down) block.
-
-    States are (up_mask, down_mask) bit pairs, bit j = occupation of
-    site j, listed in lexicographic order of the integer pair.
-    """
-
-    lsites: int
-    n_up: int
-    n_down: int
-    basis: Tuple[Tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _sector_dim(lsites: int, n_up: int, n_down: int) -> int:
@@ -65,27 +47,12 @@ def _sector_dim(lsites: int, n_up: int, n_down: int) -> int:
     return math.comb(lsites, n_up) * math.comb(lsites, n_down)
 
 
-def fock_sector(lsites: int, n_up: int, n_down: int) -> FockSector:
-    """Enumerate the sector basis in lexicographic (up, down) order."""
-    _sector_dim(lsites, n_up, n_down)
-    ups, downs = (
-        sorted(sum(1 << j for j in occ)
-               for occ in itertools.combinations(range(lsites), n))
-        for n in (n_up, n_down))
-    return FockSector(lsites, n_up, n_down, tuple(itertools.product(ups, downs)))
-
-
 def _parity_below(mask: int, j: int) -> int:
     return bin(mask & ((1 << j) - 1)).count("1") & 1
 
 
 def _apply_hop(mask: int, src: int, dst: int):
-    """c†_dst c_src on a single-species mask; (new_mask, sign) or None.
-
-    Signs from the in-species mode count suffice: the cross-species
-    contributions of the chosen global ordering cancel pairwise for any
-    number-conserving single-species move.
-    """
+    """c†_dst c_src on a single-species mask; (new_mask, sign) or None."""
     if not (mask >> src) & 1:
         return None
     removed = mask & ~(1 << src)
@@ -95,32 +62,57 @@ def _apply_hop(mask: int, src: int, dst: int):
     return removed | (1 << dst), sign
 
 
+def _species_blocks(lsites: int, count: int):
+    """Hopping matrix T and S[i, j] = 1 - 2 n_j of `count` fermions of one
+    species, in the basis of ascending masks."""
+    masks = sorted(sum(1 << j for j in occ)
+                   for occ in itertools.combinations(range(lsites), count))
+    index = {mask: i for i, mask in enumerate(masks)}
+    bonds = [(j, (j + 1) % lsites) for j in range(lsites) if (j + 1) % lsites != j]
+    hop = np.zeros((len(masks), len(masks)))
+    for i, mask in enumerate(masks):
+        for a, b in bonds:
+            for src, dst in ((b, a), (a, b)):
+                moved = _apply_hop(mask, src, dst)
+                if moved is not None:
+                    hop[index[moved[0]], i] -= moved[1]
+    signs = np.array([[1 - 2 * ((mask >> j) & 1) for j in range(lsites)]
+                      for mask in masks], dtype=float)
+    return hop, signs
+
+
 def build_hamiltonian(lsites: int, u_coupling: float,
                       sector: Tuple[int, int]) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian block of one occupation sector."""
+    """Dense real-symmetric Hamiltonian block of one occupation sector.
+
+    The basis is product(ups, downs) of the ascending up and down masks
+    (bit j = occupation of site j).  A hop's sign counts the occupied
+    modes it passes.  All modes of the other species lie before both of
+    its end points (a down hop) or after them (an up hop), so they enter
+    twice or not at all and cancel: the sign depends on its own species
+    only.  The block is therefore the Kronecker sum
+
+        H = T_up ⊗ I + I ⊗ T_down + u diag((S_up S_downᵀ).ravel())
+
+    of the single-species blocks of `_species_blocks` (one per distinct
+    count, built on every call), written in place through an (up, down,
+    up, down) view of H with no dim² temporary.
+    """
     if not math.isfinite(u_coupling):
         raise ValueError("coupling must be finite")
     n_up, n_down = sector
     dim = _sector_dim(lsites, n_up, n_down)
     if dim > _DIM_CAP:
         raise SectorTooLarge(f"sector dimension {dim} exceeds cap {_DIM_CAP}")
-    sec = fock_sector(lsites, n_up, n_down)
-    index = {state: i for i, state in enumerate(sec.basis)}
-    ham = np.zeros((sec.dim, sec.dim))
-    bonds = [(j, (j + 1) % lsites) for j in range(lsites) if (j + 1) % lsites != j]
-    for i, (up, down) in enumerate(sec.basis):
-        diag = 0.0
-        for j in range(lsites):
-            diag += (1 - 2 * ((up >> j) & 1)) * (1 - 2 * ((down >> j) & 1))
-        ham[i, i] += u_coupling * diag
-        for a, b in bonds:
-            for src, dst in ((b, a), (a, b)):
-                hop = _apply_hop(up, src, dst)
-                if hop is not None:
-                    ham[index[(hop[0], down)], i] -= hop[1]
-                hop = _apply_hop(down, src, dst)
-                if hop is not None:
-                    ham[index[(up, hop[0])], i] -= hop[1]
+    species = {n: _species_blocks(lsites, n) for n in {n_up, n_down}}
+    (hop_up, signs_up), (hop_down, signs_down) = species[n_up], species[n_down]
+    ham = np.zeros((dim, dim))
+    blocks = ham.reshape(2 * (len(hop_up), len(hop_down)))
+    for k in range(len(hop_down)):
+        blocks[:, k, :, k] = hop_up
+    for i in range(len(hop_up)):
+        blocks[i, :, i, :] += hop_down
+    ham.reshape(-1)[::dim + 1] += u_coupling * (signs_up @ signs_down.T).ravel()
     return ham
 
 

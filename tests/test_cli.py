@@ -352,6 +352,36 @@ def test_solve_nested_input_errors_are_usage_errors(overrides, tmp_path):
     assert result.stdout == "" and "Error:" in result.stderr
 
 
+@pytest.mark.parametrize("overrides", [
+    {"h": True},
+    {"h": "1.0"},
+    {"yplus": [[True, 0.0], [0.5, 0.5]]},
+    {"twist_x": [True, False]},
+    {"twist_y": ["1", "0"]},
+    {"seed": {"x1e": [[0.0, 1.0]], "u11": [[True, False]], "x112": []}},
+])
+def test_solve_nested_rejects_booleans_and_strings_as_numbers(overrides, tmp_path):
+    result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == "" and "expected a JSON number" in result.stderr
+
+
+@pytest.mark.parametrize("data", [
+    {"hcoup": True, "L": 8},
+    {"hcoup": "1.0", "L": 8},
+    {"hcoup": 1.0, "L": 8, "y1": [[True, False]]},
+    {"hcoup": 1.0, "L": 8, "xp": [[_SHELL_PLUS[0], "0"]], "xm": [_SHELL_MINUS]},
+])
+def test_ads3_residuals_rejects_booleans_and_strings_as_numbers(data, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = _run("ads3-residuals", "--input", str(path))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == "" and "expected a JSON number" in result.stderr
+
+
 def test_ads3_residuals_two_particle():
     result = _run("ads3-residuals", "--mode", "two")
     assert result.exit_code == 0

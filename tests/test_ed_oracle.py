@@ -8,31 +8,85 @@ import math
 import numpy as np
 import pytest
 
+from qsc22 import ed_oracle
 from qsc22.ed_oracle import (
     SectorTooLarge,
     build_hamiltonian,
-    fock_sector,
     match_spectrum,
     spectrum,
 )
+
+COUPLINGS = (0.0, 0.37, 1.0, 2.9, -1.3)
+
+
+def _masks(lsites, count):
+    return sorted(sum(1 << j for j in occ)
+                  for occ in itertools.combinations(range(lsites), count))
+
+
+def _per_state_hamiltonian(lsites, u_coupling, sector):
+    """The per-state loop over basis states, bonds, directions and species
+    that `build_hamiltonian` replaced, kept as its reference."""
+    basis = list(itertools.product(*(_masks(lsites, n) for n in sector)))
+    index = {state: i for i, state in enumerate(basis)}
+    ham = np.zeros((len(basis), len(basis)))
+    bonds = [(j, (j + 1) % lsites) for j in range(lsites) if (j + 1) % lsites != j]
+    for i, (up, down) in enumerate(basis):
+        diag = 0.0
+        for j in range(lsites):
+            diag += (1 - 2 * ((up >> j) & 1)) * (1 - 2 * ((down >> j) & 1))
+        ham[i, i] += u_coupling * diag
+        for a, b in bonds:
+            for src, dst in ((b, a), (a, b)):
+                hop = ed_oracle._apply_hop(up, src, dst)
+                if hop is not None:
+                    ham[index[(hop[0], down)], i] -= hop[1]
+                hop = ed_oracle._apply_hop(down, src, dst)
+                if hop is not None:
+                    ham[index[(up, hop[0])], i] -= hop[1]
+    return ham
+
+
+@pytest.mark.parametrize("lsites", range(1, 8))
+def test_kronecker_sum_equals_the_per_state_loop(lsites):
+    # Every sector up to L = 6; at L = 7 those of dimension <= 1300.
+    for sector in itertools.product(range(lsites + 1), repeat=2):
+        if math.comb(lsites, sector[0]) * math.comb(lsites, sector[1]) > 1300:
+            continue
+        for coupling in COUPLINGS:
+            assert np.array_equal(build_hamiltonian(lsites, coupling, sector),
+                                  _per_state_hamiltonian(lsites, coupling, sector))
+
+
+def test_every_build_reads_the_hop_kernel(monkeypatch):
+    before = build_hamiltonian(4, 0.7, (2, 2))
+    apply_hop = ed_oracle._apply_hop
+
+    def bosonic(mask, src, dst):
+        hop = apply_hop(mask, src, dst)
+        return None if hop is None else (hop[0], 1)
+
+    monkeypatch.setattr(ed_oracle, "_apply_hop", bosonic)
+    assert not np.array_equal(build_hamiltonian(4, 0.7, (2, 2)), before)
 
 
 def test_sector_dimensions():
     for lsites in (1, 2, 3, 4):
         total = 0
         for n_up, n_down in itertools.product(range(lsites + 1), repeat=2):
-            sec = fock_sector(lsites, n_up, n_down)
-            assert sec.dim == math.comb(lsites, n_up) * math.comb(lsites, n_down)
-            total += sec.dim
+            dim = len(build_hamiltonian(lsites, 1.0, (n_up, n_down)))
+            assert dim == math.comb(lsites, n_up) * math.comb(lsites, n_down)
+            total += dim
         assert total == 4 ** lsites
 
 
 def test_basis_is_ordered_and_consistent():
-    sec = fock_sector(3, 2, 1)
-    assert sec.basis == tuple(sorted(sec.basis))
-    for up, down in sec.basis:
-        assert bin(up).count("1") == 2
-        assert bin(down).count("1") == 1
+    # The basis is product(ups, downs) of ascending masks: the u term on
+    # the diagonal reads each state's occupations in that order.
+    basis = itertools.product(_masks(3, 2), _masks(3, 1))
+    expected = [sum((1 - 2 * ((up >> j) & 1)) * (1 - 2 * ((down >> j) & 1))
+                    for j in range(3)) for up, down in basis]
+    assert np.diag(build_hamiltonian(3, 1.0, (2, 1))).tolist() == expected
 
 
 def test_hamiltonian_is_real_symmetric():
@@ -104,7 +158,7 @@ def test_dimension_cap():
 
 
 def test_small_sector_of_a_long_chain():
-    assert fock_sector(40, 1, 0).dim == 40
+    assert build_hamiltonian(40, 1.0, (1, 0)).shape == (40, 40)
     eigs = spectrum(build_hamiltonian(40, 1.0, (1, 0)))
     assert eigs.shape == (40,)
 
@@ -137,8 +191,9 @@ def test_certificate_rejects_a_wrong_eigensystem(monkeypatch, mutate):
 
 
 def test_sector_validation():
-    with pytest.raises(ValueError):
-        fock_sector(2, 3, 0)
+    for lsites, sector in ((2, (3, 0)), (2, (0, -1)), (0, (0, 0))):
+        with pytest.raises(ValueError):
+            build_hamiltonian(lsites, 1.0, sector)
     for coupling in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             build_hamiltonian(2, coupling, (1, 0))
