@@ -158,8 +158,9 @@ def test_dimension_cap():
 
 
 def test_small_sector_of_a_long_chain():
-    assert build_hamiltonian(40, 1.0, (1, 0)).shape == (40, 40)
-    eigs = spectrum(build_hamiltonian(40, 1.0, (1, 0)))
+    ham = build_hamiltonian(40, 1.0, (1, 0))
+    assert ham.shape == (40, 40)
+    eigs = spectrum(ham)
     assert eigs.shape == (40,)
 
 
