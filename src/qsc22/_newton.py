@@ -21,7 +21,7 @@ import numpy as np
 _ARMIJO = 1e-4
 _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 200
-_STEP_MAX_ITER = 5
+_MAX_ITER = 60
 _STEP_FLOOR = 1e-6
 # Two roots of a collision group closer than this end a path.
 _COLLISION_TOL = 1e-9
@@ -80,13 +80,16 @@ def solve_damped(
     z0: Sequence[complex],
     *,
     tol: float = 1e-13,
-    max_iter: int = 60,
+    contract: bool = False,
 ) -> np.ndarray:
     """Newton with Armijo backtracking; returns the root vector.
 
     jac(z) is the Jacobian of fun at z.  A real z0 gives a float
     iterate, for residual functions and Jacobians that are real-valued
-    on real input; a complex z0 gives a complex one.
+    on real input; a complex z0 gives a complex one.  The iteration
+    stops after _MAX_ITER steps.  With `contract`, an accepted iterate
+    that misses tol without at least halving the residual 2-norm
+    raises NoConvergence at once.
     """
     z = np.array(z0, dtype=complex if np.iscomplexobj(z0) else float)
     if z.size == 0:
@@ -94,7 +97,7 @@ def solve_damped(
     fval = np.asarray(fun(z))
     norm, worst = _norms(fval)
     best = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if worst < tol:
             return z
         best = min(best, worst)
@@ -108,14 +111,17 @@ def solve_damped(
             ftrial = np.asarray(fun(trial))
             trial_norm, trial_worst = _norms(ftrial)
             if trial_norm <= (1.0 - _ARMIJO * alpha) * norm:
-                z, fval, norm, worst = trial, ftrial, trial_norm, trial_worst
                 break
             alpha *= 0.5
         else:
             raise NoConvergence(f"line search stalled at |f|={norm:.3e}", best)
+        if contract and trial_worst >= tol and trial_norm > 0.5 * norm:
+            raise NoConvergence(f"|f| fell only from {norm:.3e} to {trial_norm:.3e}",
+                                min(best, trial_worst))
+        z, fval, norm, worst = trial, ftrial, trial_norm, trial_worst
     if worst < tol:
         return z
-    raise NoConvergence(f"residual {worst:.3e} after {max_iter} iterations",
+    raise NoConvergence(f"residual {worst:.3e} after {_MAX_ITER} iterations",
                         min(best, worst))
 
 
@@ -135,10 +141,12 @@ def continue_path(
     jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  The first
     step, of length `step` toward t1, starts Newton from z0 and later
     ones from the secant through the last two roots, scaled to the step.
-    A step whose corrector misses tol in _STEP_MAX_ITER iterations is
-    halved, down to _STEP_FLOOR of the path, and an accepted one doubles
-    the next.  Roots of a group closer than _COLLISION_TOL, or, for a
-    real z0, swapping order between steps, raise PathCollision.
+    The corrector runs while each accepted Newton iterate at least
+    halves the residual 2-norm (solve_damped's `contract`); a step
+    whose corrector stops contracting short of tol is halved, down to
+    _STEP_FLOOR of the path, and an accepted one doubles the next.
+    Roots of a group closer than _COLLISION_TOL, or, for a real z0,
+    swapping order between steps, raise PathCollision.
     """
     real = not np.iscomplexobj(z0)
     z = np.array(z0, dtype=float if real else complex)
@@ -154,7 +162,7 @@ def continue_path(
         guess = z if prev is None else z + (z - prev[1]) * ((s_next - s) / (s - prev[0]))
         try:
             z_next = solve_damped(partial(fun_of_t, t_next), partial(jac_of_t, t_next),
-                                  guess, tol=tol, max_iter=_STEP_MAX_ITER)
+                                  guess, tol=tol, contract=True)
         except NoConvergence as exc:
             h = 0.5 * (s_next - s)
             if h < _STEP_FLOOR:

@@ -46,11 +46,14 @@ instances.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction, str]
+# An integer as `GaussRat.as_json` writes it; from_json takes this or a JSON int.
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
 
 
 class NotDivisible(ArithmeticError):
@@ -182,6 +185,10 @@ class GaussRat:
     def from_json(cls, data) -> "GaussRat":
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise ValueError("expected [re_num, re_den, im_num, im_den]")
+        if not all(type(x) is int or (isinstance(x, str) and _DECIMAL_INT.fullmatch(x))
+                   for x in data):
+            raise ValueError(f"entries must be integers or decimal-integer strings, "
+                             f"got {data!r}")
         a, b, c, d = (int(x) for x in data)
         return cls(Fraction(a, b), Fraction(c, d))
 

@@ -395,9 +395,10 @@ def solve_liebwu(
     ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
     increasing start residual.  The continuation from u = 1e-3 follows
     continue_path's adaptive steps from a first step of 1/10 of the path,
-    each solved to _START_TOL, and drops a seed whose roots swap order;
-    the endpoint is then polished to _LIEBWU_TOL.  The returned roots
-    satisfy the product-form residuals below 1e-12.
+    each solved to _START_TOL by a corrector that must halve the
+    residual at every iteration, and drops a seed whose roots swap
+    order; the endpoint is then polished to _LIEBWU_TOL.  The returned
+    roots satisfy the product-form residuals below 1e-12.
 
     Everything before the continuation, the seed ranking and each seed's
     start solve, is a function of (L, I, J, u_start, start tolerance)

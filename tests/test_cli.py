@@ -200,6 +200,30 @@ def test_check_hirota_bad_q_entry_is_an_input_error(tmp_path):
     assert "cannot build system" in result.stderr
 
 
+def _seed_with_b0_coefficient(tmp_path, coeff) -> str:
+    """gen-qsystem 5's B-seed, whose B0 is the constant 1, with that
+    coefficient written as `coeff`."""
+    data = json.loads(_run("gen-qsystem", "--rng-seed", "5").stdout)
+    assert data["B0"]["terms"][0]["coeffs"] == [["1", "1", "0", "1"]]
+    data["B0"]["terms"][0]["coeffs"][0] = coeff
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-qq", "check-hirota"])
+def test_seed_entries_must_be_integers(tmp_path, command):
+    # JSON ints and decimal-integer strings load; a float or a boolean
+    # that int() would truncate to the same constant 1 is a usage error.
+    result = _run(command, "--seed", _seed_with_b0_coefficient(tmp_path, [1, "1", 0, 1]))
+    assert result.exit_code == 0, result.output
+    for coeff in ([1.5, True, False, True], [True, 1, 0, 1], ["1.0", "1", "0", "1"],
+                  [" 1", "1", "0", "1"]):
+        result = _run(command, "--seed", _seed_with_b0_coefficient(tmp_path, coeff))
+        assert result.exit_code == 2, (coeff, result.output)
+        assert "bad seed file" in result.stderr
+
+
 def test_ed_json():
     result = _run("ed", "--L", "2", "--u", "1", "--nup", "1", "--ndown", "0")
     assert result.exit_code == 0

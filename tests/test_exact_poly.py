@@ -126,6 +126,14 @@ def test_gauss_json_round_trip(a):
     assert GaussRat.from_json(data) == a
 
 
+def test_gauss_from_json_takes_integers_only():
+    assert GaussRat.from_json([1, "-2", 0, "1"]) == GaussRat(Fraction(-1, 2))
+    for bad in ([1.5, 1, 0, 1], [True, 1, 0, 1], ["1.0", "1", "0", "1"],
+                ["+1", "1", "0", "1"], ["1_0", "1", "0", "1"], ["\u0661", "1", "0", "1"]):
+        with pytest.raises(ValueError, match="decimal-integer"):
+            GaussRat.from_json(bad)
+
+
 def test_gauss_sort_key_orders():
     vals = [GaussRat(1), GaussRat(0, 1), GaussRat(-2), GaussRat(1, -1)]
     ordered = sorted(vals, key=lambda v: v.sort_key())

@@ -60,16 +60,22 @@ def test_solve_damped_iterate_follows_the_start():
 
 
 def test_solve_damped_reports_failure():
+    # Newton on |z|^0.6 maps z to -2z/3, so each step keeps 0.78 of the
+    # residual: the line search accepts every full step, and _MAX_ITER
+    # of them end far above tol.
+    evals = []
+
     def fun(z):
-        return np.array([z[0] ** 2 + 1.0])
+        evals.append(z[0])
+        return np.array([math.copysign(abs(z[0]) ** 0.6, z[0])])
 
     def jac(z):
-        return np.array([[2.0 * z[0]]])
+        return np.array([[0.6 * abs(z[0]) ** -0.4]])
 
-    with pytest.raises(NoConvergence) as info:
-        solve_damped(fun, jac, np.array([1.0]), max_iter=25)
-    # No real root: the best residual is the minimum of x^2 + 1 or above.
-    assert info.value.residual >= 1.0
+    with pytest.raises(NoConvergence, match=f"after {_newton._MAX_ITER} iterations") as info:
+        solve_damped(fun, jac, np.array([1.0]))
+    assert len(evals) == _newton._MAX_ITER + 1
+    assert info.value.residual == pytest.approx((2.0 / 3.0) ** (0.6 * _newton._MAX_ITER))
 
 
 def test_solve_damped_rejects_a_sign_flipped_jacobian():
@@ -148,9 +154,10 @@ def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
 
 def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
     # Newton on arctan(z - t) overshoots from far away, so from z = 0
-    # five iterations do not reach the root at t = 10, 5 or 2.5 (nor at
-    # 1.25 to 1e-13).  Each failed step is retried at half its length,
-    # each accepted one doubles the next, and the last is cut to end at t1.
+    # the first iterate does not halve the residual at t = 10, 5, 2.5 or
+    # 1.25, and the corrector stops there.  Each failed step is retried
+    # at half its length, each accepted one doubles the next, and the
+    # last is cut to end at t1.
     attempts = _recording_solves(monkeypatch)
 
     def fun_of_t(t, z):
@@ -164,6 +171,48 @@ def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
     assert attempts == [(10.0, False), (5.0, False), (2.5, False), (1.25, False),
                         (0.625, True), (1.875, True), (4.375, True),
                         (9.375, True), (10.0, True)]
+
+
+def test_continue_path_accepts_a_long_contracting_corrector(monkeypatch):
+    # Newton on e^z - e^t from above the root moves z down by about 1
+    # and keeps about 1/e of the residual per iteration, so from z = 10
+    # the corrector at t = 0 needs 15 iterations, each of them
+    # contracting; the step is accepted whole.
+    attempts = _recording_solves(monkeypatch)
+    evals = []
+
+    def fun_of_t(t, z):
+        evals.append(t)
+        return np.array([math.exp(z[0]) - math.exp(t)])
+
+    def jac_of_t(t, z):
+        return np.array([[math.exp(z[0])]])
+
+    z = continue_path(fun_of_t, jac_of_t, 10.0, 0.0, np.array([10.0]), step=-10.0)
+    assert abs(z[0]) < 1e-13
+    assert attempts == [(0.0, True)]
+    assert len(evals) == 16
+
+
+def test_continue_path_rejects_a_corrector_that_does_not_halve_the_residual(monkeypatch):
+    # From z = 0, Newton on arctan(z - 1) lands at z = 1.57, where the
+    # residual is 0.66 of the start's: the corrector stops after that
+    # one iteration, two residual evaluations, and the step is halved.
+    # The first iterate at t = 0.5 keeps 0.17 of the residual.
+    attempts = _recording_solves(monkeypatch)
+    evals = []
+
+    def fun_of_t(t, z):
+        evals.append(t)
+        return np.array([math.atan(z[0] - t)])
+
+    def jac_of_t(t, z):
+        return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
+
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=1.0)
+    assert abs(z[0] - 1.0) < 1e-12
+    assert attempts == [(1.0, False), (0.5, True), (1.0, True)]
+    assert evals[:3] == [1.0, 1.0, 0.5]
 
 
 def test_continue_path_gives_up_below_the_step_floor(monkeypatch):
