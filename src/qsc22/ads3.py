@@ -218,12 +218,12 @@ def solve_single(hcoup: float, volume: int, winding: int = 1) -> AdS3Roots:
 
     The winding selects which quantized momentum is taken; the root is
     found by bisection in the real rapidity.  A real rapidity has
-    momentum p < pi, so L p = 2 pi winding has no root, and ValueError
-    is raised, when 2 winding >= L.
+    momentum p < pi, so L p = 2 pi winding has no root when 2 winding >= L;
+    ValueError is raised then, and for winding < 1.
     """
-    if 2 * winding >= volume:
+    if not 1 <= winding < volume / 2:
         raise ValueError(f"no single-pair state for winding {winding} at L={volume}: "
-                         f"L*p < L*pi needs 2*winding < L")
+                         f"need winding >= 1, and L*p < L*pi needs 2*winding < L")
 
     def gap(v: float) -> float:
         plus, minus = shell_pair(hcoup, v)
@@ -239,7 +239,11 @@ def solve_two_particle(hcoup: float, volume: int, winding: int = 1) -> AdS3Roots
 
     The symmetry makes the second momentum equation and the total
     momentum condition hold identically, leaving one real equation.
+    ValueError for L < 1 or winding < 1.
     """
+    if volume < 1 or winding < 1:
+        raise ValueError(f"need L >= 1 and winding >= 1, got L={volume}, winding={winding}")
+
     def gap(v: float) -> float:
         plus, minus = shell_pair(hcoup, v)
         val = volume * cmath.log(plus / minus).imag \

@@ -22,7 +22,7 @@ from . import __version__, acceptance, ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
 from ._newton import NoConvergence, PathCollision
-from .analytic_layer import check_coupling, json_number
+from .analytic_layer import json_number
 from .exact_poly import GaussRat, TwistedPoly
 
 
@@ -353,12 +353,6 @@ def cmd_ads3_residuals(ctx, hcoup, volume, mode, winding, input_path) -> None:
         except (KeyError, TypeError, ValueError, ads3.ShellViolation) as exc:
             raise click.UsageError(f"bad root data: {exc}")
     else:
-        try:
-            check_coupling(hcoup)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        if volume < 1 or winding < 1:
-            raise click.UsageError("need --L >= 1 and --winding >= 1")
         if mode == "aux" and winding != 1:
             raise click.UsageError("--mode aux takes no --winding")
         try:

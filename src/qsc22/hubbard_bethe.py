@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence, Tuple
@@ -389,7 +390,7 @@ def solve_liebwu(
 ) -> LiebWuRoots:
     """Homotopy in the coupling plus damped Newton on the counting form.
 
-    Mode numbers are plain integers: charge modes distinct modulo L
+    Mode numbers are integers (not bools): charge modes distinct modulo L
     (equal residues give equal momenta), spin modes distinct and inside
     the window M - N <= J <= -1 of _spin_modes; anything else raises
     ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
@@ -408,8 +409,12 @@ def solve_liebwu(
     start roots are read seed by seed, so a first solve does no more
     start work than the seeds it tries.
     """
-    mode_k = tuple(int(i) for i in mode_k)
-    mode_lam = tuple(int(j) for j in mode_lam)
+    if any(isinstance(i, bool) for i in (*mode_k, *mode_lam)):
+        raise ValueError("mode numbers must be integers, not bools")
+    try:
+        mode_k, mode_lam = tuple(map(operator.index, mode_k)), tuple(map(operator.index, mode_lam))
+    except TypeError as exc:
+        raise ValueError(f"mode numbers must be integers: {exc}") from None
     if lsites < 1:
         raise ValueError("need at least one site")
     if len(mode_k) != n_charge or len(mode_lam) != m_spin:

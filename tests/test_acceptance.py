@@ -10,7 +10,8 @@ Each battery also has negative controls that
 `qsc22 suite --only <battery>` must report as a failure, with JSON on
 stdout and no traceback.  A "data" control feeds wrong input to the
 unchanged checker; a "mutation" control patches the code under test.
-Every battery has at least one data control.
+Every battery has at least one data control, and every gap a battery
+bounds reaches its bound under at least one control.
 `NEGATIVE_CONTROLS` lists them by kind.
 """
 
@@ -46,14 +47,22 @@ def _exact(result: dict) -> dict:
     return result["detail"]
 
 
+# Battery name -> its results under the negative controls run so far.
+_CONTROL_RESULTS: dict = {}
+
+
 def _fails(name: str) -> dict:
-    """Result of `suite --only name`, which must fail that battery cleanly."""
+    """Result of `suite --only name`, which must fail that battery cleanly.
+
+    The result is also kept in `_CONTROL_RESULTS`.
+    """
     result = CliRunner().invoke(main, ["suite", "--only", name])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     payload = json.loads(result.stdout)
     assert payload["ok"] is False and payload["first_failure"] == name
     assert payload["results"][0]["ok"] is False
+    _CONTROL_RESULTS.setdefault(name, []).append(payload["results"][0])
     return payload["results"][0]
 
 
@@ -104,15 +113,20 @@ def test_criterion_01_random_seeds_satisfy_qq_exactly():
     assert elapsed < 30.0
 
 
-def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
+def _corrupt_generated_slot(monkeypatch, slot: str) -> None:
+    """Make qsystem.generate_from_seed return its system with slot + 1."""
     generate = qsystem.generate_from_seed
 
     def corrupted(*args, **kwargs):
         slots = dict(generate(*args, **kwargs).items())
-        slots["1|1"] = slots["1|1"] + 1
+        slots[slot] = slots[slot] + 1
         return qsystem.QSystem(slots)
 
     monkeypatch.setattr(qsystem, "generate_from_seed", corrupted)
+
+
+def test_criterion_01_fails_on_a_corrupted_slot(monkeypatch):
+    _corrupt_generated_slot(monkeypatch, "1|1")
     result = _fails("qq")
     assert len(result["failures"]) == result["attempted"] == 20
     # Each entry names its seed and the relations the slot broke.
@@ -169,12 +183,22 @@ def test_criterion_03_fails_on_a_shifted_t_function(monkeypatch):
 
     monkeypatch.setattr(ty_system, "t_function", shifted)
     result = _fails("hirota")
-    hirota = [entry[1:] for entry in result["failures"] if entry[0] == "hirota"]
-    assert len(hirota) == result["attempted"] == 20
+    assert len(result["failures"]) == result["attempted"] == 20
     # Each entry names its seed and the cells whose equation involves T_{2,2}.
-    for seed, cells in hirota:
+    for seed, cells in result["failures"]:
         assert isinstance(seed, int)
         assert cells == ["1,2", "2,1", "2,2", "2,3", "3,2"]
+
+
+def test_criterion_03_fails_on_a_corrupted_slot(monkeypatch):
+    _corrupt_generated_slot(monkeypatch, "12|1")
+    result = _fails("hirota")
+    assert len(result["failures"]) == result["attempted"] == 20
+    # Each entry names its seed and the six cells that 12|1, a factor of
+    # T_{a,1} for a >= 1, breaks.
+    for seed, cells in result["failures"]:
+        assert isinstance(seed, int)
+        assert cells == ["1,1", "1,2", "2,1", "2,2", "3,1", "4,1"]
 
 
 def test_criterion_04_liebwu_roots_match_ed_spectra():
@@ -237,12 +261,17 @@ def test_criterion_08_fails_on_a_corrupted_slot(monkeypatch):
 
     def corrupted(sx, sy):
         slots = dict(character_solution(sx, sy).items())
-        slots["1|1"] = slots["1|1"] + 1
+        slots["12|1"] = slots["12|1"] + 1
         return qsystem.QSystem(slots)
 
+    # 12|1 is a factor of T_{a,1}, so every check fails, not QQ alone;
+    # no T-function reads the middle slots such as 1|1.
     monkeypatch.setattr(ty_system, "character_solution", corrupted)
     result = _fails("character")
     assert len(result["failures"]) == result["attempted"] == 10
+    for run in result["failures"]:
+        assert not any(run[check] for check in
+                       ("qq", "hirota", "hodge_trivial", "shift_invariant"))
 
 
 def test_criterion_09_ads3_residuals_and_crossing():
@@ -268,13 +297,12 @@ def test_criterion_09_fails_on_roots_of_another_volume(monkeypatch):
 
 
 def test_criterion_10_ed_self_checks():
+    # The u = 0 free-fermion spectra of two sectors; the trace, spin-swap
+    # and one-fermion identities hold at any coupling, so they are unit
+    # tests in tests/test_ed_oracle.py.
     result, _ = _run("ed")
-    assert result["detail"] == {}
-    assert result["bound"] == dict.fromkeys(
-        ("trace_gap", "swap_gap", "pinned_sector_gap", "free_fermion_gap"), 1e-9)
-    assert result["measured"]["trace_gap"] < 1e-9
-    assert result["measured"]["swap_gap"] < 1e-9
-    assert result["measured"]["pinned_sector_gap"] < 1e-9
+    assert result["attempted"] == 2 and result["detail"] == {}
+    assert result["bound"] == {"free_fermion_gap": 1e-9}
     assert result["measured"]["free_fermion_gap"] < 1e-9
 
 
@@ -286,11 +314,7 @@ def test_criterion_10_fails_on_a_dropped_fermion_sign(monkeypatch):
         return None if hop is None else (hop[0], 1)
 
     monkeypatch.setattr(ed_oracle, "_apply_hop", bosonic)
-    measured = _fails("ed")["measured"]
-    # The older checks cannot see the sign; the free-fermion spectra can.
-    assert max(measured["trace_gap"], measured["swap_gap"],
-               measured["pinned_sector_gap"]) < 1e-9
-    assert measured["free_fermion_gap"] >= 1.0
+    assert _fails("ed")["measured"]["free_fermion_gap"] >= 1.0
 
 
 def test_criterion_10_fails_on_a_hamiltonian_of_another_coupling(monkeypatch):
@@ -300,12 +324,7 @@ def test_criterion_10_fails_on_a_hamiltonian_of_another_coupling(monkeypatch):
         return build_hamiltonian(lsites, coupling + 0.1, sector)
 
     monkeypatch.setattr(ed_oracle, "build_hamiltonian", misplaced)
-    measured = _fails("ed")["measured"]
-    # Trace, swap and the pinned one-fermion sector hold at any coupling;
-    # the u = 0 free-fermion spectra do not.
-    assert max(measured["trace_gap"], measured["swap_gap"],
-               measured["pinned_sector_gap"]) < 1e-9
-    assert measured["free_fermion_gap"] >= 0.1
+    assert _fails("ed")["measured"]["free_fermion_gap"] >= 0.1
 
 
 # Battery -> its negative controls as (test, kind).
@@ -313,7 +332,8 @@ NEGATIVE_CONTROLS = {
     "qq": [(test_criterion_01_fails_on_a_corrupted_slot, "data")],
     "hodge": [(test_criterion_02_fails_on_a_flipped_hodge_sign, "data"),
               (test_criterion_02_fails_on_a_consistently_flipped_dual_pair, "data")],
-    "hirota": [(test_criterion_03_fails_on_a_shifted_t_function, "data")],
+    "hirota": [(test_criterion_03_fails_on_a_shifted_t_function, "mutation"),
+               (test_criterion_03_fails_on_a_corrupted_slot, "data")],
     "liebwu": [(test_criterion_04_fails_on_a_non_real_energy, "mutation"),
                (test_criterion_04_fails_on_roots_of_another_coupling, "data")],
     "character": [(test_criterion_08_fails_on_a_corrupted_slot, "data")],
@@ -335,6 +355,24 @@ def test_every_battery_has_a_data_control():
     assert mutation_only == set()
     assert all(any(kind == "data" for _, kind in controls)
                for controls in NEGATIVE_CONTROLS.values())
+
+
+def test_every_bound_is_reached_under_a_negative_control():
+    # A gap that no control moves to its bound holds for any input, so it
+    # belongs in a unit test, not in a battery.  The controls' results are
+    # reused when they ran earlier in this pytest run; otherwise they run here.
+    unreached = {}
+    for name, controls in NEGATIVE_CONTROLS.items():
+        if len(_CONTROL_RESULTS.get(name, ())) < len(controls):
+            _CONTROL_RESULTS[name] = []
+            for control, _ in controls:
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    control(monkeypatch)
+        results = _CONTROL_RESULTS[name]
+        for gap, bound in results[0]["bound"].items():
+            if all(result["measured"][gap] < bound for result in results):
+                unreached.setdefault(name, []).append(gap)
+    assert unreached == {}
 
 
 @pytest.mark.parametrize("rng_seed", [0, 1])

@@ -75,6 +75,16 @@ def test_single_pair_momentum_shell():
     assert np.max(np.abs(aba_residuals(solve_single(1.0, 8, 3)))) < 1e-10
 
 
+def test_solvers_reject_volumes_and_windings_below_one():
+    # Invalid arguments, not a failed search: ValueError, not NoConvergence.
+    for solve, args in ((solve_single, (1.0, 8, 0)), (solve_single, (1.0, 0, 1)),
+                        (solve_two_particle, (1.0, 8, 0)),
+                        (solve_two_particle, (1.0, 0)),
+                        (solve_two_particle, (1.0, 8, -1))):
+        with pytest.raises(ValueError, match="winding >= 1"):
+            solve(*args)
+
+
 def test_two_particle_state():
     state = solve_two_particle(1.0, 8)
     assert state.xp == ((2.4810763201987514 + 1.1541361670049417j),

@@ -143,6 +143,18 @@ def test_liebwu_mode_validation():
                          list(range(n_charge)), mode_lam)
 
 
+def test_liebwu_mode_numbers_must_be_integers():
+    # int() would read 0.7 as I = 0 and True as I = 1 (k = pi).
+    for mode in (0.7, 1.0, True, np.True_, "1"):
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_liebwu(2, 1.0, 1, 0, [mode], [])
+    with pytest.raises(ValueError, match="must be integers"):
+        solve_liebwu(3, 1.0, 2, 1, [0, 1], [-1.0])
+    roots = solve_liebwu(2, 1.0, 1, 0, [1], [])
+    assert solve_liebwu(2, 1.0, 1, 0, [np.int64(1)], []) == roots
+    assert roots.k == (math.pi,)
+
+
 def test_liebwu_matches_oracle_on_a_small_grid():
     for lsites in (2, 3):
         for n_charge in range(1, lsites + 1):

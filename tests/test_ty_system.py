@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from qsc22.exact_poly import GaussRat, TwistedPoly
-from qsc22.qsystem import check_qq, generate_from_seed, hodge, random_seed_polys
+from qsc22.qsystem import (
+    SLOTS,
+    QSystem,
+    check_qq,
+    generate_from_seed,
+    hodge,
+    random_seed_polys,
+)
 from qsc22.ty_system import (
     DegenerateTwist,
     character_solution,
@@ -49,8 +57,6 @@ def test_hirota_window_boundary_cells_are_skipped():
 
 
 def test_hirota_detects_corruption():
-    from qsc22.qsystem import QSystem
-
     q = _system(6)
     mapping = {s: q[s] for s in q}
     mapping["12|1"] = mapping["12|1"] + TwistedPoly.from_coeffs(
@@ -60,13 +66,47 @@ def test_hirota_detects_corruption():
     assert rep.failures
 
 
-def test_y_identity_on_generated_systems():
-    for seed in (3, 12):
-        q = _system(seed)
-        n11, d11 = y_pair(q, 1, 1)
-        n22, d22 = y_pair(q, 2, 2)
-        corner = q["12|12"]
-        assert n11 * n22 * corner.shift(-1) == d11 * d22 * corner.shift(1)
+def _corner_y_sides(q, with_q00: bool) -> tuple:
+    """Cleared sides of Y_{1,1} Y_{2,2} = Q_{12|12}^+ Q_{0|0}^- / (Q_{12|12}^- Q_{0|0}^+)."""
+    n11, d11 = y_pair(q, 1, 1)
+    n22, d22 = y_pair(q, 2, 2)
+    lhs, rhs = n11 * n22 * q["12|12"].shift(-1), d11 * d22 * q["12|12"].shift(1)
+    if with_q00:
+        lhs, rhs = lhs * q["0|0"].shift(1), rhs * q["0|0"].shift(-1)
+    return lhs, rhs
+
+
+def _random_slots(seed: int) -> QSystem:
+    """16 random twisted polynomials, which satisfy no QQ relation."""
+    rng = random.Random(seed)
+
+    def poly() -> TwistedPoly:
+        coeffs = [_gr(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(rng.randint(1, 3))] + [_gr(1)]
+        return TwistedPoly.from_coeffs(coeffs, twist=_gr(rng.randint(1, 2), rng.randint(0, 1)))
+
+    return QSystem({slot: poly() for slot in SLOTS})
+
+
+def test_corner_y_identity_holds_for_any_slots():
+    # T_{1,2} and T_{2,1} cancel and T_{2,3} = T_{3,2}, so the identity
+    # follows from t_function alone; it needs no QQ relation.
+    b0, (b1, b2, _, _) = random_seed_polys(11)
+    b3, b4 = TwistedPoly.from_coeffs([1, 0, 1]), TwistedPoly.from_coeffs([2, 1])
+    quadratic_q00 = generate_from_seed(b0, (b1, b2, b3, b4))
+    assert quadratic_q00["0|0"].degree() == 2
+    assert check_qq(quadratic_q00).ok and check_hirota(quadratic_q00).ok
+    random_slots = _random_slots(5)
+    assert not check_qq(random_slots).ok
+    for q in (_system(3), _system(12), quadratic_q00, random_slots):
+        lhs, rhs = _corner_y_sides(q, with_q00=True)
+        assert lhs == rhs
+    # Without the Q_{0|0} factors it reads Q_{0|0}^+ = Q_{0|0}^-, which
+    # random_seed_polys satisfies only because its Q_{0|0} is constant.
+    lhs, rhs = _corner_y_sides(_system(3), with_q00=False)
+    assert lhs == rhs
+    lhs, rhs = _corner_y_sides(quadratic_q00, with_q00=False)
+    assert lhs != rhs
 
 
 def test_raised_system_gives_another_t_family():
