@@ -132,30 +132,30 @@ def continue_path(
     t1: float,
     z0: Sequence[complex],
     *,
-    step: float,
     tol: float = 1e-13,
     collision_groups: Sequence[Sequence[int]] = (),
 ) -> np.ndarray:
     """Track the root z0 of fun_of_t(t0, .) to t1, guarding group collisions.
 
     jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  The first
-    step, of length `step` toward t1, starts Newton from z0 and later
-    ones from the secant through the last two roots, scaled to the step.
-    The corrector runs while each accepted Newton iterate at least
-    halves the residual 2-norm (solve_damped's `contract`); a step
-    whose corrector stops contracting short of tol is halved, down to
-    _STEP_FLOOR of the path, and an accepted one doubles the next.
+    step covers the whole path and starts Newton from z0; later ones
+    start from the secant through the last two roots, scaled to the
+    step.  The corrector runs while each accepted Newton iterate at
+    least halves the residual 2-norm (solve_damped's `contract`); a
+    step whose corrector stops contracting short of tol is halved, down
+    to _STEP_FLOOR of the path, and an accepted one doubles the next.
+    A path whose whole-path corrector contracts thus costs one solve.
     Roots of a group closer than _COLLISION_TOL, or, for a real z0,
-    swapping order between steps, raise PathCollision.
+    swapping order between accepted points, raise PathCollision.
     """
     real = not np.iscomplexobj(z0)
     z = np.array(z0, dtype=float if real else complex)
-    if not step * (t1 - t0) > 0.0:
-        raise ValueError("step must point from t0 to a different t1")
+    if not abs(t1 - t0) > 0.0:
+        raise ValueError(f"path from t0={t0} to t1={t1} has no direction")
     pairs = [p for group in collision_groups for p in itertools.combinations(group, 2)]
     # Steps are taken in the path fraction s, so that each accepted one
     # moves s by at least _STEP_FLOOR even where t itself cannot move.
-    s, h, prev = 0.0, step / (t1 - t0), None
+    s, h, prev = 0.0, 1.0, None
     while s < 1.0:
         s_next = min(1.0, s + h)
         t_next = t1 if s_next == 1.0 else t0 + s_next * (t1 - t0)

@@ -96,7 +96,8 @@ def build_hamiltonian(lsites: int, u_coupling: float,
 
     of the single-species blocks of `_species_blocks` (one per distinct
     count, built on every call), written in place through an (up, down,
-    up, down) view of H with no dim² temporary.
+    up, down) view of H with no dim² temporary.  A coupling whose
+    diagonal u (S_up S_downᵀ) overflows raises ValueError.
     """
     if not math.isfinite(u_coupling):
         raise ValueError("coupling must be finite")
@@ -112,7 +113,12 @@ def build_hamiltonian(lsites: int, u_coupling: float,
         blocks[:, k, :, k] = hop_up
     for i in range(len(hop_up)):
         blocks[i, :, i, :] += hop_down
-    ham.reshape(-1)[::dim + 1] += u_coupling * (signs_up @ signs_down.T).ravel()
+    with np.errstate(over="ignore"):
+        diagonal = u_coupling * (signs_up @ signs_down.T).ravel()
+    if not np.isfinite(diagonal).all():
+        raise ValueError(f"coupling {u_coupling} overflows the diagonal of the L={lsites} "
+                         f"sector ({n_up}, {n_down})")
+    ham.reshape(-1)[::dim + 1] += diagonal
     return ham
 
 
@@ -123,23 +129,25 @@ def spectrum(ham: np.ndarray) -> np.ndarray:
     are returned only if ||HV - V Lambda||_F <= 1e-10 s and
     ||V^T V - I||_F <= 1e-10; otherwise ArithmeticError.  By Weyl's
     inequality that pins every sorted eigenvalue, with multiplicity, to
-    about 1e-10 s.
+    about 1e-10 s.  The residual is formed from H/s and Lambda/s, the
+    same inequality, so its norm cannot overflow at a large coupling.
     """
     a = np.asarray(ham, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     vals, vecs = np.linalg.eigh(a)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    resid = a @ vecs
-    resid -= vecs * vals
+    resid = (a / scale) @ vecs
+    resid -= vecs * (vals / scale)
     residual = float(np.linalg.norm(resid))
     gram = vecs.T @ vecs
     gram[np.diag_indices_from(gram)] -= 1.0
     orthogonality = float(np.linalg.norm(gram))
-    if not (residual <= _CERT_TOL * scale and orthogonality <= _CERT_TOL):
+    if not (residual <= _CERT_TOL and orthogonality <= _CERT_TOL):
         raise ArithmeticError(
-            f"eigh certificate failed: residual {residual:.3e} (bound {_CERT_TOL * scale:.1e}),"
-            f" orthogonality {orthogonality:.3e} (bound {_CERT_TOL:.1e})")
+            f"eigh certificate failed: residual {residual:.3e} in units of {scale:.3e}"
+            f" (bound {_CERT_TOL:.1e}), orthogonality {orthogonality:.3e}"
+            f" (bound {_CERT_TOL:.1e})")
     return vals
 
 

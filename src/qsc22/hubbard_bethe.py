@@ -280,14 +280,22 @@ def _counting_jacobian(lsites: int, u_coupling: float, n_charge: int,
     L + cos k_j sum_a w_ja on its diagonal and -w_ja under lambda_a;
     spin row a has -cos k_j w_ja under k_j, v_ab under lambda_b != a,
     and sum_j w_ja - sum_{b != a} v_ab on its diagonal.
+
+    Above u = 1 both weights are formed from u and the differences
+    scaled by 2^-e, e the binary exponent of u, and the result scaled
+    back: u^2 then stays finite for every finite coupling, and a power
+    of two changes no rounding, so each weight has the bits of the
+    unscaled formula wherever that one does not overflow.
     """
+    scale = math.ldexp(1.0, -max(0, math.frexp(u_coupling)[1]))
+    u_s = u_coupling * scale
     ks, lams = z[:n_charge].tolist(), z[n_charge:].tolist()
     jac = [[0.0] * z.size for _ in range(z.size)]
     for j, k in enumerate(ks):
         sin_k, cos_k = math.sin(k), math.cos(k)
         jac[j][j] = lsites
         for a, lam in enumerate(lams, n_charge):
-            w = 2.0 * u_coupling / (u_coupling ** 2 + (sin_k - lam) ** 2)
+            w = 2.0 * u_s / (u_s ** 2 + ((sin_k - lam) * scale) ** 2) * scale
             jac[j][j] += cos_k * w
             jac[j][a] = -w
             jac[a][j] = -cos_k * w
@@ -295,7 +303,7 @@ def _counting_jacobian(lsites: int, u_coupling: float, n_charge: int,
     for a, lam_a in enumerate(lams, n_charge):
         for b, lam_b in enumerate(lams, n_charge):
             if b != a:
-                v = 4.0 * u_coupling / (4.0 * u_coupling ** 2 + (lam_a - lam_b) ** 2)
+                v = 4.0 * u_s / (4.0 * u_s ** 2 + ((lam_a - lam_b) * scale) ** 2) * scale
                 jac[a][b] = v
                 jac[a][a] -= v
     return np.array(jac)
@@ -395,7 +403,7 @@ def solve_liebwu(
     the window M - N <= J <= -1 of _spin_modes; anything else raises
     ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
     increasing start residual.  The continuation from u = 1e-3 follows
-    continue_path's adaptive steps from a first step of 1/10 of the path,
+    continue_path's adaptive steps, the first of them the whole path,
     each solved to _START_TOL by a corrector that must halve the
     residual at every iteration, and drops a seed whose roots swap
     order; the endpoint is then polished to _LIEBWU_TOL.  The returned
@@ -456,7 +464,6 @@ def solve_liebwu(
                                     f"residual {z:.3e}", z)
             if continued:
                 z = continue_path(fun_of_t, jac_of_t, u_start, u_coupling, z,
-                                  step=(u_coupling - u_start) / 10,
                                   tol=_START_TOL, collision_groups=groups)
                 z = solve_damped(partial(fun_of_t, u_coupling),
                                  partial(jac_of_t, u_coupling), z,

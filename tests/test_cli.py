@@ -241,6 +241,29 @@ def test_ed_rejects_bad_sector():
     assert "exceeds cap" in oversized.stderr
 
 
+def test_huge_finite_couplings_solve():
+    # At u = 1e200 the counting Jacobian must not square u, and at
+    # u = 1e307 the eigh certificate's norm of H V - V Lambda must not
+    # overflow: both are formed on scaled quantities.
+    result = _run("solve-liebwu", "--L", "3", "--u", "1e200", "--N", "2", "--M", "1",
+                  "--I", "0", "--I", "1", "--J", "-1")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["ok"] is True and payload["E"] == -1e200
+    assert payload["residual"] < 1e-12
+    result = _run("compare", "--L", "3", "--u", "1e200", "--N", "2", "--M", "1")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["ok"] is True
+    assert payload["solutions"] == payload["candidates"] == 3
+    # One fermion of each spin on 3 sites: doubly occupied sites give
+    # 3u, the other six states -u, up to hopping terms far below an ulp.
+    result = _run("ed", "--L", "3", "--u", "1e307", "--nup", "1", "--ndown", "1")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["eigenvalues"] == pytest.approx(
+        [-1e307] * 6 + [3e307] * 3, rel=1e-12)
+
+
 def test_ed_small_sector_of_a_long_chain():
     result = _run("ed", "--L", "40", "--u", "1", "--nup", "1", "--ndown", "0")
     assert result.exit_code == 0
@@ -467,6 +490,9 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
     ("check-hirota", "--seed", "SEED", "--window", "-1,2"),
     ("check-hirota", "--seed", "SEED", "--window", "0,0"),
     ("character", "--sx", "0,0", "--sy", "1,1"),
+    # A coupling whose diagonal u (S_up S_down^T) overflows the floats.
+    ("ed", "--L", "3", "--u", "1e308", "--nup", "1", "--ndown", "1"),
+    ("compare", "--L", "3", "--u", "1e308", "--N", "2", "--M", "1"),
     # Spin modes on the window edge M - N <= J <= -1 put a root at infinity.
     ("solve-liebwu", "--L", "2", "--u", "1", "--N", "2", "--M", "1",
      "--I", "0", "--I", "1", "--J", "0"),

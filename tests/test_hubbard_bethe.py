@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -228,8 +229,9 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
     # at three couplings start each of the 49 mode sets once.
     # continue_path calls solve_damped through the _newton module, so
     # its corrector solves are counted apart: 40 equal steps per path
-    # made 5 880 of them here, the adaptive step rule with its
-    # contraction test makes 588, and none is rejected.
+    # made 5 880 of them here, adaptive steps from a first step of 1/10
+    # of the path made 588, and the whole-path first step makes one per
+    # path, none of them rejected.
     starts, failures, path_solves, path_failures = _count_start_solves(monkeypatch)
     mode_sets = set()
     solves = 0
@@ -245,8 +247,39 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
     assert solves == 147 and len(mode_sets) == 49
     assert sum(failures) == 0
     assert sum(starts) == len(mode_sets)
-    assert len(path_solves) <= 600
+    assert len(path_solves) == solves
     assert sum(path_failures) == 0
+
+
+def _sweep_outcomes(sizes, couplings) -> collections.Counter:
+    """How many mode sets of every sector with N >= 1 and M <= N/2 solve,
+    and the types of the failures of the rest."""
+    outcomes = collections.Counter()
+    for lsites in sizes:
+        for coupling in couplings:
+            for n_charge in range(1, lsites + 1):
+                for m_spin in range(0, n_charge // 2 + 1):
+                    for mk, ml in admissible_modes(lsites, n_charge, m_spin):
+                        try:
+                            solve_liebwu(lsites, coupling, n_charge, m_spin,
+                                         list(mk), list(ml))
+                        except (NoConvergence, PathCollision) as exc:
+                            outcomes[type(exc).__name__] += 1
+                        else:
+                            outcomes["solved"] += 1
+    return outcomes
+
+
+def test_liebwu_sweeps_solve_the_pinned_mode_sets():
+    # Every admissible mode set of L = 2..6 at three moderate couplings,
+    # and of L = 2..5 from the free end to the strong end.  At u = 0.002
+    # the counting residual of some spin roots sits at its rounding
+    # floor, near _LIEBWU_TOL: the polish of L=4 N=4 M=1 I=(0,1,2,3)
+    # J=(-3) stalls at 1.128e-13 from every spin seed.
+    assert _sweep_outcomes(range(2, 7), (0.3, 1.0, 3.0)) == {
+        "solved": 1071, "NoConvergence": 36}
+    assert _sweep_outcomes(range(2, 6), (0.002, 0.02, 0.1, 10.0, 40.0)) == {
+        "solved": 684, "NoConvergence": 1}
 
 
 def _liebwu_outcome(lsites, coupling, n_charge, m_spin, mk, ml):

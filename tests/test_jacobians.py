@@ -67,6 +67,45 @@ def counting_cases():
         yield hb._counting_jacobian(lsites, coupling, n_charge, z), fun, z
 
 
+def _unscaled_counting_jacobian(lsites, coupling, n_charge, z) -> np.ndarray:
+    """The counting Jacobian from w = 2u / (u^2 + d^2) and
+    v = 4u / (4u^2 + d^2) as written, without rescaling."""
+    size = z.size
+    jac = np.zeros((size, size))
+    ks, lams = z[:n_charge].tolist(), z[n_charge:].tolist()
+    for j, k in enumerate(ks):
+        jac[j, j] = lsites
+        for a, lam in enumerate(lams, n_charge):
+            w = 2.0 * coupling / (coupling ** 2 + (math.sin(k) - lam) ** 2)
+            jac[j, j] += math.cos(k) * w
+            jac[j, a] = -w
+            jac[a, j] = -math.cos(k) * w
+            jac[a, a] += w
+    for a, lam_a in enumerate(lams, n_charge):
+        for b, lam_b in enumerate(lams, n_charge):
+            if b != a:
+                v = 4.0 * coupling / (4.0 * coupling ** 2 + (lam_a - lam_b) ** 2)
+                jac[a, b] = v
+                jac[a, a] -= v
+    return jac
+
+
+def test_counting_jacobian_has_the_bits_of_the_unscaled_formula():
+    # The power-of-two rescaling that keeps u^2 finite changes no
+    # rounding, so every solve whose Jacobian fits the float range
+    # follows the same iterates as with the formula written plainly.
+    rng = random.Random(14)
+    for coupling in (1e-8, 0.002, 0.35, 1.0, 2.8, 40.0, 1e100):
+        for _ in range(8):
+            n_charge, m_spin = rng.randint(1, 4), rng.randint(1, 3)
+            z = np.array([rng.uniform(-math.pi, math.pi) for _ in range(n_charge)]
+                         + [rng.uniform(-2.0, 2.0) * max(1.0, coupling)
+                            for _ in range(m_spin)])
+            assert np.array_equal(
+                hb._counting_jacobian(5, coupling, n_charge, z),
+                _unscaled_counting_jacobian(5, coupling, n_charge, z)), coupling
+
+
 def unpack(counts, v) -> hb.HubbardRoots:
     a, b = counts[0], counts[0] + counts[1]
     return hb.HubbardRoots(tuple(v[:a]), tuple(v[a:b]), tuple(v[b:]))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import math
 
 import numpy as np
@@ -106,7 +105,7 @@ def test_continue_path_tracks_a_moving_root():
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 3.0, np.array([1.0]), step=0.1)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 3.0, np.array([1.0]))
     assert abs(z[0] - 2.0) < 1e-12
 
 
@@ -128,28 +127,47 @@ def _recording_solves(monkeypatch):
     return attempts
 
 
-def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
-    # The root z(t) = 1 + t moves linearly, so from the second step on
-    # the secant through the last two roots, scaled to the doubled step,
-    # is the root up to rounding and one residual evaluation confirms
-    # it.  The first step starts from z0 and needs a Newton step.
+def test_continue_path_makes_one_solve_when_the_whole_path_contracts(monkeypatch):
+    # From z = 1, Newton on z^2 = 1.5 lands at 1.25, where the residual
+    # is 1/8 of the start's, and every later iterate contracts faster:
+    # the first step covers the whole path and is the only corrector.
     attempts = _recording_solves(monkeypatch)
-    evals = collections.Counter()
 
     def fun_of_t(t, z):
-        evals[t] += 1
-        return np.array([z[0] ** 2 - (1.0 + t) ** 2])
+        return np.array([z[0] ** 2 - (1.0 + t)])
 
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 2.5, np.array([1.0]), step=0.25,
-                      tol=1e-10)
-    assert abs(z[0] - 3.5) < 1e-12
-    ts = [t for t, _ in attempts]
-    assert ts == pytest.approx([0.25, 0.75, 1.75, 2.5])
-    assert evals[0.25] > 1
-    assert [evals[t] for t in ts[1:]] == [1] * 3
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.5, np.array([1.0]))
+    assert abs(z[0] - math.sqrt(1.5)) < 1e-13
+    assert attempts == [(0.5, True)]
+
+
+def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
+    # The root z(t) = t of arctan(z - t) moves linearly.  From z = 0 the
+    # first Newton iterate does not halve the residual at t = 2.5 or
+    # 1.25, so the first accepted step ends at t = 0.625.  From there
+    # the secant through the last two roots, scaled to the doubled step,
+    # is the root up to rounding, and one residual evaluation confirms
+    # it at each later step.  From the last root alone, the corrector at
+    # t = 1.875 would start 1.25 off the root and be rejected.
+    attempts = _recording_solves(monkeypatch)
+    evals = []
+
+    def fun_of_t(t, z):
+        evals.append(t)
+        return np.array([math.atan(z[0] - t)])
+
+    def jac_of_t(t, z):
+        return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
+
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 2.5, np.array([0.0]), tol=1e-10)
+    assert abs(z[0] - 2.5) < 1e-12
+    assert attempts == [(2.5, False), (1.25, False), (0.625, True), (1.875, True),
+                        (2.5, True)]
+    assert evals.count(0.625) > 1
+    assert evals[-3:] == [0.625, 1.875, 2.5]
 
 
 def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
@@ -166,7 +184,7 @@ def test_continue_path_halves_a_failed_step_and_still_reaches_t1(monkeypatch):
     def jac_of_t(t, z):
         return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 10.0, np.array([0.0]), step=10.0)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 10.0, np.array([0.0]))
     assert abs(z[0] - 10.0) < 1e-12
     assert attempts == [(10.0, False), (5.0, False), (2.5, False), (1.25, False),
                         (0.625, True), (1.875, True), (4.375, True),
@@ -188,7 +206,7 @@ def test_continue_path_accepts_a_long_contracting_corrector(monkeypatch):
     def jac_of_t(t, z):
         return np.array([[math.exp(z[0])]])
 
-    z = continue_path(fun_of_t, jac_of_t, 10.0, 0.0, np.array([10.0]), step=-10.0)
+    z = continue_path(fun_of_t, jac_of_t, 10.0, 0.0, np.array([10.0]))
     assert abs(z[0]) < 1e-13
     assert attempts == [(0.0, True)]
     assert len(evals) == 16
@@ -209,7 +227,7 @@ def test_continue_path_rejects_a_corrector_that_does_not_halve_the_residual(monk
     def jac_of_t(t, z):
         return np.array([[1.0 / (1.0 + (z[0] - t) ** 2)]])
 
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=1.0)
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]))
     assert abs(z[0] - 1.0) < 1e-12
     assert attempts == [(1.0, False), (0.5, True), (1.0, True)]
     assert evals[:3] == [1.0, 1.0, 0.5]
@@ -217,7 +235,8 @@ def test_continue_path_rejects_a_corrector_that_does_not_halve_the_residual(monk
 
 def test_continue_path_gives_up_below_the_step_floor(monkeypatch):
     # z^2 + t = 0 has no real root for t > 0, so every step fails and is
-    # halved until it falls below _STEP_FLOOR of the path length.
+    # halved, from the whole path on, until it falls below _STEP_FLOOR
+    # of the path length.
     attempts = _recording_solves(monkeypatch)
 
     def fun_of_t(t, z):
@@ -226,31 +245,31 @@ def test_continue_path_gives_up_below_the_step_floor(monkeypatch):
     def jac_of_t(t, z):
         return np.array([[2.0 * z[0]]])
 
-    with pytest.raises(NoConvergence) as info:
-        continue_path(fun_of_t, jac_of_t, 0.0, 2.0, np.array([0.0]), step=0.5)
+    with pytest.raises(NoConvergence, match="step floor") as info:
+        continue_path(fun_of_t, jac_of_t, 0.0, 2.0, np.array([0.0]))
     floor = _newton._STEP_FLOOR * 2.0
     assert not any(ok for _, ok in attempts)
-    assert [t for t, _ in attempts] == [0.5 * 0.5 ** k for k in range(len(attempts))]
+    assert [t for t, _ in attempts] == [2.0 * 0.5 ** k for k in range(len(attempts))]
     assert floor <= attempts[-1][0] < 2.0 * floor
     assert info.value.residual == pytest.approx(attempts[-1][0])
 
 
 def test_continue_path_ends_on_a_path_shorter_than_the_resolution_of_t():
-    # One ulp past t0 every intermediate t rounds to t0 or t1; the path
-    # must still end at t1 rather than stall on steps that do not move.
-    # The scale makes a one-ulp miss of the root z = t fail the tolerance.
+    # A path one ulp long, and one where t0 + (t1 - t0) rounds to
+    # 0.9000000000000001: the last step must land on t1 itself.  The
+    # scale makes a one-ulp miss of the root z = t fail the tolerance.
     def fun_of_t(t, z):
         return np.array([1e15 * (z[0] - t)])
 
     def jac_of_t(t, z):
         return np.array([[1e15]])
 
-    t1 = math.nextafter(1e-3, 1.0)
-    z = continue_path(fun_of_t, jac_of_t, 1e-3, t1, np.array([1e-3]),
-                      step=(t1 - 1e-3) / 10)
-    assert z[0] == t1
-    with pytest.raises(ValueError):
-        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, np.array([0.0]), step=-0.1)
+    for t0, t1 in ((1e-3, math.nextafter(1e-3, 1.0)), (0.3, 0.9)):
+        z = continue_path(fun_of_t, jac_of_t, t0, t1, np.array([t0]))
+        assert z[0] == t1
+        for bad in (t0, math.nan):
+            with pytest.raises(ValueError, match="no direction"):
+                continue_path(fun_of_t, jac_of_t, t0, bad, np.array([t0]))
 
 
 def test_continue_path_detects_collisions():
@@ -258,26 +277,25 @@ def test_continue_path_detects_collisions():
     # they are still 2e-3 apart, far above _COLLISION_TOL; at t = 1 the
     # guard must fire.
     def fun_of_t(t, z):
-        return np.array([z[0] + z[1], z[0] * z[1] + (1.0 - t) ** 2])
+        return np.array([z[0] - (1.0 - t), z[1] + (1.0 - t)])
 
     def jac_of_t(t, z):
-        return np.array([[1.0, 1.0], [z[1], z[0]]])
+        return np.eye(2)
 
     start = np.array([1.0, -1.0])
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.999, start, step=0.01,
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.999, start,
                       collision_groups=(range(2),))
     assert np.allclose(z, [1e-3, -1e-3], rtol=0.0, atol=1e-12)
     with pytest.raises(PathCollision, match="collided at t=1.0"):
-        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.01,
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start,
                       collision_groups=(range(2),))
 
 
 def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
-    # z0 = t - 1/2 and z1 = 1/2 - t cross at t = 1/2.  The accepted steps
-    # land at t = 0.3 and t = 0.9, where the roots are 0.4 and 0.8 apart, so
-    # only the order guard can see the crossing; without the collision
-    # group, or from a complex start, which has no order, the path runs
-    # through.
+    # z0 = t - 1/2 and z1 = 1/2 - t cross at t = 1/2.  The one accepted
+    # step lands at t = 1, where the roots are 1 apart, so only the
+    # order guard can see the crossing; without the collision group, or
+    # from a complex start, which has no order, the path runs through.
     attempts = _recording_solves(monkeypatch)
 
     def fun_of_t(t, z):
@@ -288,14 +306,13 @@ def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
 
     start = np.array([-0.5, 0.5])
     with pytest.raises(PathCollision, match="swapped order"):
-        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3,
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start,
                       collision_groups=(range(2),))
-    assert [t for t, _ in attempts] == pytest.approx([0.3, 0.9])
-    assert all(ok for _, ok in attempts)
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start, step=0.3)
+    assert attempts == [(1.0, True)]
+    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start)
     assert np.allclose(z, [0.5, -0.5])
     z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start.astype(complex),
-                      step=0.3, collision_groups=(range(2),))
+                      collision_groups=(range(2),))
     assert z.dtype == np.complex128
     assert np.allclose(z, [0.5, -0.5])
 

@@ -14,7 +14,7 @@ from qsc22 import hubbard_bethe as hb
 
 SOLVER_PARAMS = {
     _newton.solve_damped: "(fun, jac, z0, *, tol=1e-13, contract=False)",
-    _newton.continue_path: ("(fun_of_t, jac_of_t, t0, t1, z0, *, step, tol=1e-13, "
+    _newton.continue_path: ("(fun_of_t, jac_of_t, t0, t1, z0, *, tol=1e-13, "
                             "collision_groups=())"),
     hb.solve_liebwu: "(lsites, u_coupling, n_charge, m_spin, mode_k, mode_lam)",
     hb.solve_nested: "(spec, seed)",
