@@ -23,8 +23,6 @@ _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 200
 _MAX_ITER = 60
 _STEP_FLOOR = 1e-6
-# Two roots of a collision group closer than this end a path.
-_COLLISION_TOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
@@ -145,14 +143,18 @@ def continue_path(
     step whose corrector stops contracting short of tol is halved, down
     to _STEP_FLOOR of the path, and an accepted one doubles the next.
     A path whose whole-path corrector contracts thus costs one solve.
-    Roots of a group closer than _COLLISION_TOL, or, for a real z0,
-    swapping order between accepted points, raise PathCollision.
+    Roots of a group closer than 2 sqrt(tol), or, for a real z0,
+    swapping order between accepted points, raise PathCollision.  Near
+    a double root the residual grows like the square of the distance
+    and Newton only halves it, so a corrector stopping at tol leaves
+    two meeting roots up to 2 sqrt(tol) apart (unit curvature).
     """
     real = not np.iscomplexobj(z0)
     z = np.array(z0, dtype=float if real else complex)
     if not abs(t1 - t0) > 0.0:
         raise ValueError(f"path from t0={t0} to t1={t1} has no direction")
     pairs = [p for group in collision_groups for p in itertools.combinations(group, 2)]
+    collision = 2.0 * math.sqrt(tol)
     # Steps are taken in the path fraction s, so that each accepted one
     # moves s by at least _STEP_FLOOR even where t itself cannot move.
     s, h, prev = 0.0, 1.0, None
@@ -170,7 +172,7 @@ def continue_path(
                                     exc.residual) from exc
             continue
         for a, b in pairs:
-            if abs(z_next[a] - z_next[b]) < _COLLISION_TOL:
+            if abs(z_next[a] - z_next[b]) < collision:
                 raise PathCollision(f"roots {a} and {b} collided at t={t_next}")
             if real and (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
                 raise PathCollision(f"roots {a} and {b} swapped order before t={t_next}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import collections
 import math
 
 import numpy as np
@@ -251,10 +250,11 @@ def test_liebwu_first_ranked_spin_seed_starts_every_grid_mode_set(monkeypatch):
     assert sum(path_failures) == 0
 
 
-def _sweep_outcomes(sizes, couplings) -> collections.Counter:
+def _sweep_outcomes(sizes, couplings):
     """How many mode sets of every sector with N >= 1 and M <= N/2 solve,
-    and the types of the failures of the rest."""
-    outcomes = collections.Counter()
+    and the type of the failure of each of the rest, keyed by
+    (L, u, N, M, I, J)."""
+    solved, failures = 0, {}
     for lsites in sizes:
         for coupling in couplings:
             for n_charge in range(1, lsites + 1):
@@ -264,10 +264,29 @@ def _sweep_outcomes(sizes, couplings) -> collections.Counter:
                             solve_liebwu(lsites, coupling, n_charge, m_spin,
                                          list(mk), list(ml))
                         except (NoConvergence, PathCollision) as exc:
-                            outcomes[type(exc).__name__] += 1
+                            key = (lsites, coupling, n_charge, m_spin, mk, ml)
+                            failures[key] = type(exc).__name__
                         else:
-                            outcomes["solved"] += 1
-    return outcomes
+                            solved += 1
+    return solved, failures
+
+
+# The mode sets of L = 6 that no spin seed solves, at each of u = 0.3,
+# 1 and 3, as (N, M, I, J).
+_L6_UNSOLVED = (
+    (4, 2, (0, 1, 2, 4), (-2, -1)),
+    (4, 2, (0, 2, 3, 5), (-2, -1)),
+    (4, 2, (1, 2, 4, 5), (-2, -1)),
+    (5, 2, (0, 1, 2, 3, 4), (-3, -2)),
+    (5, 2, (0, 1, 2, 3, 4), (-2, -1)),
+    (5, 2, (0, 1, 2, 3, 5), (-3, -2)),
+    (5, 2, (0, 1, 2, 4, 5), (-3, -2)),
+    (5, 2, (0, 1, 2, 4, 5), (-3, -1)),
+    (5, 2, (0, 2, 3, 4, 5), (-2, -1)),
+    (5, 2, (1, 2, 3, 4, 5), (-2, -1)),
+    (6, 2, (0, 1, 2, 3, 4, 5), (-4, -2)),
+    (6, 2, (0, 1, 2, 3, 4, 5), (-3, -1)),
+)
 
 
 def test_liebwu_sweeps_solve_the_pinned_mode_sets():
@@ -276,10 +295,11 @@ def test_liebwu_sweeps_solve_the_pinned_mode_sets():
     # the counting residual of some spin roots sits at its rounding
     # floor, near _LIEBWU_TOL: the polish of L=4 N=4 M=1 I=(0,1,2,3)
     # J=(-3) stalls at 1.128e-13 from every spin seed.
-    assert _sweep_outcomes(range(2, 7), (0.3, 1.0, 3.0)) == {
-        "solved": 1071, "NoConvergence": 36}
-    assert _sweep_outcomes(range(2, 6), (0.002, 0.02, 0.1, 10.0, 40.0)) == {
-        "solved": 684, "NoConvergence": 1}
+    couplings = (0.3, 1.0, 3.0)
+    assert _sweep_outcomes(range(2, 7), couplings) == (1071, {
+        (6, u, *modes): "NoConvergence" for u in couplings for modes in _L6_UNSOLVED})
+    assert _sweep_outcomes(range(2, 6), (0.002, 0.02, 0.1, 10.0, 40.0)) == (684, {
+        (4, 0.002, 4, 1, (0, 1, 2, 3), (-3,)): "NoConvergence"})
 
 
 def _liebwu_outcome(lsites, coupling, n_charge, m_spin, mk, ml):

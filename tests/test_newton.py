@@ -127,23 +127,6 @@ def _recording_solves(monkeypatch):
     return attempts
 
 
-def test_continue_path_makes_one_solve_when_the_whole_path_contracts(monkeypatch):
-    # From z = 1, Newton on z^2 = 1.5 lands at 1.25, where the residual
-    # is 1/8 of the start's, and every later iterate contracts faster:
-    # the first step covers the whole path and is the only corrector.
-    attempts = _recording_solves(monkeypatch)
-
-    def fun_of_t(t, z):
-        return np.array([z[0] ** 2 - (1.0 + t)])
-
-    def jac_of_t(t, z):
-        return np.array([[2.0 * z[0]]])
-
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.5, np.array([1.0]))
-    assert abs(z[0] - math.sqrt(1.5)) < 1e-13
-    assert attempts == [(0.5, True)]
-
-
 def test_continue_path_starts_each_step_from_the_secant_prediction(monkeypatch):
     # The root z(t) = t of arctan(z - t) moves linearly.  From z = 0 the
     # first Newton iterate does not halve the residual at t = 2.5 or
@@ -211,6 +194,15 @@ def test_continue_path_accepts_a_long_contracting_corrector(monkeypatch):
     assert attempts == [(0.0, True)]
     assert len(evals) == 16
 
+    # From z = 1, Newton on z^2 = 1.5 lands at 1.25, where the residual
+    # is 1/8 of the start's, and every later iterate contracts faster:
+    # the whole-path corrector is again the only solve.
+    attempts.clear()
+    z = continue_path(lambda t, z: np.array([z[0] ** 2 - (1.0 + t)]),
+                      lambda t, z: np.array([[2.0 * z[0]]]), 0.0, 0.5, np.array([1.0]))
+    assert abs(z[0] - math.sqrt(1.5)) < 1e-13
+    assert attempts == [(0.5, True)]
+
 
 def test_continue_path_rejects_a_corrector_that_does_not_halve_the_residual(monkeypatch):
     # From z = 0, Newton on arctan(z - 1) lands at z = 1.57, where the
@@ -273,21 +265,36 @@ def test_continue_path_ends_on_a_path_shorter_than_the_resolution_of_t():
 
 
 def test_continue_path_detects_collisions():
-    # Two roots driven together: +-(1 - t) meet at t = 1.  At t = 0.999
-    # they are still 2e-3 apart, far above _COLLISION_TOL; at t = 1 the
-    # guard must fire.
-    def fun_of_t(t, z):
+    # Two roots driven together: +-(1 - t) meet at t = 1, as a double root
+    # of the quadratic system and as two crossing simple roots of the
+    # linear one.  At the double root Newton only halves the distance to
+    # it, so from the whole-path start the corrector stops with the roots
+    # about 2.4e-7 apart, inside 2 sqrt(tol) = 6.3e-7.  At t = 0.999 and
+    # 1 - 1e-6 the roots are 2e-3 and 2e-6 apart and the path ends there;
+    # to a corrector stopping at 1e-10, 2e-6 is inside 2 sqrt(tol) = 2e-5.
+    def quadratic(t, z):
+        return np.array([z[0] + z[1], z[0] * z[1] + (1.0 - t) ** 2])
+
+    def quadratic_jac(t, z):
+        return np.array([[1.0, 1.0], [z[1], z[0]]])
+
+    def linear(t, z):
         return np.array([z[0] - (1.0 - t), z[1] + (1.0 - t)])
 
-    def jac_of_t(t, z):
+    def linear_jac(t, z):
         return np.eye(2)
 
     start = np.array([1.0, -1.0])
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 0.999, start,
-                      collision_groups=(range(2),))
-    assert np.allclose(z, [1e-3, -1e-3], rtol=0.0, atol=1e-12)
-    with pytest.raises(PathCollision, match="collided at t=1.0"):
-        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start,
+    for fun_of_t, jac_of_t in ((quadratic, quadratic_jac), (linear, linear_jac)):
+        for t1 in (0.999, 1.0 - 1e-6):
+            z = continue_path(fun_of_t, jac_of_t, 0.0, t1, start,
+                              collision_groups=(range(2),))
+            assert np.allclose(z, [1.0 - t1, t1 - 1.0], rtol=0.0, atol=1e-7)
+        with pytest.raises(PathCollision, match="collided at t=1.0"):
+            continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start,
+                          collision_groups=(range(2),))
+    with pytest.raises(PathCollision, match="collided"):
+        continue_path(quadratic, quadratic_jac, 0.0, 1.0 - 1e-6, start, tol=1e-10,
                       collision_groups=(range(2),))
 
 
