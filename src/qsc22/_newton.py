@@ -46,8 +46,16 @@ class SingularDenominator(ValueError):
 
 
 def _ratio(num: complex, den: complex) -> complex:
-    guard = 1e-13 * (1.0 + abs(num) + abs(den))
-    if abs(den) < guard or abs(num) < guard:
+    """num / den; SingularDenominator if |num| or |den| < 1e-13 (1 + |num| + |den|).
+
+    The guard is formed on the magnitudes quartered, so neither they
+    nor their sum overflow for a finite num and den; a power of two
+    changes no comparison above the subnormal range, where both forms
+    raise.
+    """
+    size_num, size_den = abs(num * 0.25), abs(den * 0.25)
+    guard = 1e-13 * (0.25 + size_num + size_den)
+    if size_den < guard or size_num < guard:
         raise SingularDenominator(f"factor {num} / {den} too close to 0 or infinity")
     return num / den
 

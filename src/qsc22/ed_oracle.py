@@ -24,15 +24,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 # The L=8 half-filling block.  One BLAS thread, 2-core Xeon, at dimension
-# 400, 1225 and 4900: build 1.1, 5.3 and 36 ms, `spectrum` 0.02, 0.45 and
+# 400, 1225 and 4900: build 0.16, 1.2 and 37 ms, `spectrum` 0.02, 0.45 and
 # 28-30 s (peak RSS 0.95 GB); L=9 at half filling (15 876) would need ~8 GB.
 _DIM_CAP = 4900
 _CERT_TOL = 1e-10
+# Single-species tables kept by `_species_blocks`: 27 species cover L <= 6.
+_SPECIES_MEMO_SIZE = 32
 
 
 class SectorTooLarge(ValueError):
@@ -62,23 +65,38 @@ def _apply_hop(mask: int, src: int, dst: int):
     return removed | (1 << dst), sign
 
 
-def _species_blocks(lsites: int, count: int):
-    """Hopping matrix T and S[i, j] = 1 - 2 n_j of `count` fermions of one
-    species, in the basis of ascending masks."""
+@lru_cache(maxsize=_SPECIES_MEMO_SIZE)
+def _species_blocks(lsites: int, count: int, apply_hop: Callable):
+    """Read-only tables (rows, cols, values, S) of `count` fermions of one
+    species, in the basis of ascending masks.
+
+    T[rows, cols] = values are the nonzero entries of the hopping matrix
+    (column = source state); a hop met twice, on the two bonds of L = 2,
+    is summed in loop order.  S[i, j] = 1 - 2 n_j.  The dense C(L, count)²
+    block is never formed.  `apply_hop` is the hop kernel and part of the
+    memo key, so a patched kernel builds afresh.  The memo holds at most
+    _SPECIES_MEMO_SIZE entries of O(C(L, count) L) numbers each.
+    """
     masks = sorted(sum(1 << j for j in occ)
                    for occ in itertools.combinations(range(lsites), count))
     index = {mask: i for i, mask in enumerate(masks)}
     bonds = [(j, (j + 1) % lsites) for j in range(lsites) if (j + 1) % lsites != j]
-    hop = np.zeros((len(masks), len(masks)))
+    hops: dict = {}
     for i, mask in enumerate(masks):
         for a, b in bonds:
             for src, dst in ((b, a), (a, b)):
-                moved = _apply_hop(mask, src, dst)
+                moved = apply_hop(mask, src, dst)
                 if moved is not None:
-                    hop[index[moved[0]], i] -= moved[1]
+                    entry = (index[moved[0]], i)
+                    hops[entry] = hops.get(entry, 0.0) - moved[1]
+    rows = np.array([r for r, _ in hops], dtype=np.intp)
+    cols = np.array([c for _, c in hops], dtype=np.intp)
+    values = np.array(list(hops.values()), dtype=float)
     signs = np.array([[1 - 2 * ((mask >> j) & 1) for j in range(lsites)]
                       for mask in masks], dtype=float)
-    return hop, signs
+    for table in (rows, cols, values, signs):
+        table.flags.writeable = False
+    return rows, cols, values, signs
 
 
 def build_hamiltonian(lsites: int, u_coupling: float,
@@ -94,10 +112,13 @@ def build_hamiltonian(lsites: int, u_coupling: float,
 
         H = T_up ⊗ I + I ⊗ T_down + u diag((S_up S_downᵀ).ravel())
 
-    of the single-species blocks of `_species_blocks` (one per distinct
-    count, built on every call), written in place through an (up, down,
-    up, down) view of H with no dim² temporary.  A coupling whose
-    diagonal u (S_up S_downᵀ) overflows raises ValueError.
+    of the single-species tables of `_species_blocks`, memoized per
+    (L, count, hop kernel) with at most _SPECIES_MEMO_SIZE entries (every
+    (L, count) with L <= 6 fits); the kernel is `_apply_hop` as the module
+    holds it at call time.  Each hopping term is written, once for all
+    spectator states, through a diagonal view of the (up, down, up, down)
+    reshape of H, with no dim² temporary.  A coupling whose diagonal
+    u (S_up S_downᵀ) overflows raises ValueError.
     """
     if not math.isfinite(u_coupling):
         raise ValueError("coupling must be finite")
@@ -105,14 +126,15 @@ def build_hamiltonian(lsites: int, u_coupling: float,
     dim = _sector_dim(lsites, n_up, n_down)
     if dim > _DIM_CAP:
         raise SectorTooLarge(f"sector dimension {dim} exceeds cap {_DIM_CAP}")
-    species = {n: _species_blocks(lsites, n) for n in {n_up, n_down}}
-    (hop_up, signs_up), (hop_down, signs_down) = species[n_up], species[n_down]
+    rows, cols, values, signs_up = _species_blocks(lsites, n_up, _apply_hop)
     ham = np.zeros((dim, dim))
-    blocks = ham.reshape(2 * (len(hop_up), len(hop_down)))
-    for k in range(len(hop_down)):
-        blocks[:, k, :, k] = hop_up
-    for i in range(len(hop_up)):
-        blocks[i, :, i, :] += hop_down
+    blocks = ham.reshape(2 * (len(signs_up), dim // len(signs_up)))
+    # No hop is diagonal, so the two writes touch disjoint entries.
+    # [k, i, j] is H[(i, k), (j, k)]: T_up, once per down state k.
+    np.einsum("ikjk->kij", blocks)[:, rows, cols] = values
+    rows, cols, values, signs_down = _species_blocks(lsites, n_down, _apply_hop)
+    # [i, k, l] is H[(i, k), (i, l)]: T_down, once per up state i.
+    np.einsum("ikil->ikl", blocks)[:, rows, cols] = values
     with np.errstate(over="ignore"):
         diagonal = u_coupling * (signs_up @ signs_down.T).ravel()
     if not np.isfinite(diagonal).all():
@@ -139,10 +161,10 @@ def spectrum(ham: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     resid = (a / scale) @ vecs
     resid -= vecs * (vals / scale)
-    residual = float(np.linalg.norm(resid))
+    residual = math.sqrt(np.vdot(resid, resid))
     gram = vecs.T @ vecs
-    gram[np.diag_indices_from(gram)] -= 1.0
-    orthogonality = float(np.linalg.norm(gram))
+    gram.flat[::len(gram) + 1] -= 1.0
+    orthogonality = math.sqrt(np.vdot(gram, gram))
     if not (residual <= _CERT_TOL and orthogonality <= _CERT_TOL):
         raise ArithmeticError(
             f"eigh certificate failed: residual {residual:.3e} in units of {scale:.3e}"

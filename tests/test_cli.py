@@ -251,6 +251,14 @@ def test_huge_finite_couplings_solve():
     payload = json.loads(result.stdout)
     assert payload["ok"] is True and payload["E"] == -1e200
     assert payload["residual"] < 1e-12
+    # Near the top of the float range the singular-factor guard of the
+    # product-form residuals must not overflow either.
+    result = _run("solve-liebwu", "--L", "3", "--u", "1.7e308", "--N", "2", "--M", "1",
+                  "--I", "0", "--I", "1", "--J", "-1")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["ok"] is True and payload["E"] == -1.7e308
+    assert payload["residual"] < 1e-12
     result = _run("compare", "--L", "3", "--u", "1e200", "--N", "2", "--M", "1")
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
@@ -496,6 +504,10 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
     # Spin modes on the window edge M - N <= J <= -1 put a root at infinity.
     ("solve-liebwu", "--L", "2", "--u", "1", "--N", "2", "--M", "1",
      "--I", "0", "--I", "1", "--J", "0"),
+    # At u = 1.7e308 the product-form factors of two spin roots leave the
+    # float range (2u overflows), so the solved roots cannot be validated.
+    ("solve-liebwu", "--L", "4", "--u", "1.7e308", "--N", "4", "--M", "2",
+     "--I", "0", "--I", "1", "--I", "2", "--I", "3", "--J", "-2", "--J", "-1"),
 ])
 def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
     def materialize(arg):

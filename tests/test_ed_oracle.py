@@ -70,6 +70,39 @@ def test_every_build_reads_the_hop_kernel(monkeypatch):
     assert not np.array_equal(build_hamiltonian(4, 0.7, (2, 2)), before)
 
 
+def test_the_species_memo_never_serves_a_stale_block(monkeypatch):
+    # The hop kernel is part of the memo key: a build under a patched
+    # kernel reads that kernel, and the next build under the real one
+    # gets the blocks it had before.
+    cases = ((3, (2, 1)), (4, (2, 2)), (5, (2, 1)))
+    fermionic = [build_hamiltonian(lsites, 0.7, sector) for lsites, sector in cases]
+    apply_hop = ed_oracle._apply_hop
+
+    def bosonic(mask, src, dst):
+        hop = apply_hop(mask, src, dst)
+        return None if hop is None else (hop[0], 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ed_oracle, "_apply_hop", bosonic)
+        for (lsites, sector), before in zip(cases, fermionic):
+            ham = build_hamiltonian(lsites, 0.7, sector)
+            assert np.array_equal(ham, _per_state_hamiltonian(lsites, 0.7, sector))
+            assert not np.array_equal(ham, before)
+    for (lsites, sector), before in zip(cases, fermionic):
+        assert build_hamiltonian(lsites, 0.7, sector).tobytes() == before.tobytes()
+
+
+def test_the_species_memo_is_read_only_and_bounded():
+    for table in ed_oracle._species_blocks(4, 2, ed_oracle._apply_hop):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    species = [(lsites, count) for lsites in range(1, 9) for count in range(lsites + 1)]
+    assert len(species) > ed_oracle._SPECIES_MEMO_SIZE
+    for lsites, count in species:
+        build_hamiltonian(lsites, 1.0, (count, 0))
+    assert ed_oracle._species_blocks.cache_info().currsize <= ed_oracle._SPECIES_MEMO_SIZE
+
+
 def test_sector_dimensions():
     for lsites in (1, 2, 3, 4):
         total = 0
