@@ -1,11 +1,11 @@
 """Damped Newton iteration and one-parameter continuation.
 
-Solvers here work on vector residual functions, real or complex, and
-every caller supplies the Jacobian in closed form alongside the
-residual; nothing here takes finite differences.  The start vector
-decides the arithmetic: a real start gives a float iterate, a complex
-one a complex iterate.  Damping is Armijo backtracking on the residual
-2-norm.
+Solvers here work on vector residual functions, and every caller
+supplies the Jacobian in closed form alongside the residual; nothing
+here takes finite differences.  Newton's start vector decides the
+arithmetic: a real start gives a float iterate, a complex one a complex
+iterate.  Continuation tracks real roots only, so that it can guard
+their order.  Damping is Armijo backtracking on the residual 2-norm.
 """
 
 from __future__ import annotations
@@ -136,29 +136,31 @@ def continue_path(
     jac_of_t: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
     t1: float,
-    z0: Sequence[complex],
+    z0: Sequence[float],
     *,
     tol: float = 1e-13,
     collision_groups: Sequence[Sequence[int]] = (),
 ) -> np.ndarray:
-    """Track the root z0 of fun_of_t(t0, .) to t1, guarding group collisions.
+    """Track the real root z0 of fun_of_t(t0, .) to t1, guarding group collisions.
 
-    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z.  The first
-    step covers the whole path and starts Newton from z0; later ones
-    start from the secant through the last two roots, scaled to the
-    step.  The corrector runs while each accepted Newton iterate at
+    jac_of_t(t, z) is the Jacobian of fun_of_t(t, z) in z, both
+    real-valued on real input; a complex z0 raises TypeError.  The
+    first step covers the whole path and starts Newton from z0; later
+    ones start from the secant through the last two roots, scaled to
+    the step.  The corrector runs while each accepted Newton iterate at
     least halves the residual 2-norm (solve_damped's `contract`); a
     step whose corrector stops contracting short of tol is halved, down
     to _STEP_FLOOR of the path, and an accepted one doubles the next.
     A path whose whole-path corrector contracts thus costs one solve.
-    Roots of a group closer than 2 sqrt(tol), or, for a real z0,
-    swapping order between accepted points, raise PathCollision.  Near
-    a double root the residual grows like the square of the distance
-    and Newton only halves it, so a corrector stopping at tol leaves
-    two meeting roots up to 2 sqrt(tol) apart (unit curvature).
+    Roots of a group closer than 2 sqrt(tol), or swapping order between
+    accepted points, raise PathCollision.  Near a double root the
+    residual grows like the square of the distance and Newton only
+    halves it, so a corrector stopping at tol leaves two meeting roots
+    up to 2 sqrt(tol) apart (unit curvature).
     """
-    real = not np.iscomplexobj(z0)
-    z = np.array(z0, dtype=float if real else complex)
+    if np.iscomplexobj(z0):
+        raise TypeError("continue_path tracks real roots; the start is complex")
+    z = np.array(z0, dtype=float)
     if not abs(t1 - t0) > 0.0:
         raise ValueError(f"path from t0={t0} to t1={t1} has no direction")
     pairs = [p for group in collision_groups for p in itertools.combinations(group, 2)]
@@ -182,7 +184,7 @@ def continue_path(
         for a, b in pairs:
             if abs(z_next[a] - z_next[b]) < collision:
                 raise PathCollision(f"roots {a} and {b} collided at t={t_next}")
-            if real and (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
+            if (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
                 raise PathCollision(f"roots {a} and {b} swapped order before t={t_next}")
         h = 2.0 * (s_next - s)
         prev, s, z = (s, z), s_next, z_next

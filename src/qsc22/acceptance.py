@@ -8,7 +8,10 @@ lists the batteries in suite order.  The commands `check-qq`,
 `check-hirota` and `character` run the exact checks on one input; the
 randomized corpora run only here.  `compare` and `ads3-residuals` gate
 on the bounds below.  A battery states only what a wrong input can
-fail; identities that hold for any input are unit tests.
+fail; identities that hold for any input are unit tests.  So the
+liebwu battery holds every sector, the grid's and their copies near the
+free limit, to LIEBWU_BOUND against the oracle, and the M = 0 closed
+form k = 2 pi I / L, which holds at every coupling, is a unit test.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import numpy as np
 from . import ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
-from ._newton import NoConvergence, PathCollision
+from ._newton import NoConvergence
 from .exact_poly import GaussRat
 
 LIEBWU_BOUND = 1e-8
-FREE_BOUND = 1e-4
 ADS3_BOUND = 1e-10
 ED_BOUND = 1e-9
 
@@ -196,7 +198,7 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
         try:
             roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
                                     list(mk), list(ml))
-        except (NoConvergence, PathCollision) as exc:
+        except NoConvergence as exc:
             outcomes.append((mk, ml, None, str(exc)))
             continue
         outcomes.append((mk, ml, roots, None))
@@ -205,66 +207,26 @@ def match_sector(lsites: int, coupling: float, n_charge: int, m_spin: int,
     return outcomes, ed_oracle.match_spectrum(energies, eigs, tol)
 
 
-def _match_sectors(sectors, tol: float):
-    """match_sector over (L, u, N, M) sectors.
-
-    Returns (skipped, results): skipped maps a sector label to the mode
-    sets that sector did not solve; results lists (sector, outcomes,
-    report).
-    """
-    skipped = {}
-    results = []
-    for sector in sectors:
-        outcomes, report = match_sector(*sector, tol)
-        if len(outcomes) > len(report.gaps):
-            skipped["L=%d u=%g N=%d M=%d" % sector] = (len(outcomes)
-                                                      - len(report.gaps))
-        results.append((sector, outcomes, report))
-    return skipped, results
-
-
 def _battery_liebwu(rng_seed: int) -> BatteryResult:
-    errors = []
-    skipped, results = _match_sectors(_liebwu_grid_cases(), LIEBWU_BOUND)
-    for case, _, report in results:
-        if not report.gaps and case[2] > 0:
-            errors.append(("empty sector", case))
+    # The grid, then its sectors with charges again at u = 1e-8, near
+    # the free limit.
+    grid = list(_liebwu_grid_cases())
+    sectors = grid + sorted({(lsites, 1e-8, n_charge, m_spin)
+                             for lsites, _, n_charge, m_spin in grid if n_charge > 0})
+    errors, skipped = [], {}
+    attempted, worst = 0, 0.0
+    for sector in sectors:
+        outcomes, report = match_sector(*sector, LIEBWU_BOUND)
+        attempted += len(outcomes)
+        worst = max(worst, report.max_gap)
+        if len(outcomes) > len(report.gaps):
+            skipped["L=%d u=%g N=%d M=%d" % sector] = len(outcomes) - len(report.gaps)
+        if not report.gaps and sector[2] > 0:
+            errors.append(("empty sector", sector))
         if not report.passed:
-            errors.append(("oracle mismatch", case))
-    worst = max(report.max_gap for _, _, report in results)
-    grid = sum(len(outcomes) for _, outcomes, _ in results)
-
-    # Free limit.  Without spin roots the momenta decouple and the
-    # closed form -2 sum cos(2 pi I / L) applies; a spin root shifts
-    # each charge mode by a half unit whose side depends on the root,
-    # so those sectors are matched against the oracle at the same
-    # coupling instead.
-    free_u = 1e-8
-    free_skipped, results = _match_sectors(
-        sorted({(lsites, free_u, n_charge, m_spin)
-                for lsites, _, n_charge, m_spin in _liebwu_grid_cases()
-                if n_charge > 0}), FREE_BOUND)
-    worst_free = 0.0
-    for (lsites, _, n_charge, m_spin), outcomes, report in results:
-        if not report.gaps:
-            errors.append(("free limit empty", (lsites, n_charge, m_spin)))
-        gaps = report.gaps
-        if not m_spin:
-            gaps = []
-            for mk, _, roots, error in outcomes:
-                if error is None:
-                    energy, _ = hb.energy_momentum(lsites, free_u, roots)
-                    closed = free_u * (lsites - 2 * n_charge) - 2 * sum(
-                        math.cos(2.0 * math.pi * i / lsites) for i in mk)
-                    gaps.append(abs(energy - closed))
-        worst_free = max([worst_free, *gaps])
-    free = sum(len(outcomes) for _, outcomes, _ in results)
-    return BatteryResult(
-        grid + free, tuple(errors),
-        measured={"max_gap": worst, "max_free_gap": worst_free},
-        bound={"max_gap": LIEBWU_BOUND, "max_free_gap": FREE_BOUND},
-        skipped={**skipped, **free_skipped},
-        detail={"grid_attempted": grid, "free_attempted": free})
+            errors.append(("oracle mismatch", sector))
+    return BatteryResult(attempted, tuple(errors), measured={"max_gap": worst},
+                         bound={"max_gap": LIEBWU_BOUND}, skipped=skipped)
 
 
 # --------------------------------------------------------------------------

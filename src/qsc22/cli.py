@@ -21,7 +21,7 @@ from click.core import ParameterSource
 from . import __version__, acceptance, ads3, ed_oracle
 from . import hubbard_bethe as hb
 from . import qsystem, ty_system
-from ._newton import NoConvergence, PathCollision
+from ._newton import NoConvergence
 from .analytic_layer import json_number
 from .exact_poly import GaussRat, TwistedPoly
 
@@ -258,7 +258,7 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam) -> No
                                 list(mode_k), list(mode_lam))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    except (NoConvergence, PathCollision) as exc:
+    except NoConvergence as exc:
         _emit({"ok": False, "error": str(exc)})
         sys.exit(1)
 

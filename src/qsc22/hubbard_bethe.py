@@ -13,10 +13,12 @@ The homogeneous Lieb-Wu system uses the coupling u = 1/(2 h).  Its
 solver works in the counting (arctan) form with integer mode numbers,
 homotopy in the coupling from the decoupled point, and damped Newton;
 solutions are validated against the product-form residuals and, by the
-callers, against exact diagonalization.  The start of every homotopy,
-at u = min(1e-3, u), depends on the mode set alone for any target
-coupling above 1e-3, so its seed ranking and start roots are memoized
-per mode set and paid once per process.
+callers, against exact diagonalization.  Every solve takes one route:
+a start solve at u = min(1e-3, u) to _START_TOL, the continuation to
+the target when it lies above, and a polish there to _LIEBWU_TOL.  The
+start depends on the mode set alone for any target coupling at or
+above 1e-3, so its seed ranking and start roots are memoized per mode
+set and paid once per process.  Every failed solve raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -39,17 +41,17 @@ __all__ = [
     "HubbardSpec", "HubbardRoots", "LiebWuRoots",
     "nested_residuals", "solve_nested",
     "liebwu_residuals", "admissible_modes", "solve_liebwu", "energy_momentum",
-    "u_of_x", "NoConvergence", "PathCollision", "SingularDenominator",
+    "u_of_x", "NoConvergence", "SingularDenominator",
 ]
 
 _NESTED_TOL = 1e-13
 _LIEBWU_TOL = 1e-13
-# Target of the start solve at u_start and of every continuation step
-# when a continuation follows.  A spin root between two nearly equal
-# sin k_j has dF/dlambda ~ 4/u, so near u = 1e-3 one ulp of lambda
-# moves the residual by about 2e-13 and _LIEBWU_TOL can lie below the
-# rounding floor.  Those points only seed the next Newton solve; the
-# answer is polished at the target coupling to _LIEBWU_TOL.
+# Target of the start solve at u_start and of every continuation step.
+# A spin root between two nearly equal sin k_j has dF/dlambda ~ 4/u,
+# so near u = 1e-3 one ulp of lambda moves the residual by about 2e-13
+# and _LIEBWU_TOL can lie below the rounding floor.  Those points only
+# seed the next Newton solve; the answer is polished at the target
+# coupling to _LIEBWU_TOL.
 _START_TOL = 1e-10
 # Entries of each start-phase memo of solve_liebwu.  The 16 generated
 # rounds of the ed_large benchmark workload fill about 230 of each.
@@ -70,9 +72,9 @@ class HubbardSpec:
     """Coupling, optional inhomogeneity pairs, and twists.
 
     The number of pairs is len(yplus).  The twists are the diagonal
-    parameters (tx, 1/tx) and (ty, 1/ty), both nonzero; only tx/ty and
-    ty**2 enter the equations.  The constructor checks the twists, that
-    every root is finite and that every pair meets
+    parameters (tx, 1/tx) and (ty, 1/ty), both finite and nonzero; only
+    tx/ty and ty**2 enter the equations.  The constructor checks the
+    twists, that every root is finite and that every pair meets
     y+ + 1/y+ - y- - 1/y- = 2i/h to within analytic_layer.SHELL_TOL, but
     not |y| > 1: the homogeneous limit drives y- inside the unit disk.
     """
@@ -85,8 +87,9 @@ class HubbardSpec:
 
     def __post_init__(self) -> None:
         check_coupling(self.hcoup)
-        if not self.twist_x or not self.twist_y:
-            raise ValueError(f"twists must be nonzero, got {self.twist_x} and {self.twist_y}")
+        if not all(t and cmath.isfinite(t) for t in (self.twist_x, self.twist_y)):
+            raise ValueError(f"twists must be finite and nonzero, "
+                             f"got {self.twist_x} and {self.twist_y}")
         object.__setattr__(self, "yplus", finite_roots(self.yplus))
         object.__setattr__(self, "yminus", finite_roots(self.yminus))
         if len(self.yplus) != len(self.yminus):
@@ -371,9 +374,10 @@ def _ranked_spin_seeds(lsites: int, mode_k: Tuple[int, ...], mode_lam: Tuple[int
 
 @lru_cache(maxsize=_START_MEMO_SIZE)
 def _start_root(lsites: int, mode_k: Tuple[int, ...], mode_lam: Tuple[int, ...],
-                u_start: float, tol: float, lam0: Tuple[float, ...]) -> np.ndarray | float:
-    """Counting-form root at u_start from one spin seed, as a read-only
-    array, or the best residual (a float) of a start solve that failed.
+                u_start: float, lam0: Tuple[float, ...]) -> np.ndarray | float:
+    """Counting-form root at u_start to _START_TOL from one spin seed, as
+    a read-only array, or the best residual (a float) of a start solve
+    that failed.
 
     The memo keeps no exception: one would hold its traceback's frames.
     """
@@ -381,7 +385,7 @@ def _start_root(lsites: int, mode_k: Tuple[int, ...], mode_lam: Tuple[int, ...],
     try:
         z = solve_damped(partial(_counting_residuals, lsites, u_start, mode_k, mode_lam),
                          partial(_counting_jacobian, lsites, u_start, len(mode_k)),
-                         z0, tol=tol)
+                         z0, tol=_START_TOL)
     except NoConvergence as exc:
         return float(exc.residual)
     z.flags.writeable = False
@@ -401,17 +405,22 @@ def solve_liebwu(
     Mode numbers are integers (not bools): charge modes distinct modulo L
     (equal residues give equal momenta), spin modes distinct and inside
     the window M - N <= J <= -1 of _spin_modes; anything else raises
-    ValueError.  They fix the branch of every arctan sum.  Spin seeds are tried in
-    increasing start residual.  The continuation from u = 1e-3 follows
+    ValueError, as does L < 2: the single-site Hamiltonian has no
+    hopping, while energy_momentum counts -2 cos k for every charge
+    root.  The modes fix the branch of every arctan sum.  Spin seeds are
+    tried in increasing start residual.  Each is solved to _START_TOL at
+    u_start = min(1e-3, u); above u_start the continuation follows
     continue_path's adaptive steps, the first of them the whole path,
     each solved to _START_TOL by a corrector that must halve the
     residual at every iteration, and drops a seed whose roots swap
-    order; the endpoint is then polished to _LIEBWU_TOL.  The returned
-    roots satisfy the product-form residuals below 1e-12.
+    order.  The answer is then polished at u to _LIEBWU_TOL.  The
+    returned roots satisfy the product-form residuals below 1e-12; when
+    no seed gives such roots, NoConvergence names the best residual and
+    counts the seeds whose path collided.
 
     Everything before the continuation, the seed ranking and each seed's
-    start solve, is a function of (L, I, J, u_start, start tolerance)
-    alone, and u_start = 1e-3 for every coupling above it.  Both are
+    start solve, is a function of (L, I, J, u_start) alone, and
+    u_start = 1e-3 for every coupling at or above it.  Both are
     memoized per mode set (_ranked_spin_seeds, _start_root), so a mode
     set met again at another coupling goes straight to the continuation;
     start roots are read seed by seed, so a first solve does no more
@@ -423,8 +432,8 @@ def solve_liebwu(
         mode_k, mode_lam = tuple(map(operator.index, mode_k)), tuple(map(operator.index, mode_lam))
     except TypeError as exc:
         raise ValueError(f"mode numbers must be integers: {exc}") from None
-    if lsites < 1:
-        raise ValueError("need at least one site")
+    if lsites < 2:
+        raise ValueError("need at least two sites: a single site has no hopping")
     if len(mode_k) != n_charge or len(mode_lam) != m_spin:
         raise ValueError("mode-number lists must match the root counts")
     if len({i % lsites for i in mode_k}) != n_charge:
@@ -442,8 +451,6 @@ def solve_liebwu(
         return LiebWuRoots()
 
     u_start = min(1e-3, u_coupling)
-    continued = u_coupling > u_start
-    start_tol = _START_TOL if continued else _LIEBWU_TOL
     seeds = _ranked_spin_seeds(lsites, mode_k, mode_lam, u_start)
     groups = [range(n_charge), range(n_charge, n_charge + m_spin)]
 
@@ -455,20 +462,21 @@ def solve_liebwu(
 
     last_error: Exception | None = None
     best = math.inf
-    invalid = 0
+    invalid = collided = 0
     for lam0 in seeds:
         try:
-            z = _start_root(lsites, mode_k, mode_lam, u_start, start_tol, lam0)
+            z = _start_root(lsites, mode_k, mode_lam, u_start, lam0)
             if isinstance(z, float):
                 raise NoConvergence(f"start solve at u={u_start} stalled at "
                                     f"residual {z:.3e}", z)
-            if continued:
+            if u_coupling > u_start:
                 z = continue_path(fun_of_t, jac_of_t, u_start, u_coupling, z,
                                   tol=_START_TOL, collision_groups=groups)
-                z = solve_damped(partial(fun_of_t, u_coupling),
-                                 partial(jac_of_t, u_coupling), z,
-                                 tol=_LIEBWU_TOL)
+            z = solve_damped(partial(fun_of_t, u_coupling),
+                             partial(jac_of_t, u_coupling), z,
+                             tol=_LIEBWU_TOL)
         except (NoConvergence, PathCollision) as exc:
+            collided += isinstance(exc, PathCollision)
             best = min(best, getattr(exc, "residual", math.inf))
             last_error = exc
             continue
@@ -480,12 +488,11 @@ def solve_liebwu(
         last_error = NoConvergence(
             f"product-form residual {gap:.3e} at lambda seed {lam0}", gap)
         best = min(best, gap)
-    if isinstance(last_error, PathCollision):
-        raise last_error
     raise NoConvergence(
         f"no spin seed converged for modes I={list(mode_k)}, J={list(mode_lam)}: "
-        f"best residual {best:.3e} over {len(seeds)} spin seeds, {invalid} of "
-        f"{len(seeds)} converged but failed the product-form check", best,
+        f"{collided} of {len(seeds)} seed paths collided, best residual {best:.3e} "
+        f"over {len(seeds)} spin seeds, {invalid} of {len(seeds)} converged but "
+        f"failed the product-form check", best,
     ) from last_error
 
 

@@ -203,11 +203,10 @@ def test_criterion_03_fails_on_a_corrupted_slot(monkeypatch):
 
 def test_criterion_04_liebwu_roots_match_ed_spectra():
     result, elapsed = _run("liebwu")
-    assert result["bound"] == {"max_gap": 1e-8, "max_free_gap": 1e-4}
+    assert result["bound"] == {"max_gap": 1e-8}
     assert result["measured"]["max_gap"] < 1e-8
-    assert result["measured"]["max_free_gap"] < 1e-4
-    assert result["detail"] == {"grid_attempted": 156, "free_attempted": 49}
-    assert result["attempted"] == 156 + 49
+    # 156 grid mode sets and 49 of the grid's N >= 1 sectors at u = 1e-8.
+    assert result["attempted"] == 205
     # Every grid mode set solves; only the free limit skips any.
     assert result["skipped"] == {"L=4 u=1e-08 N=2 M=1": 2,
                                  "L=4 u=1e-08 N=3 M=1": 4,
@@ -222,16 +221,16 @@ def test_criterion_04_fails_on_a_non_real_energy(monkeypatch):
         energy, momentum = energy_momentum(*args)
         return energy + 1e-3j, momentum
 
-    # Two sectors keep the run short: the free limit of the first uses
-    # the closed form, that of the second the oracle.
+    # Two sectors keep the run short; each runs again at u = 1e-8.
     monkeypatch.setattr(acceptance, "_liebwu_grid_cases",
                         lambda: [(2, 1.0, 1, 0), (3, 1.0, 2, 1)])
     monkeypatch.setattr(hubbard_bethe, "energy_momentum", complex_energy)
     result = _fails("liebwu")
     assert result["failures"] == [["oracle mismatch", [2, 1.0, 1, 0]],
-                                  ["oracle mismatch", [3, 1.0, 2, 1]]]
+                                  ["oracle mismatch", [3, 1.0, 2, 1]],
+                                  ["oracle mismatch", [2, 1e-8, 1, 0]],
+                                  ["oracle mismatch", [3, 1e-8, 2, 1]]]
     assert result["measured"]["max_gap"] >= 1e-3
-    assert result["measured"]["max_free_gap"] >= 1e-3
 
 
 def test_criterion_04_fails_on_roots_of_another_coupling(monkeypatch):

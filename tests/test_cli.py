@@ -378,6 +378,13 @@ def test_solve_nested_rejects_bad_input(tmp_path):
     result = _run("solve-nested", "--input", _nested_input(
         tmp_path, yminus=[[0.0, 0.0], [yminus[1].real, yminus[1].imag]]))
     assert result.exit_code == 2 and "shift constraint" in result.stderr
+    # A twist that is not finite: json.load reads NaN and Infinity.
+    for overrides in ({"twist_x": [math.nan, 0.0]}, {"twist_x": [math.inf, 0.0]},
+                      {"twist_y": [0.0, -math.inf]}):
+        result = _run("solve-nested", "--input", _nested_input(tmp_path, **overrides))
+        assert result.exit_code == 2, overrides
+        assert result.stdout == "" and "bad nested input" in result.stderr
+        assert "finite and nonzero" in result.stderr
     # A seed on a pole: u11 = u(x1e) + i/2 zeroes a factor of the
     # first-sheet equation.
     seed_x = 1j * cmath.exp(-0.3j)
@@ -508,6 +515,9 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
     # float range (2u overflows), so the solved roots cannot be validated.
     ("solve-liebwu", "--L", "4", "--u", "1.7e308", "--N", "4", "--M", "2",
      "--I", "0", "--I", "1", "--I", "2", "--I", "3", "--J", "-2", "--J", "-1"),
+    # A single site has no hopping bond, so Lieb-Wu and ED disagree there.
+    ("compare", "--L", "1", "--u", "1", "--N", "1", "--M", "0"),
+    ("solve-liebwu", "--L", "1", "--u", "1", "--N", "1", "--M", "0", "--I", "0"),
 ])
 def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
     def materialize(arg):

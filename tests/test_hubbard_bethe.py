@@ -46,6 +46,12 @@ def test_spec_validation():
         HubbardSpec(1.0, (0.3 + 0.2j,), (0.4 - 0.9j,))
     with pytest.raises(ValueError):
         HubbardSpec(-1.0)
+    # json.load reads NaN and Infinity, so a twist may arrive non-finite.
+    for twist in (0.0, math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HubbardSpec(1.0, twist_x=twist)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HubbardSpec(1.0, twist_y=twist)
 
 
 def test_single_root_newton_agrees_with_bisection():
@@ -115,6 +121,17 @@ def test_liebwu_vacuum_and_closed_forms():
     assert energy2 == pytest.approx(energy, abs=1e-12)
     assert shifted.k[0].real == pytest.approx(single.k[0].real + 2.0 * math.pi,
                                               abs=1e-12)
+    # Without spin roots k = 2 pi I / L at every coupling, so the energy
+    # is u (L - 2N) - 2 sum cos(2 pi I / L) from the free end up.
+    for lsites in (2, 3, 4):
+        for n_charge in range(1, lsites + 1):
+            for mk, _ in admissible_modes(lsites, n_charge, 0):
+                closed = -2.0 * sum(math.cos(2.0 * math.pi * i / lsites) for i in mk)
+                for coupling in (1e-8, 0.5, 1.0, 2.0):
+                    roots = solve_liebwu(lsites, coupling, n_charge, 0, list(mk), [])
+                    energy, _ = energy_momentum(lsites, coupling, roots)
+                    assert energy == pytest.approx(
+                        coupling * (lsites - 2 * n_charge) + closed, abs=1e-12)
 
 
 def test_liebwu_mode_validation():
@@ -126,6 +143,11 @@ def test_liebwu_mode_validation():
         solve_liebwu(2, 1.0, 1, 2, [0], [0, 1])
     with pytest.raises(ValueError, match="site"):
         solve_liebwu(-2, 1.0, 0, 0, [], [])
+    # The single-site Hamiltonian has no hopping, but energy_momentum
+    # would count -2 cos k for the charge root.
+    for n_charge, mode_k in ((0, []), (1, [0])):
+        with pytest.raises(ValueError, match="site"):
+            solve_liebwu(1, 1.0, n_charge, 0, mode_k, [])
     # Charge modes equal modulo L give equal momenta, so no Bethe state.
     for modes in ([0, 2], [1, -1], [3, 5]):
         with pytest.raises(ValueError, match="distinct modulo L"):
@@ -312,9 +334,8 @@ def _liebwu_outcome(lsites, coupling, n_charge, m_spin, mk, ml):
 
 
 def test_liebwu_memoized_start_gives_the_answers_of_a_fresh_start():
-    # u = 1e-3 starts at u_start = 1e-3 like the larger couplings but
-    # solves to _LIEBWU_TOL, so only the tolerance in the key keeps it
-    # from reusing their start roots; at 1e-8, u_start = u.
+    # u = 1e-3 starts at u_start = 1e-3 like the larger couplings and
+    # reads their start roots from the memo; at 1e-8, u_start = u.
     _clear_start_memo()
     cases = [(lsites, coupling, n_charge, m_spin, mk, ml)
              for lsites in (2, 3, 4)
@@ -347,12 +368,41 @@ def test_liebwu_failed_start_seed_is_solved_once_per_mode_set(monkeypatch):
     assert first != second
 
 
+def test_liebwu_target_at_the_start_coupling_reuses_the_start_roots(monkeypatch):
+    # Every start solve stops at _START_TOL, so u = 1e-3 reads the start
+    # roots that u = 1.0 left in the memo and only polishes them.
+    starts, _, _, _ = _count_start_solves(monkeypatch)
+    modes = ([0, 1], [-1])
+    solve_liebwu(3, 1.0, 2, 1, *modes)
+    info = hb._start_root.cache_info()
+    roots = solve_liebwu(3, 1e-3, 2, 1, *modes)
+    assert hb._start_root.cache_info().hits > info.hits
+    assert hb._start_root.cache_info().misses == info.misses
+    assert sum(starts) == info.misses
+    assert np.max(np.abs(liebwu_residuals(3, 1e-3, roots))) < 1e-12
+
+
+def test_liebwu_raises_no_convergence_when_every_path_collides(monkeypatch):
+    def colliding(*args, **kwargs):
+        raise PathCollision("roots 0 and 1 collided at t=0.5")
+
+    # Every start solve of this mode set converges, so every seed
+    # reaches the continuation.
+    _clear_start_memo()
+    monkeypatch.setattr(hb, "continue_path", colliding)
+    seeds = len(hb._ranked_spin_seeds(4, (0, 1), (-1,), 1e-3))
+    assert seeds >= 2
+    with pytest.raises(NoConvergence, match=f": {seeds} of {seeds} seed paths collided") as info:
+        solve_liebwu(4, 1.0, 2, 1, [0, 1], [-1])
+    assert isinstance(info.value.__cause__, PathCollision)
+
+
 def test_liebwu_start_memo_holds_only_floats_and_read_only_arrays():
     _clear_start_memo()
     lsites, mk, ml = 5, (0, 1, 2, 3), (-2, -1)
     solve_liebwu(lsites, 0.4, 4, 2, list(mk), list(ml))
     seeds = hb._ranked_spin_seeds(lsites, mk, ml, 1e-3)
-    held = [hb._start_root(lsites, mk, ml, 1e-3, hb._START_TOL, lam0)
+    held = [hb._start_root(lsites, mk, ml, 1e-3, lam0)
             for lam0 in seeds[:hb._start_root.cache_info().currsize]]
     assert hb._start_root.cache_info().misses == len(held) >= 2
     assert any(isinstance(entry, float) for entry in held)

@@ -301,8 +301,8 @@ def test_continue_path_detects_collisions():
 def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
     # z0 = t - 1/2 and z1 = 1/2 - t cross at t = 1/2.  The one accepted
     # step lands at t = 1, where the roots are 1 apart, so only the
-    # order guard can see the crossing; without the collision group, or
-    # from a complex start, which has no order, the path runs through.
+    # order guard can see the crossing; without the collision group the
+    # path runs through.  A complex start has no order and is refused.
     attempts = _recording_solves(monkeypatch)
 
     def fun_of_t(t, z):
@@ -318,10 +318,9 @@ def test_continue_path_detects_roots_that_cross_between_steps(monkeypatch):
     assert attempts == [(1.0, True)]
     z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start)
     assert np.allclose(z, [0.5, -0.5])
-    z = continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start.astype(complex),
+    with pytest.raises(TypeError, match="real roots"):
+        continue_path(fun_of_t, jac_of_t, 0.0, 1.0, start.astype(complex),
                       collision_groups=(range(2),))
-    assert z.dtype == np.complex128
-    assert np.allclose(z, [0.5, -0.5])
 
 
 def test_bisect_real():
