@@ -95,12 +95,14 @@ def solve_damped(
     on real input; a complex z0 gives a complex one.  The iteration
     stops after _MAX_ITER steps.  With `contract`, an accepted iterate
     that misses tol without at least halving the residual 2-norm
-    raises NoConvergence at once.
+    raises NoConvergence at once.  A Jacobian whose evaluation
+    overflows (OverflowError, as at a runaway iterate) raises
+    NoConvergence too.  fun and jac return arrays.
     """
     z = np.array(z0, dtype=complex if np.iscomplexobj(z0) else float)
     if z.size == 0:
         return z
-    fval = np.asarray(fun(z))
+    fval = fun(z)
     norm, worst = _norms(fval)
     best = math.inf
     for _ in range(_MAX_ITER):
@@ -111,10 +113,12 @@ def solve_damped(
             step = np.linalg.solve(jac(z), -fval)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Jacobian at |f|={norm:.3e}", best) from exc
+        except OverflowError as exc:
+            raise NoConvergence(f"Jacobian overflows at |f|={norm:.3e}", best) from exc
         alpha = 1.0
         for _ in range(40):
             trial = z + alpha * step
-            ftrial = np.asarray(fun(trial))
+            ftrial = fun(trial)
             trial_norm, trial_worst = _norms(ftrial)
             if trial_norm <= (1.0 - _ARMIJO * alpha) * norm:
                 break
@@ -181,10 +185,13 @@ def continue_path(
                 raise NoConvergence(f"step floor reached at t={t_next}: {exc}",
                                     exc.residual) from exc
             continue
+        # The guard reads both points as Python floats: the same
+        # arithmetic as on numpy scalars, without their per-operation cost.
+        new, old = z_next.tolist(), z.tolist()
         for a, b in pairs:
-            if abs(z_next[a] - z_next[b]) < collision:
+            if abs(new[a] - new[b]) < collision:
                 raise PathCollision(f"roots {a} and {b} collided at t={t_next}")
-            if (z_next[a] - z_next[b]) * (z[a] - z[b]) < 0.0:
+            if (new[a] - new[b]) * (old[a] - old[b]) < 0.0:
                 raise PathCollision(f"roots {a} and {b} swapped order before t={t_next}")
         h = 2.0 * (s_next - s)
         prev, s, z = (s, z), s_next, z_next

@@ -256,13 +256,14 @@ def cmd_solve_liebwu(lsites, coupling, n_charge, m_spin, mode_k, mode_lam) -> No
     try:
         roots = hb.solve_liebwu(lsites, coupling, n_charge, m_spin,
                                 list(mode_k), list(mode_lam))
+        payload = _liebwu_payload(lsites, coupling, roots)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NoConvergence as exc:
         _emit({"ok": False, "error": str(exc)})
         sys.exit(1)
 
-    _emit({"ok": True, **_liebwu_payload(lsites, coupling, roots)})
+    _emit({"ok": True, **payload})
 
 
 @main.command("ed")

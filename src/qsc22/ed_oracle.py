@@ -21,6 +21,7 @@ the `ed` battery, not on avoiding library code.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,6 +189,33 @@ class MatchReport:
         return max(self.gaps) if self.gaps else 0.0
 
 
+def _unique_nearest(ordered: list, slot: int, x: float) -> float | None:
+    """The level of `ordered` (ascending) nearest x, listed first among
+    equal levels, or None unless it is the only nearest distinct level.
+
+    `slot` is the left insertion point of x.  Rounded distances |l - x|
+    do not increase up to x and do not decrease after it, so the nearest
+    level is one of the two at `slot`, and it is the only one if each
+    next distinct level outward lies strictly farther.  A NaN distance
+    is never strictly smaller, so it gives None.
+    """
+    size = len(ordered)
+    lower = abs(ordered[slot - 1] - x) if slot > 0 else math.inf
+    upper = abs(ordered[slot] - x) if slot < size else math.inf
+    if upper < lower:
+        first, gap = slot, upper
+        beyond = bisect.bisect_right(ordered, ordered[slot], slot)
+        outer = ordered[beyond] if beyond < size else None
+    elif lower < upper:
+        first, gap = bisect.bisect_left(ordered, ordered[slot - 1], 0, slot), lower
+        outer = ordered[first - 1] if first > 0 else None
+    else:
+        return None
+    if outer is not None and not abs(outer - x) > gap:
+        return None
+    return ordered[first]
+
+
 def match_spectrum(
     bethe_energies: Sequence[complex],
     ed_energies: Sequence[float],
@@ -197,16 +225,30 @@ def match_spectrum(
 
     A complex candidate is matched by its real part, and its gap |E - level|
     keeps the imaginary part, so a non-real energy fails; `energies` holds
-    the real parts.
+    the real parts.  `nearest` holds the level closest to the real part,
+    and of equidistant levels the one listed first.  Each candidate is
+    found by bisection in the sorted levels; one with more than one
+    nearest distinct level (a tie, or a NaN or infinite distance) is
+    matched by a scan of the levels in their given order instead.
     """
     cands = [complex(e) for e in bethe_energies]
     levels = np.asarray(ed_energies, dtype=float)
     if cands and levels.size == 0:
         raise ValueError("cannot match against an empty oracle spectrum")
+    # sorted() is stable, so equal levels (0.0 and -0.0 among them) keep
+    # their given order.  A NaN level, which no order holds, makes the
+    # sum NaN (so do levels of both infinite signs) and leaves every
+    # candidate to the scan.
+    ordered = sorted(levels.tolist())
+    sortable = not math.isnan(sum(ordered))
     nearest = []
     gaps = []
     for e in cands:
-        level = float(levels[int(np.argmin(np.abs(levels - e.real)))])
+        level = None
+        if sortable:
+            level = _unique_nearest(ordered, bisect.bisect_left(ordered, e.real), e.real)
+        if level is None:
+            level = float(levels[int(np.argmin(np.abs(levels - e.real)))])
         nearest.append(level)
         gaps.append(abs(e - level))
     passed = all(g < tol for g in gaps)

@@ -34,7 +34,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._newton import (NoConvergence, PathCollision, SingularDenominator,
-                      _log, _ratio, continue_path, solve_damped)
+                      _log, _norms, _ratio, continue_path, solve_damped)
 from .analytic_layer import SHELL_TOL, check_coupling, finite_roots, shell_gap, u_of_x
 
 __all__ = [
@@ -59,12 +59,28 @@ _START_MEMO_SIZE = 1024
 
 
 def _distinct(values: Sequence[complex], label: str) -> Tuple[complex, ...]:
-    vals = tuple(complex(v) for v in values)
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            if vals[a] == vals[b]:
-                raise ValueError(f"repeated {label} root {vals[a]}")
+    vals = tuple(map(complex, values))
+    # The set shrinks only if two roots are equal or one NaN object is
+    # listed twice; the pairwise == search then decides.
+    if len(set(vals)) < len(vals):
+        for a in range(len(vals)):
+            for b in range(a + 1, len(vals)):
+                if vals[a] == vals[b]:
+                    raise ValueError(f"repeated {label} root {vals[a]}")
     return vals
+
+
+def _coupling_scale(u_coupling: float) -> float:
+    """2^-e for e the binary exponent of u when |u| >= 1, else 1.
+
+    The product-form residuals and the counting Jacobian build their
+    factors from the coupling and root differences times this scale: a
+    power of two changes no rounding, and the scaled coupling lies in
+    [0.5, 1), so no finite coupling makes them overflow.
+    """
+    if abs(u_coupling) < 1.0:
+        return 1.0
+    return math.ldexp(1.0, -math.frexp(u_coupling)[1])
 
 
 @dataclass(frozen=True)
@@ -231,22 +247,33 @@ def solve_nested(spec: HubbardSpec, seed: HubbardRoots) -> HubbardRoots:
 
 
 def liebwu_residuals(lsites: int, u_coupling: float, roots: LiebWuRoots) -> np.ndarray:
-    """Product-form log residuals: momentum family first, then spin family."""
+    """Product-form log residuals: momentum family first, then spin family.
+
+    Each ratio is formed from sin k, lambda and u scaled by
+    _coupling_scale(u), and a ratio of two factors does not depend on
+    their common scale.  Every residual thus has the value of the
+    unscaled product wherever that one is finite (a zero part may change
+    sign, which no magnitude sees), while lambda - mu +- 2iu, which
+    overflows unscaled near the top of the float range, stays finite.
+    _ratio's singular-factor guard applies to the scaled factors.
+    """
+    scale = _coupling_scale(u_coupling)
+    iu, i2u = 1j * (u_coupling * scale), 2j * (u_coupling * scale)
+    sins = [cmath.sin(k) * scale for k in roots.k]
+    lams = [lam * scale for lam in roots.lam]
     res = []
-    sins = [cmath.sin(k) for k in roots.k]
-    for i, k in enumerate(roots.k):
+    for k, sin_k in zip(roots.k, sins):
         prod = cmath.exp(-1j * lsites * k)
-        for lam in roots.lam:
-            prod *= _ratio(sins[i] - lam + 1j * u_coupling,
-                           sins[i] - lam - 1j * u_coupling)
+        for lam in lams:
+            prod *= _ratio(sin_k - lam + iu, sin_k - lam - iu)
         res.append(_log(prod))
-    for i, lam in enumerate(roots.lam):
+    for i, lam in enumerate(lams):
         prod = 1.0 + 0.0j
-        for j, mu in enumerate(roots.lam):
+        for j, mu in enumerate(lams):
             if j != i:
-                prod *= _ratio(lam - mu + 2j * u_coupling, lam - mu - 2j * u_coupling)
+                prod *= _ratio(lam - mu + i2u, lam - mu - i2u)
         for s in sins:
-            prod *= _ratio(lam - s - 1j * u_coupling, lam - s + 1j * u_coupling)
+            prod *= _ratio(lam - s - iu, lam - s + iu)
         res.append(_log(prod))
     return np.array(res, dtype=complex)
 
@@ -269,7 +296,10 @@ def _counting_residuals(lsites: int, u_coupling: float,
             val += 2.0 * math.atan((lams[a] - math.sin(kk)) / u_coupling)
         for b in range(m):
             if b != a:
-                val -= 2.0 * math.atan((lams[a] - lams[b]) / (2.0 * u_coupling))
+                # (lambda_a - lambda_b) / (2u) to the bit wherever the
+                # difference and 2u are finite; halved first, neither
+                # overflows.
+                val -= 2.0 * math.atan((0.5 * lams[a] - 0.5 * lams[b]) / u_coupling)
         out[n + a] = val
     return out
 
@@ -284,13 +314,13 @@ def _counting_jacobian(lsites: int, u_coupling: float, n_charge: int,
     spin row a has -cos k_j w_ja under k_j, v_ab under lambda_b != a,
     and sum_j w_ja - sum_{b != a} v_ab on its diagonal.
 
-    Above u = 1 both weights are formed from u and the differences
-    scaled by 2^-e, e the binary exponent of u, and the result scaled
-    back: u^2 then stays finite for every finite coupling, and a power
-    of two changes no rounding, so each weight has the bits of the
-    unscaled formula wherever that one does not overflow.
+    Both weights are formed from u, sin k - lambda and the spin roots
+    times _coupling_scale(u), and the result scaled back: neither u^2
+    nor a difference of spin roots overflows for a finite coupling, and
+    a power of two changes no rounding, so each weight has the bits of
+    the unscaled formula wherever that one does not overflow.
     """
-    scale = math.ldexp(1.0, -max(0, math.frexp(u_coupling)[1]))
+    scale = _coupling_scale(u_coupling)
     u_s = u_coupling * scale
     ks, lams = z[:n_charge].tolist(), z[n_charge:].tolist()
     jac = [[0.0] * z.size for _ in range(z.size)]
@@ -306,7 +336,7 @@ def _counting_jacobian(lsites: int, u_coupling: float, n_charge: int,
     for a, lam_a in enumerate(lams, n_charge):
         for b, lam_b in enumerate(lams, n_charge):
             if b != a:
-                v = 4.0 * u_s / (4.0 * u_s ** 2 + ((lam_a - lam_b) * scale) ** 2) * scale
+                v = 4.0 * u_s / (4.0 * u_s ** 2 + (lam_a * scale - lam_b * scale) ** 2) * scale
                 jac[a][b] = v
                 jac[a][a] -= v
     return np.array(jac)
@@ -480,8 +510,11 @@ def solve_liebwu(
             best = min(best, getattr(exc, "residual", math.inf))
             last_error = exc
             continue
-        roots = LiebWuRoots(tuple(z[:n_charge]), tuple(z[n_charge:]))
-        gap = float(np.max(np.abs(liebwu_residuals(lsites, u_coupling, roots))))
+        flat = z.tolist()
+        roots = LiebWuRoots(tuple(flat[:n_charge]), tuple(flat[n_charge:]))
+        # _norms' max-norm is NaN when any entry is, so a non-finite
+        # residual never passes.
+        gap = _norms(liebwu_residuals(lsites, u_coupling, roots))[1]
         if gap < 1e-12:
             return roots
         invalid += 1
@@ -500,11 +533,16 @@ def energy_momentum(lsites: int, u_coupling: float, roots: LiebWuRoots):
     """Energy and total momentum of a Lieb-Wu configuration.
 
     E = u (L - 2N) - 2 sum cos k, P = sum k mod 2 pi; both are reported
-    real when the imaginary parts are negligible.
+    real when the imaginary parts are negligible.  An energy that
+    overflows raises ValueError.  Both sums are numpy's, whose pairwise
+    order from four terms on a plain Python sum would not reproduce.
     """
-    ks = np.asarray(roots.k, dtype=complex)
-    energy = u_coupling * (lsites - 2 * ks.size) - 2.0 * complex(np.sum(np.cos(ks)))
-    momentum = float(np.sum(ks).real) % (2.0 * math.pi)
+    ks = np.array(roots.k, dtype=complex)
+    energy = u_coupling * (lsites - 2 * ks.size) - 2.0 * complex(np.cos(ks).sum())
+    if not cmath.isfinite(energy):
+        raise ValueError(f"energy u (L - 2N) - 2 sum cos k overflows at u={u_coupling}, "
+                         f"L={lsites}, N={ks.size}: {energy}")
+    momentum = float(ks.sum().real) % (2.0 * math.pi)
     if abs(energy.imag) < 1e-9 * (1.0 + abs(energy.real)):
         return float(energy.real), momentum
     return energy, momentum

@@ -272,6 +272,19 @@ def test_huge_finite_couplings_solve():
         [-1e307] * 6 + [3e307] * 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("coupling", [1e308, 1.7e308])
+def test_spin_roots_near_the_top_of_the_float_range_validate(coupling):
+    # lambda = -+u/sqrt(3): lambda - mu +- 2iu overflowed in the
+    # product-form check, and at 1.7e308 lambda - mu itself does.
+    result = _run("solve-liebwu", "--L", "7", "--u", repr(coupling), "--N", "4",
+                  "--M", "2", "--I", "0", "--I", "1", "--I", "2", "--I", "3",
+                  "--J", "-2", "--J", "-1")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["ok"] is True and payload["E"] == pytest.approx(-coupling, rel=1e-15)
+    assert payload["residual"] < 1e-12
+
+
 def test_ed_small_sector_of_a_long_chain():
     result = _run("ed", "--L", "40", "--u", "1", "--nup", "1", "--ndown", "0")
     assert result.exit_code == 0
@@ -511,13 +524,17 @@ def test_ads3_residuals_single_pair_at_the_largest_winding():
     # Spin modes on the window edge M - N <= J <= -1 put a root at infinity.
     ("solve-liebwu", "--L", "2", "--u", "1", "--N", "2", "--M", "1",
      "--I", "0", "--I", "1", "--J", "0"),
-    # At u = 1.7e308 the product-form factors of two spin roots leave the
-    # float range (2u overflows), so the solved roots cannot be validated.
+    # At u = 1.7e308 the energy u (L - 2N) = -4u of four charges on four
+    # sites leaves the float range.
     ("solve-liebwu", "--L", "4", "--u", "1.7e308", "--N", "4", "--M", "2",
      "--I", "0", "--I", "1", "--I", "2", "--I", "3", "--J", "-2", "--J", "-1"),
     # A single site has no hopping bond, so Lieb-Wu and ED disagree there.
     ("compare", "--L", "1", "--u", "1", "--N", "1", "--M", "0"),
     ("solve-liebwu", "--L", "1", "--u", "1", "--N", "1", "--M", "0", "--I", "0"),
+    # E = -2u overflows: no JSON number holds it and no oracle level
+    # matches it, as `ed` and `compare` at this coupling already say.
+    ("solve-liebwu", "--L", "2", "--u", "1e308", "--N", "2", "--M", "0",
+     "--I", "0", "--I", "1"),
 ])
 def test_out_of_range_inputs_are_usage_errors(args, tmp_path):
     def materialize(arg):

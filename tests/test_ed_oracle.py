@@ -185,6 +185,80 @@ def test_match_spectrum_reports_gaps():
     assert rep_complex.gaps[1] == pytest.approx(1e-3)
 
 
+def _scanned_match(candidates, levels, tol):
+    """match_spectrum as one argmin scan per candidate, first written so."""
+    cands = [complex(e) for e in candidates]
+    levels = np.asarray(levels, dtype=float)
+    nearest = [float(levels[int(np.argmin(np.abs(levels - e.real)))]) for e in cands]
+    gaps = [abs(e - level) for e, level in zip(cands, nearest)]
+    return (tuple(map(repr, (e.real for e in cands))), tuple(map(repr, nearest)),
+            tuple(map(repr, gaps)), all(g < tol for g in gaps))
+
+
+def _as_reprs(report):
+    return (tuple(map(repr, report.energies)), tuple(map(repr, report.nearest)),
+            tuple(map(repr, report.gaps)), report.passed)
+
+
+def test_match_spectrum_reads_an_unsorted_oracle():
+    levels = [3.0, -1.0, 2.0, 0.5]
+    report = match_spectrum([2.1, -0.9, 0.4, 9.0], levels, 0.2)
+    assert report.nearest == (2.0, -1.0, 0.5, 3.0)
+    assert not report.passed
+    assert _as_reprs(report) == _scanned_match([2.1, -0.9, 0.4, 9.0], levels, 0.2)
+
+
+def test_match_spectrum_takes_the_first_listed_of_equidistant_levels():
+    assert match_spectrum([1.5], [1.0, 2.0], 1.0).nearest == (1.0,)
+    assert match_spectrum([1.5], [2.0, 1.0], 1.0).nearest == (2.0,)
+    # Distances tie once rounded: 1e16 - 0.5 and 1e16 - 1 are both 1e16.
+    assert match_spectrum([1e16], [0.5, 1.0], 1.0).nearest == (0.5,)
+    assert match_spectrum([1e16], [1.0, 0.5], 1.0).nearest == (1.0,)
+    # An infinite candidate is equally far from every finite level.
+    assert match_spectrum([math.inf], [2.0, -1.0], 1.0).nearest == (2.0,)
+
+
+def test_match_spectrum_on_degenerate_levels_keeps_the_first_listed():
+    report = match_spectrum([0.0, 1.0], [-0.0, 0.0, 1.0, 1.0], 1e-8)
+    assert report.passed and report.nearest == (0.0, 1.0)
+    assert math.copysign(1.0, report.nearest[0]) == -1.0
+    report = match_spectrum([0.0], [0.0, -0.0], 1e-8)
+    assert math.copysign(1.0, report.nearest[0]) == 1.0
+
+
+def test_match_spectrum_gap_keeps_the_imaginary_part():
+    report = match_spectrum([2.0 + 1e-3j, -1.0 - 2e-9j], [-1.0, 2.0], 1e-8)
+    assert report.energies == (2.0, -1.0)
+    assert report.nearest == (2.0, -1.0)
+    assert report.gaps == (1e-3, 2e-9)
+    assert not report.passed
+
+
+def test_match_spectrum_needs_levels_for_its_candidates():
+    with pytest.raises(ValueError, match="empty oracle"):
+        match_spectrum([1.0], [], 1e-8)
+    report = match_spectrum([], [], 1e-8)
+    assert report.passed and report.gaps == () and report.max_gap == 0.0
+
+
+def test_match_spectrum_agrees_with_the_argmin_scan():
+    # Random oracles and candidates over a small pool of values, so that
+    # ties, repeats, signed zeros, infinities and NaN all occur.
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 0.25, 1e16, 1e16 + 2.0,
+            math.inf, -math.inf, math.nan]
+    extra = [1.5, 0.75, 1e16 + 1.0, complex(1.0, 0.5), complex(math.nan, 1.0)]
+    rng = np.random.default_rng(34)
+    with np.errstate(invalid="ignore"):
+        for _ in range(3000):
+            levels = [pool[i] for i in rng.integers(0, len(pool), rng.integers(1, 9))]
+            if rng.random() < 0.5:
+                levels.sort()
+            cands = [(pool + extra)[i]
+                     for i in rng.integers(0, len(pool) + len(extra), rng.integers(0, 5))]
+            assert _as_reprs(match_spectrum(cands, levels, 1e-8)) == _scanned_match(
+                cands, levels, 1e-8), (cands, levels)
+
+
 def test_dimension_cap():
     with pytest.raises(SectorTooLarge):
         build_hamiltonian(12, 1.0, (6, 6))

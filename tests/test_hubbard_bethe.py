@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -450,3 +452,151 @@ def test_liebwu_failure_names_its_best_residual(monkeypatch):
     assert str(info.value).endswith(
         "best residual 3.000e-09 over 3 spin seeds, 3 of 3 converged but "
         "failed the product-form check")
+
+
+def test_liebwu_acceptance_never_passes_a_non_finite_residual(monkeypatch):
+    # A Python max over a NaN depends on where the NaN stands; the
+    # product-form gap must not.
+    for entries in ([0.0, math.nan], [math.nan, 0.0], [0.0, math.inf],
+                    [complex(0.0, math.nan)], [1e-15, complex(math.inf, 0.0), 0.0]):
+        monkeypatch.setattr(hb, "liebwu_residuals",
+                            lambda *args, entries=entries: np.array(entries, dtype=complex))
+        with pytest.raises(NoConvergence, match="failed the product-form check"):
+            solve_liebwu(2, 1.0, 2, 1, [0, 1], [-1])
+
+
+def _unscaled_liebwu_residuals(lsites, coupling, roots) -> np.ndarray:
+    """The product-form residuals with every factor written plainly."""
+    res = []
+    sins = [cmath.sin(k) for k in roots.k]
+    for i, k in enumerate(roots.k):
+        prod = cmath.exp(-1j * lsites * k)
+        for lam in roots.lam:
+            prod *= _newton._ratio(sins[i] - lam + 1j * coupling,
+                                   sins[i] - lam - 1j * coupling)
+        res.append(_newton._log(prod))
+    for i, lam in enumerate(roots.lam):
+        prod = 1.0 + 0.0j
+        for j, mu in enumerate(roots.lam):
+            if j != i:
+                prod *= _newton._ratio(lam - mu + 2j * coupling, lam - mu - 2j * coupling)
+        for s in sins:
+            prod *= _newton._ratio(lam - s - 1j * coupling, lam - s + 1j * coupling)
+        res.append(_newton._log(prod))
+    return np.array(res, dtype=complex)
+
+
+def test_liebwu_residuals_have_the_values_of_the_unscaled_product():
+    rng = random.Random(34)
+    for coupling in (1e-8, 0.002, 0.35, 1.0, 2.8, 40.0, 1e100):
+        for _ in range(12):
+            n_charge, m_spin = rng.randint(1, 4), rng.randint(0, 3)
+            imag = rng.choice((0.0, 0.3))
+            roots = LiebWuRoots(
+                tuple(complex(rng.uniform(-math.pi, math.pi), imag * rng.uniform(-1, 1))
+                      for _ in range(n_charge)),
+                tuple(complex(rng.uniform(-2.0, 2.0), imag * rng.uniform(-1, 1))
+                      * max(1.0, coupling) for _ in range(m_spin)))
+            assert np.array_equal(liebwu_residuals(5, coupling, roots),
+                                  _unscaled_liebwu_residuals(5, coupling, roots)), coupling
+
+
+def test_liebwu_residuals_stay_finite_near_the_top_of_the_float_range():
+    # Unscaled, lambda - mu +- 2iu overflows here and CPython's complex
+    # division of (7.04e307 + 1.7e308j) / (7.04e307 - 1.7e308j) underflows
+    # to -0 + 0j, so _log raised on 0j or on nan.
+    roots = LiebWuRoots((0.5, 2.0), (-7.04e307, 7.04e307))
+    with pytest.raises(hb.SingularDenominator):
+        _unscaled_liebwu_residuals(4, 1.7e308, roots)
+    assert np.isfinite(liebwu_residuals(4, 1.7e308, roots)).all()
+    # The state of L=7 N=4 M=2 has lambda = -+u/sqrt(3), whose difference
+    # itself overflows at u = 1.7e308.
+    for coupling in (1e308, 1.7e308):
+        roots = solve_liebwu(7, coupling, 4, 2, [0, 1, 2, 3], [-2, -1])
+        assert np.max(np.abs(liebwu_residuals(7, coupling, roots))) < 1e-12
+        assert sorted(lam.real for lam in roots.lam) == pytest.approx(
+            [-coupling / math.sqrt(3.0), coupling / math.sqrt(3.0)], rel=1e-12)
+
+
+def test_counting_residuals_have_the_bits_of_the_plain_spin_term():
+    # (lambda_a / 2 - lambda_b / 2) / u is (lambda_a - lambda_b) / (2 u)
+    # to the bit wherever 2u is finite; only it stays finite above.
+    def plain(lsites, coupling, mode_k, mode_lam, z):
+        out = hb._counting_residuals(lsites, coupling, mode_k, mode_lam, z)
+        n, m = len(mode_k), len(mode_lam)
+        lams = z[n:].tolist()
+        for a in range(m):
+            val = math.pi * (m - 1 - n) - 2.0 * math.pi * mode_lam[a]
+            for k in z[:n].tolist():
+                val += 2.0 * math.atan((lams[a] - math.sin(k)) / coupling)
+            for b in range(m):
+                if b != a:
+                    val -= 2.0 * math.atan((lams[a] - lams[b]) / (2.0 * coupling))
+            out[n + a] = val
+        return out
+
+    rng = random.Random(35)
+    for coupling in (1e-8, 0.002, 0.35, 1.0, 2.8, 40.0, 1e100, 5e307):
+        for _ in range(12):
+            n_charge, m_spin = rng.randint(1, 4), rng.randint(2, 3)
+            z = np.array([rng.uniform(-math.pi, math.pi) for _ in range(n_charge)]
+                         + [rng.uniform(-2.0, 2.0) * max(1.0, coupling)
+                            for _ in range(m_spin)])
+            args = (5, coupling, list(range(n_charge)), list(range(-m_spin, 0)), z)
+            assert np.array_equal(hb._counting_residuals(*args), plain(*args)), coupling
+
+
+def test_a_runaway_counting_iterate_is_no_convergence():
+    # The Jacobian squares sin k - lambda, and float ** raises
+    # OverflowError where the square leaves the float range.
+    fun = partial(hb._counting_residuals, 4, 0.5, (0, 1), (-1,))
+    jac = partial(hb._counting_jacobian, 4, 0.5, 2)
+    with pytest.raises(NoConvergence, match="Jacobian overflows") as info:
+        _newton.solve_damped(fun, jac, np.array([0.1, 1.2, 1e200]), tol=1e-10)
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert info.value.residual == float(np.max(np.abs(fun(np.array([0.1, 1.2, 1e200])))))
+
+
+def _numpy_energy_momentum(lsites, coupling, roots):
+    """energy_momentum with numpy's free functions, as first written."""
+    ks = np.asarray(roots.k, dtype=complex)
+    energy = coupling * (lsites - 2 * ks.size) - 2.0 * complex(np.sum(np.cos(ks)))
+    momentum = float(np.sum(ks).real) % (2.0 * math.pi)
+    if abs(energy.imag) < 1e-9 * (1.0 + abs(energy.real)):
+        return float(energy.real), momentum
+    return energy, momentum
+
+
+def test_energy_momentum_has_the_bits_of_numpy_sums():
+    # From four terms on numpy adds pairwise: a plain Python sum moves E
+    # in its last bit and can carry P across the 0 == 2 pi wrap.
+    rng = random.Random(36)
+    cases = []
+    for _ in range(3000):
+        count = rng.randint(1, 8)
+        imag = rng.choice((0.0, 0.0, 0.5))
+        cases.append(tuple(complex(rng.uniform(-7.0, 7.0), imag * rng.uniform(-1, 1))
+                           for _ in range(count)))
+    # Momenta whose sum lands within a few ulps of 2 pi n.
+    for _ in range(600):
+        head = [rng.uniform(-7.0, 7.0) for _ in range(rng.randint(0, 7))]
+        last = 2.0 * math.pi * rng.randint(-3, 3) - float(np.sum(head))
+        for step in range(-3, 4):
+            cases.append(tuple(complex(k) for k in head + [last + step * 4e-16]))
+    for ks in cases:
+        try:
+            roots = LiebWuRoots(ks, ())
+        except ValueError:
+            continue
+        lsites = rng.randint(len(ks), 9)
+        coupling = rng.uniform(0.01, 5.0)
+        got = energy_momentum(lsites, coupling, roots)
+        want = _numpy_energy_momentum(lsites, coupling, roots)
+        assert repr(got) == repr(want), ks
+
+
+def test_energy_momentum_refuses_an_energy_that_overflows():
+    roots = LiebWuRoots((0.0, math.pi))
+    assert energy_momentum(2, 1e307, roots) == (-2e307, math.pi)
+    with pytest.raises(ValueError, match="overflows"):
+        energy_momentum(2, 1e308, roots)
